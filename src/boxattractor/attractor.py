@@ -4,19 +4,21 @@ point, the fixed-depth global scheme, and the sparse subdivision loop.
 Pruning keeps exactly the indices that have nonempty images under every
 iterate of the map; it is realised as reverse-adjacency counter decrement
 (every node tracks how many successors survive, nodes hitting zero join the
-removal worklist) processed in batched generations, which makes the result
-and the round count independent of worker scheduling.
+removal worklist) processed in batched generations on a CSR graph, so the
+result and the round count do not depend on the order of the nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .geometry import Box, CoverLevel, refine_cover
+from .geometry import Box, BoxKey, CoverLevel, refine_cover
 from .integrator import EulerParams, EulerSchedule
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
 from .transition import (
@@ -41,18 +43,37 @@ class BoxBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneResult:
     """Greatest fixed point of a pruning pass.
 
     kept is the maximal subset S of the input indices with phi(i) & S
     nonempty for every i in S; removed is its complement; rounds counts the
-    worklist generations that were processed.
+    worklist generations that were processed. kept and removed are sorted
+    tuples, built on first access from the sorted int64 arrays kept_flats
+    and removed_flats. These hold flat indices at `depth` (viewed as
+    BoxKeys) or, for a plain graph, positions in the sorted `nodes`.
     """
 
-    kept: tuple
-    removed: tuple
+    kept_flats: np.ndarray
+    removed_flats: np.ndarray
     rounds: int
+    depth: int = 0
+    dim: int = 0
+    nodes: tuple | None = None
+
+    def _view(self, flats: np.ndarray) -> tuple:
+        if self.nodes is not None:
+            return tuple(self.nodes[i] for i in flats.tolist())
+        return tuple(BoxKey.from_flat(f, self.depth, self.dim) for f in flats.tolist())
+
+    @cached_property
+    def kept(self) -> tuple:
+        return self._view(self.kept_flats)
+
+    @cached_property
+    def removed(self) -> tuple:
+        return self._view(self.removed_flats)
 
 
 @dataclass
@@ -86,6 +107,14 @@ class LevelReport:
         return out
 
 
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in a CSR value array of all entries of the given rows."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(starts, lengths) + offsets
+
+
 def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
     """Counter-decrement worklist on a CSR graph; returns (alive mask, rounds)."""
     counts = np.diff(indptr).astype(np.int64)
@@ -103,101 +132,85 @@ def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
     while frontier.size:
         rounds += 1
         alive[frontier] = False
-        starts = rev_indptr[frontier]
-        lengths = rev_indptr[frontier + 1] - starts
-        total = int(lengths.sum())
-        if total:
-            base = np.repeat(starts, lengths)
-            offsets = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            preds = rev_sources[base + offsets]
+        preds = rev_sources[_gather_rows(rev_indptr, frontier)]
+        if preds.size:
             counts -= np.bincount(preds, minlength=n)
         frontier = np.flatnonzero(alive & (counts <= 0))
     return alive, rounds
 
 
-def _prune_generic(indices: Iterable, succ: Mapping) -> tuple[list, list, int]:
-    nodes = sorted(set(indices))
-    nodeset = set(nodes)
-    counts: dict = {}
-    preds: dict = {i: [] for i in nodes}
-    for i in nodes:
-        outs = {j for j in succ.get(i, ()) if j in nodeset}
-        counts[i] = len(outs)
-        for j in outs:
-            preds[j].append(i)
-    alive = set(nodes)
-    frontier = [i for i in nodes if counts[i] == 0]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        nxt = []
-        for i in frontier:
-            alive.discard(i)
-        for i in frontier:
-            for p in preds[i]:
-                counts[p] -= 1
-                if counts[p] == 0 and p in alive:
-                    nxt.append(p)
-        frontier = sorted(set(nxt))
-    kept = sorted(alive)
-    removed = sorted(nodeset - alive)
-    return kept, removed, rounds
+def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of a transition map restricted to the sorted local indices loc."""
+    if loc.size == tmap.size:
+        return tmap.indptr, tmap.targets
+    relabel = np.full(tmap.size, -1, dtype=np.int64)
+    relabel[loc] = np.arange(loc.size)
+    edges = _gather_rows(tmap.indptr, loc)
+    sources = np.repeat(np.arange(loc.size), np.diff(tmap.indptr)[loc])
+    targets = relabel[tmap.targets[edges]]
+    inside = targets >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(sources[inside], minlength=loc.size))])
+    return indptr, targets[inside]
 
 
 def prune(indices, transition) -> PruneResult:
     """Remove every index whose image chain dies out; keep the rest.
 
-    `transition` is either a TransitionMap or a plain mapping from node to an
-    iterable of successors. Edges leaving `indices` are dropped (restriction
-    semantics), and indices missing from the mapping count as having no
-    successors.
+    `transition` is either a TransitionMap, whose indices are BoxKeys or an
+    integer array of flat indices on its level, or a plain mapping from node
+    to an iterable of successors. Edges leaving `indices` are dropped
+    (restriction semantics), and indices missing from the mapping count as
+    having no successors. Every graph is relabelled to CSR over its sorted
+    nodes and pruned by one kernel.
     """
     if isinstance(transition, TransitionMap):
         level = transition.level
-        index_list = list(indices)
-        flats = np.array([k.flat(level.dim) for k in index_list], dtype=np.int64)
-        if flats.size == level.size and np.array_equal(np.sort(flats), level.flats):
-            alive, rounds = _prune_csr(level.size, transition.indptr, transition.targets)
-            kept = tuple(level.key_of_flat(f) for f in level.flats[alive])
-            removed = tuple(level.key_of_flat(f) for f in level.flats[~alive])
-            return PruneResult(kept=kept, removed=removed, rounds=rounds)
-        mapping = {k: transition.targets_of(k) for k in index_list}
-        kept, removed, rounds = _prune_generic(index_list, mapping)
-        return PruneResult(kept=tuple(kept), removed=tuple(removed), rounds=rounds)
-    kept, removed, rounds = _prune_generic(indices, transition)
-    return PruneResult(kept=tuple(kept), removed=tuple(removed), rounds=rounds)
+        flats = level.flats_of(indices)
+        indptr, targets = _restrict_csr(transition, level.locate(flats))
+        alive, rounds = _prune_csr(flats.size, indptr, targets)
+        return PruneResult(flats[alive], flats[~alive], rounds, depth=level.depth, dim=level.dim)
+    nodes = tuple(sorted(set(indices)))
+    position = {v: i for i, v in enumerate(nodes)}
+    succ = [{position[j] for j in transition.get(v, ()) if j in position} for v in nodes]
+    indptr = np.concatenate([[0], np.cumsum([len(s) for s in succ], dtype=np.int64)])
+    targets = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.int64, count=int(indptr[-1]))
+    alive, rounds = _prune_csr(len(nodes), indptr, targets)
+    ids = np.arange(len(nodes))
+    return PruneResult(ids[alive], ids[~alive], rounds, nodes=nodes)
 
 
-def _prune_level(level: CoverLevel, tmap: TransitionMap) -> tuple[PruneResult, np.ndarray]:
-    alive, rounds = _prune_csr(level.size, tmap.indptr, tmap.targets)
-    kept_flats = level.flats[alive]
-    kept = tuple(level.key_of_flat(f) for f in kept_flats)
-    removed = tuple(level.key_of_flat(f) for f in level.flats[~alive])
-    return PruneResult(kept=kept, removed=removed, rounds=rounds), kept_flats
-
-
-def _build_level_map(
+def _run_level(
     level: CoverLevel,
     sys: DiscreteSystemSpec | ContinuousSystemSpec,
     M: int,
     euler: EulerParams | None,
-    threads: int,
-) -> TransitionMap:
+    diagnostics: bool,
+    samples: int,
+    seed: int,
+) -> tuple[PruneResult, LevelReport]:
+    """Map, prune and (optionally) diagnose one level."""
+    t0 = time.perf_counter()
     if isinstance(sys, ContinuousSystemSpec):
-        return build_transition_continuous(level, sys, M=M, params=euler, threads=threads)
-    return build_transition_discrete(level, sys, M=M, threads=threads)
-
-
-def _report_for(level: CoverLevel, tmap: TransitionMap, result: PruneResult) -> LevelReport:
-    return LevelReport(
+        tmap = build_transition_continuous(level, sys, M=M, params=euler)
+    else:
+        tmap = build_transition_discrete(level, sys, M=M)
+    t1 = time.perf_counter()
+    result = prune(level.flats, tmap)
+    t2 = time.perf_counter()
+    report = LevelReport(
         depth=level.depth,
         rho=level.rho,
         h=tmap.meta.h,
         r=tmap.meta.radius if tmap.meta.kind == "continuous" else 0.0,
         boxes_in=level.size,
-        boxes_kept=len(result.kept),
+        boxes_kept=int(result.kept_flats.size),
         edges=tmap.edge_count,
+        map_ms=(t1 - t0) * 1e3,
+        prune_ms=(t2 - t1) * 1e3,
     )
+    if diagnostics:
+        report.gaps = run_diagnostics(tmap, sys, samples=samples, seed=seed)
+    return result, report
 
 
 def run_global(
@@ -212,22 +225,14 @@ def run_global(
     samples: int = 100,
     seed: int = 0,
 ) -> tuple[PruneResult, LevelReport]:
-    """Fixed-depth scheme: build the full 2^{nd}-cell cover, map, and prune."""
+    """Fixed-depth scheme: build the full 2^{nd}-cell cover, map, and prune.
+
+    `threads` is accepted for compatibility and ignored.
+    """
     needed = 1 << (depth * Q.dim)
     if needed > box_budget:
         raise BoxBudgetError(depth=depth, needed=needed, budget=box_budget)
-    level = CoverLevel.full(Q, depth)
-    t0 = time.perf_counter()
-    tmap = _build_level_map(level, sys, M, euler, threads)
-    t1 = time.perf_counter()
-    result, _ = _prune_level(level, tmap)
-    t2 = time.perf_counter()
-    report = _report_for(level, tmap, result)
-    report.map_ms = (t1 - t0) * 1e3
-    report.prune_ms = (t2 - t1) * 1e3
-    if diagnostics:
-        report.gaps = run_diagnostics(tmap, sys, samples=samples, seed=seed)
-    return result, report
+    return _run_level(CoverLevel.full(Q, depth), sys, M, euler, diagnostics, samples, seed)
 
 
 def run_subdivision(
@@ -251,7 +256,8 @@ def run_subdivision(
     and stops at max_depth, on an exhausted level, or with BoxBudgetError
     when the next level would exceed the budget. A KeyboardInterrupt
     propagates after the current level's callback has fired, so streamed
-    artifacts stay complete per level.
+    artifacts stay complete per level. `threads` is accepted for
+    compatibility and ignored.
     """
     continuous = isinstance(sys, ContinuousSystemSpec)
     if continuous:
@@ -277,21 +283,12 @@ def run_subdivision(
         if level.size > box_budget:
             raise BoxBudgetError(depth=n, needed=level.size, budget=box_budget)
         params = euler.params_at(n) if continuous else None
-        t0 = time.perf_counter()
-        tmap = _build_level_map(level, sys, M, params, threads)
-        t1 = time.perf_counter()
-        result, kept_flats = _prune_level(level, tmap)
-        t2 = time.perf_counter()
-        report = _report_for(level, tmap, result)
-        report.map_ms = (t1 - t0) * 1e3
-        report.prune_ms = (t2 - t1) * 1e3
-        if diagnostics:
-            report.gaps = run_diagnostics(tmap, sys, samples=samples, seed=seed)
+        result, report = _run_level(level, sys, M, params, diagnostics, samples, seed)
         out.append((result, report))
         if on_level is not None:
             on_level(level, result, report)
-        if not result.kept:
+        if not result.kept_flats.size:
             break  # attractor region empty at this depth
         if n < max_depth:
-            level = refine_cover(level, kept_flats)
+            level = refine_cover(level, result.kept_flats)
     return out

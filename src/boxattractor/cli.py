@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys as _sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,7 @@ from .attractor import (
     BoxBudgetError,
     LevelReport,
     PruneResult,
+    prune,
     run_global,
     run_subdivision,
 )
@@ -149,7 +151,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--h0", type=float, help="initial macro step for flows")
     p.add_argument("--h-decay", type=float, dest="alpha", help="step decay exponent alpha in (0,1)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted and ignored; runs are single-threaded")
     p.add_argument("--box-budget", type=int, dest="box_budget")
     p.add_argument("--diagnostics", action="store_true", default=None)
     p.add_argument("--samples", type=int, help="diagnostic samples per box")
@@ -216,6 +218,33 @@ def _log(msg: str) -> None:
     print(msg, file=_sys.stderr, flush=True)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace `path` by `text` through a temporary file in the same
+    directory, so an interrupted write never leaves a truncated file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fp:
+            fp.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_checkpoint(path: Path, cfg_hash: str) -> tuple[int, np.ndarray]:
+    """Depth and kept flat indices of a checkpoint written for `cfg_hash`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            ck = json.load(fp)
+        matches = ck.get("config_hash") == cfg_hash
+        depth, kept = int(ck["depth"]), np.asarray(ck["kept"], dtype=np.int64)
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc!r}") from None
+    if not matches:
+        raise ConfigError(f"config hash mismatch in {path.name}")
+    return depth, kept
+
+
 # -- run -------------------------------------------------------------------------
 
 
@@ -228,42 +257,34 @@ def cmd_run(cfg: RunConfig) -> int:
     ckpt_base = _checkpoint_path(cfg, 0).parent
     ckpt_base.mkdir(parents=True, exist_ok=True)
 
-    resume = None
-    if cfg.resume:
-        try:
-            with open(cfg.resume, "r", encoding="utf-8") as fp:
-                ck = json.load(fp)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read checkpoint: {exc}") from None
-        if ck.get("config_hash") != cfg_hash:
-            raise ConfigError("checkpoint config hash does not match the current configuration")
-        resume = (int(ck["depth"]), np.asarray(ck["kept"], dtype=np.int64))
+    resume = _read_checkpoint(Path(cfg.resume), cfg_hash) if cfg.resume else None
 
     reports: list[LevelReport] = []
     status = 0
     boxes_fp = open(out_path, "w", encoding="utf-8", newline="\n")
 
     def on_level(level: CoverLevel, result: PruneResult, report: LevelReport) -> None:
-        los, his = level.box_los, level.box_his
-        kept_flats = np.array([k.flat(level.dim) for k in result.kept], dtype=np.int64)
-        locs = level.locate(kept_flats)
-        for flat, loc in zip(kept_flats, locs):
+        kept = result.kept_flats.tolist()
+        locs = level.locate(result.kept_flats)
+        los, his = level.box_los[locs].tolist(), level.box_his[locs].tolist()
+        for flat, lo, hi in zip(kept, los, his):
             rec = {
                 "depth": level.depth,
-                "index": int(flat),
-                "lo": los[loc].tolist(),
-                "hi": his[loc].tolist(),
+                "index": flat,
+                "lo": lo,
+                "hi": hi,
             }
             boxes_fp.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         boxes_fp.flush()
         ck = {
             "depth": level.depth,
-            "kept": [int(f) for f in kept_flats],
+            "kept": kept,
             "config_hash": cfg_hash,
         }
-        with open(_checkpoint_path(cfg, level.depth), "w", encoding="utf-8", newline="\n") as fp:
-            json.dump(ck, fp, sort_keys=True, separators=(",", ":"))
-            fp.write("\n")
+        _write_atomic(
+            _checkpoint_path(cfg, level.depth),
+            json.dumps(ck, sort_keys=True, separators=(",", ":")) + "\n",
+        )
         reports.append(report)
         _log(
             f"[run] depth={report.depth} rho={report.rho:.6g} h={report.h:.6g} r={report.r:.6g} "
@@ -283,7 +304,6 @@ def cmd_run(cfg: RunConfig) -> int:
             diagnostics=cfg.diagnostics,
             samples=cfg.samples,
             seed=cfg.seed,
-            threads=cfg.threads,
             box_budget=cfg.box_budget,
             resume=resume,
             on_level=on_level,
@@ -299,9 +319,10 @@ def cmd_run(cfg: RunConfig) -> int:
         status = 1
     finally:
         boxes_fp.close()
-        with open(cfg.stats, "w", encoding="utf-8", newline="\n") as fp:
-            json.dump([r.to_json_dict() for r in reports], fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        _write_atomic(
+            Path(cfg.stats),
+            json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True) + "\n",
+        )
     return status
 
 
@@ -313,11 +334,8 @@ def _load_checkpoints(cfg: RunConfig) -> dict[int, np.ndarray]:
     cfg_hash = cfg.config_hash()
     out: dict[int, np.ndarray] = {}
     for path in sorted(base.glob("checkpoint_d*.json")):
-        with open(path, "r", encoding="utf-8") as fp:
-            ck = json.load(fp)
-        if ck.get("config_hash") != cfg_hash:
-            raise ConfigError(f"config hash mismatch in {path.name}")
-        out[int(ck["depth"])] = np.asarray(ck["kept"], dtype=np.int64)
+        depth, kept = _read_checkpoint(path, cfg_hash)
+        out[depth] = kept
     if not out:
         raise ConfigError(f"no checkpoints found under {base}")
     return out
@@ -335,27 +353,22 @@ def _replay_levels(cfg: RunConfig, checkpoints: dict[int, np.ndarray]):
         else:
             continue
         if isinstance(system, ContinuousSystemSpec):
-            tmap = build_transition_continuous(
-                level, system, M=cfg.M, params=schedule.params_at(depth), threads=cfg.threads
-            )
+            tmap = build_transition_continuous(level, system, M=cfg.M, params=schedule.params_at(depth))
         else:
-            tmap = build_transition_discrete(level, system, M=cfg.M, threads=cfg.threads)
+            tmap = build_transition_discrete(level, system, M=cfg.M)
         yield depth, level, tmap, checkpoints[depth], system
 
 
 def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
               resolution: float = 0.02, horizon: float | None = None,
               verdict_path: str | None = None) -> int:
-    from .attractor import _prune_level
-
     checkpoints = _load_checkpoints(cfg)
     verdict: dict = {"mode": mode, "config_hash": cfg.config_hash(), "levels": []}
     ok = True
 
     if mode == "containment":
         for depth, level, tmap, kept, system in _replay_levels(cfg, checkpoints):
-            result, kept_flats = _prune_level(level, tmap)
-            consistent = np.array_equal(kept_flats, np.sort(kept))
+            consistent = np.array_equal(prune(level.flats, tmap).kept_flats, np.sort(kept))
             rep = check_containment_condition(tmap, system, samples=cfg.samples, seed=cfg.seed)
             entry = {
                 "depth": depth,
@@ -389,8 +402,7 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
                 continue
             euler = schedule.params_at(depth) if schedule else None
             g_result, _ = run_global(
-                system, cfg.q, depth, M=cfg.M, euler=euler,
-                threads=cfg.threads, box_budget=cfg.box_budget,
+                system, cfg.q, depth, M=cfg.M, euler=euler, box_budget=cfg.box_budget,
             )
             level = CoverLevel(cfg.q, depth, boxes[depth])
             sub_keys = level.active
@@ -429,8 +441,6 @@ def _read_boxes(path: str) -> dict[int, np.ndarray]:
 
 
 def cmd_prune_graph(input_path: str | None, output_path: str | None) -> int:
-    from .attractor import prune
-
     try:
         if input_path and input_path != "-":
             with open(input_path, "r", encoding="utf-8") as fp:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,15 +118,7 @@ def sample_centers(b: Box, M: int) -> SampleGrid:
     """Decompose a box into M^d subboxes and return their centers."""
     if M < 1:
         raise ValueError("M must be a positive integer")
-    d = b.dim
-    w = (b.hi - b.lo) / M
-    axes = [b.lo[k] + (np.arange(M) + 0.5) * w[k] for k in range(d)]
-    count = M**d
-    centers = np.empty((count, d))
-    for k in range(d):
-        idx = (np.arange(count) // M**k) % M  # axis 0 varies fastest
-        centers[:, k] = axes[k][idx]
-    return SampleGrid(centers=centers, subdiameter=b.diameter / M)
+    return SampleGrid(centers=subbox_centers(b.lo, b.hi, M), subdiameter=b.diameter / M)
 
 
 def point_box_distance(p, b: Box) -> float:
@@ -141,6 +133,15 @@ def box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     d = lo.shape[-1]
     bits = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
     return np.where(bits, hi[..., None, :], lo[..., None, :])
+
+
+def subbox_centers(lo: np.ndarray, hi: np.ndarray, M: int) -> np.ndarray:
+    """Centers of the M^d commensurate subboxes of boxes given as (..., d)
+    corner arrays, shape (..., M^d, d) with axis 0 varying fastest."""
+    d = lo.shape[-1]
+    idx = (np.arange(M**d)[:, None] // M ** np.arange(d)) % M
+    w = (hi - lo) / M
+    return lo[..., None, :] + (idx + 0.5) * w[..., None, :]
 
 
 def dyadic_boundaries(lo: float, hi: float, depth: int) -> np.ndarray:
@@ -241,8 +242,7 @@ class CoverLevel:
     """The active dyadic cells of one subdivision depth over a root box.
 
     Active cells are stored as a sorted array of flat indices; BoxKey views
-    are materialised on demand. Instances are immutable after construction
-    and safe to share between workers.
+    are materialised on demand. Instances are immutable after construction.
     """
 
     def __init__(self, root: Box, depth: int, flats):
@@ -264,16 +264,6 @@ class CoverLevel:
         if count > MAX_FULL_GRID:
             raise ValueError(f"full cover at depth {depth} exceeds {MAX_FULL_GRID} cells")
         return cls(root, depth, np.arange(count, dtype=np.int64))
-
-    @classmethod
-    def from_keys(cls, root: Box, keys: Iterable[BoxKey]) -> "CoverLevel":
-        keys = list(keys)
-        if not keys:
-            raise ValueError("from_keys needs at least one key; use CoverLevel(root, depth, []) instead")
-        depth = keys[0].depth
-        if any(k.depth != depth for k in keys):
-            raise ValueError("all keys of a cover level must share one depth")
-        return cls(root, depth, [k.flat(root.dim) for k in keys])
 
     # -- basic views ---------------------------------------------------------
 
@@ -341,6 +331,22 @@ class CoverLevel:
 
     def key_of_flat(self, flat: int) -> BoxKey:
         return BoxKey.from_flat(int(flat), self.depth, self.dim)
+
+    def flats_of(self, cells) -> np.ndarray:
+        """Sorted unique flat indices of active cells, given as an integer
+        array of flat indices or as BoxKeys of this depth."""
+        if isinstance(cells, np.ndarray) and cells.dtype.kind == "i":
+            flats = np.asarray(cells, dtype=np.int64)
+        else:
+            keys = list(cells)
+            if any(k.depth != self.depth for k in keys):
+                raise ValueError("cells must live on this level's depth")
+            flats = np.array([k.flat(self.dim) for k in keys], dtype=np.int64)
+        flats = np.unique(flats)
+        missing = flats[self.locate(flats) < 0]
+        if missing.size:
+            raise ValueError(f"cell {int(missing[0])} is not active on this level")
+        return flats
 
     def locate(self, flats) -> np.ndarray:
         """Local positions of flat indices, -1 where not active."""
@@ -427,20 +433,7 @@ class CoverLevel:
 
 def refine_cover(level: CoverLevel, retained) -> CoverLevel:
     """Replace each retained cell by its 2^d children, one depth down."""
-    if isinstance(retained, np.ndarray) and retained.dtype.kind == "i":
-        flats = np.asarray(retained, dtype=np.int64)
-    else:
-        keys = list(retained)
-        for k in keys:
-            if k.depth != level.depth:
-                raise ValueError("retained keys must live on the given level")
-        flats = np.array([k.flat(level.dim) for k in keys], dtype=np.int64)
-    flats = np.unique(flats)
-    if flats.size:
-        loc = level.locate(flats)
-        if np.any(loc < 0):
-            bad = flats[loc < 0][0]
-            raise ValueError(f"retained cell {int(bad)} is not active on this level")
+    flats = level.flats_of(retained)
     d = level.dim
     children = ((flats[:, None] << d) | np.arange(1 << d, dtype=np.int64)[None, :]).ravel()
     return CoverLevel(level.root, level.depth + 1, children)

@@ -11,15 +11,13 @@ with r the enclosure radius. Cells sharing only a face count as
 intersecting (closed cells), which can only enlarge phi and therefore
 preserves every containment guarantee.
 
-Edge construction is independent per source cell; workers receive fixed
-size chunks and results are merged in canonical order, so the output is
-bit-identical for any worker count.
+Edge construction is independent per source cell and runs in source order
+on one thread, so the output is canonical.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -33,6 +31,7 @@ from .geometry import (
     coords_to_flats,
     grid_points,
     point_box_distance,
+    subbox_centers,
 )
 from .integrator import EulerParams, enclosure_radius, euler_backward, reference_backward_flow
 from .systems import (
@@ -41,8 +40,6 @@ from .systems import (
     eval_field_batch,
     eval_inverse_batch,
 )
-
-_CHUNK = 1024  # sources per work item, independent of the worker count
 
 
 @dataclass(frozen=True)
@@ -129,18 +126,6 @@ class GapReport:
 # -- construction --------------------------------------------------------------
 
 
-def _level_centers(level: CoverLevel, M: int) -> np.ndarray:
-    """Sample centers of every active cell, shape (V, M^d, d)."""
-    d = level.dim
-    lo = level.box_los  # (V, d)
-    w = (level.box_his - lo) / M
-    count = M**d
-    idx = np.empty((count, d))
-    for k in range(d):
-        idx[:, k] = (np.arange(count) // M**k) % M
-    return lo[:, None, :] + (idx[None, :, :] + 0.5) * w[:, None, :]
-
-
 def _targets_for_images(level: CoverLevel, images: np.ndarray, radius: float) -> np.ndarray:
     """Sorted local target indices for one source cell's image points."""
     dense = level._dense
@@ -181,22 +166,8 @@ def _targets_for_images(level: CoverLevel, images: np.ndarray, radius: float) ->
     return np.unique(np.concatenate(parts))
 
 
-def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: TransitionMeta, threads: int) -> TransitionMap:
-    V = level.size
-    if V == 0:
-        return TransitionMap(level, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), meta)
-
-    def work(lo_i: int) -> list[np.ndarray]:
-        hi_i = min(lo_i + _CHUNK, V)
-        return [_targets_for_images(level, images[i], radius) for i in range(lo_i, hi_i)]
-
-    starts = range(0, V, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, starts))
-    else:
-        chunks = [work(s) for s in starts]
-    per_source = [t for chunk in chunks for t in chunk]
+def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: TransitionMeta) -> TransitionMap:
+    per_source = [_targets_for_images(level, pts, radius) for pts in images]
     lengths = np.array([t.size for t in per_source], dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     targets = np.concatenate(per_source) if per_source else np.empty(0, dtype=np.int64)
@@ -206,7 +177,11 @@ def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: Trans
 def build_transition_discrete(
     level: CoverLevel, sys: DiscreteSystemSpec, M: int = 1, threads: int = 1
 ) -> TransitionMap:
-    """Overapproximating map for a discrete system on the given level."""
+    """Overapproximating map for a discrete system on the given level.
+
+    `threads` is accepted for compatibility and ignored; maps are built on
+    one thread.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
     if level.size and not sys.validity_region.contains_box(level.root):
@@ -214,9 +189,9 @@ def build_transition_discrete(
     subdiameter = level.rho / M
     radius = sys.lipschitz_L * subdiameter
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=subdiameter)
-    centers = _level_centers(level, M)
+    centers = subbox_centers(level.box_los, level.box_his, M)
     images = eval_inverse_batch(sys, centers.reshape(-1, level.dim)).reshape(centers.shape)
-    return _build_map(level, images, radius, meta, threads)
+    return _build_map(level, images, radius, meta)
 
 
 def validity_margin(sys: ContinuousSystemSpec, root: Box) -> float:
@@ -228,7 +203,10 @@ def validity_margin(sys: ContinuousSystemSpec, root: Box) -> float:
 def build_transition_continuous(
     level: CoverLevel, sys: ContinuousSystemSpec, M: int = 1, params: EulerParams | None = None, threads: int = 1
 ) -> TransitionMap:
-    """Overapproximating map for an ODE flow via inflated Euler images."""
+    """Overapproximating map for an ODE flow via inflated Euler images.
+
+    `threads` is accepted for compatibility and ignored.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
     if params is None:
@@ -245,12 +223,12 @@ def build_transition_continuous(
         kind="continuous", M=M, radius=radius, subdiameter=subdiameter,
         h=params.h, substeps=params.substeps,
     )
-    centers = _level_centers(level, M)
+    centers = subbox_centers(level.box_los, level.box_his, M)
     if level.size:
         images = euler_backward(sys, centers.reshape(-1, level.dim), params).reshape(centers.shape)
     else:
         images = centers
-    return _build_map(level, images, radius, meta, threads)
+    return _build_map(level, images, radius, meta)
 
 
 # -- diagnostics ----------------------------------------------------------------
@@ -367,7 +345,7 @@ def measure_overapprox_gap(
             a_pts = np.concatenate([a_corners, a_centers], axis=0)
             w_pts = np.concatenate(
                 [
-                    _level_centers_one(level, i, tmap.meta.M),
+                    subbox_centers(lo[i], hi[i], tmap.meta.M),
                     box_corners(lo[i], hi[i]).reshape(-1, d),
                     ((lo[i] + hi[i]) / 2.0)[None, :],
                 ],
@@ -400,17 +378,6 @@ def measure_overapprox_gap(
         defect = max(defect, float(np.max(val)))
     report.defect_gap = defect
     return report
-
-
-def _level_centers_one(level: CoverLevel, i: int, M: int) -> np.ndarray:
-    d = level.dim
-    lo = level.box_los[i]
-    w = (level.box_his[i] - lo) / M
-    count = M**d
-    idx = np.empty((count, d))
-    for k in range(d):
-        idx[:, k] = (np.arange(count) // M**k) % M
-    return lo[None, :] + (idx + 0.5) * w[None, :]
 
 
 def run_diagnostics(

@@ -89,12 +89,33 @@ def test_prune_on_transition_map_matches_oracle() -> None:
     want = reach_cycle_set(edges)
     res = prune(level.active, tmap)
     assert {int(k.flat(1)) for k in res.kept} == want
-    # the vectorized CSR path and the generic worklist agree on everything,
-    # including the number of removal generations
+    # the transition map and its plain-dict copy give the same kept and
+    # removed sets and the same number of removal generations
     res_generic = prune(edges.keys(), edges)
     assert {int(k.flat(1)) for k in res.kept} == set(res_generic.kept)
     assert {int(k.flat(1)) for k in res.removed} == set(res_generic.removed)
     assert res.rounds == res_generic.rounds
+
+
+def test_prune_restriction_semantics_on_transition_map_subset() -> None:
+    sys_ = make_builtin("linmap2d", Q2)
+    level = CoverLevel.full(Q2, 3)
+    tmap = build_transition_discrete(level, sys_, M=1)
+    edges = {int(k.flat(2)): [int(t.flat(2)) for t in v] for k, v in tmap.items()}
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        subset = [k for k in level.active if rng.random() < 0.6]
+        flats = {int(k.flat(2)) for k in subset}
+        restricted = {f: [t for t in edges[f] if t in flats] for f in flats}
+        res = prune(subset, tmap)
+        want = prune(flats, restricted)
+        assert [k.flat(2) for k in res.kept] == list(want.kept)
+        assert [k.flat(2) for k in res.removed] == list(want.removed)
+        assert res.rounds == want.rounds
+        assert set(want.kept) == reach_cycle_set(restricted)
+        assert res.kept_flats.tolist() == list(want.kept)
+    # some subsets do prune, so the comparison is not between two full sets
+    assert prune(level.active[::2], tmap).removed
 
 
 def test_run_global_halving_band() -> None:
@@ -145,6 +166,8 @@ def test_subdivision_halving_band_and_containment() -> None:
     levels = run_subdivision(sys_, Q1, max_depth=8, M=1)
     assert len(levels) == 9
     for result, report in levels:
+        assert result.kept_flats.tolist() == [k.flat(1) for k in result.kept]
+        assert result.removed_flats.tolist() == [k.flat(1) for k in result.removed]
         level = kept_level(Q1, report.depth, result.kept)
         assert level.contains_points(np.zeros((1, 1))).all()
         if report.depth >= 4:

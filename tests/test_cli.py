@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 
 import boxattractor.cli as cli
 from boxattractor.cli import ConfigError, main, parse_q
-from boxattractor.geometry import Box
+from boxattractor.geometry import Box, CoverLevel
+from boxattractor.systems import make_builtin
+from boxattractor.transition import build_transition_discrete
 
 
 def run_args(tmp: Path, **over) -> list[str]:
@@ -267,3 +270,125 @@ def test_henon_params_flag(tmp_path: Path) -> None:
            "--param": "henon.a=1.2"},
     ))
     assert rc == 0
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of the boxes JSONL, the stats JSON and the concatenated checkpoints
+# (in depth order) of two discrete runs. Discrete images of dyadic centres are
+# dyadic, so these bytes do not depend on the platform's libm.
+PINNED_RUNS = {
+    ("henon", "-2,-2:2,2", "6"): (
+        "4e553e270fd1688eb5c9fd2b104f9f7a0e3200441a8aae085f0c314bfadfaf3f",
+        "b634dad754f373ef3644da698c554aba79515d44899c5afbbbf40b79d81066c9",
+        "56d4373eb740180448992ab3840cfff8768bafe2e3c7340ddaa01b1310d9870a",
+    ),
+    ("linmap2d", "-1,-1:1,1", "7"): (
+        "bb4ea6aa798fc47aa9eb5708b92778dace43985a554d27f6e628fa78a9b521e7",
+        "7a9243099ccf664abc800a655f1fb87e4e6fb819b5cd41f7a8aa146091a07381",
+        "f4f071b3841bc97ae524f6eb19b3ab2f53fd8356a48e5c72006b8b3536f01e32",
+    ),
+}
+
+
+@pytest.mark.parametrize("system,q,depth", sorted(PINNED_RUNS))
+def test_run_artifacts_are_pinned(tmp_path: Path, system: str, q: str, depth: str) -> None:
+    rc = main(["run", "--system", system, f"--q={q}", "--depth", depth,
+               "--out", str(tmp_path / "boxes.jsonl"), "--stats", str(tmp_path / "stats.json"),
+               "--checkpoint-dir", str(tmp_path / "ckpt")])
+    assert rc == 0
+    ckpts = sorted((tmp_path / "ckpt").iterdir(), key=lambda p: int(p.stem.removeprefix("checkpoint_d")))
+    assert [p.name for p in ckpts] == [f"checkpoint_d{d}.json" for d in range(int(depth) + 1)]
+    got = (
+        sha256((tmp_path / "boxes.jsonl").read_bytes()),
+        sha256((tmp_path / "stats.json").read_bytes()),
+        sha256(b"".join(p.read_bytes() for p in ckpts)),
+    )
+    assert got == PINNED_RUNS[(system, q, depth)]
+
+
+def test_transition_dumps_is_pinned() -> None:
+    Q2 = Box([-1.0, -1.0], [1.0, 1.0])
+    tmap = build_transition_discrete(CoverLevel.full(Q2, 4), make_builtin("linmap2d", Q2))
+    assert sha256(tmap.dumps().encode("utf-8")) == (
+        "e4f885eb421ba7657ec46a577a7f3e9f76e3503aa9baaf50cd7f9397077c59ab"
+    )
+
+
+def test_check_truncated_checkpoint_exit_2(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "4"})) == 0
+    ckpt = tmp_path / "ckpt" / "checkpoint_d2.json"
+    text = ckpt.read_text()
+    ckpt.write_text(text[: len(text) // 2])
+    base = run_args(tmp_path, **{"--depth": "4"})[1:]
+    assert main(["check", "--mode", "containment", *base]) == 2
+
+
+def test_resume_checkpoint_without_depth_exit_2(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    ckpt = tmp_path / "ckpt" / "checkpoint_d2.json"
+    data = json.loads(ckpt.read_text())
+    del data["depth"]
+    ckpt.write_text(json.dumps(data))
+    rc = main(run_args(tmp_path, **{"--depth": "5", "--resume": str(ckpt)}))
+    assert rc == 2
+
+
+def test_interrupted_checkpoint_write_leaves_whole_files(tmp_path: Path, monkeypatch) -> None:
+    full_dir = tmp_path / "full"
+    full_dir.mkdir()
+    assert main(run_args(full_dir, **{"--depth": "5"})) == 0
+    full = read_jsonl(full_dir / "boxes.jsonl")
+
+    # the second checkpoint write is cut off halfway by an interrupt
+    writes = {"n": 0}
+
+    class HalfWriter:
+        def __init__(self, fp):
+            self.fp = fp
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fp.__exit__(*exc)
+
+        def write(self, text: str) -> int:
+            self.fp.write(text[: len(text) // 2])
+            self.fp.flush()
+            raise KeyboardInterrupt
+
+    def cutting_open(path, *args, **kwargs):
+        fp = open(path, *args, **kwargs)
+        if "checkpoint_d" in Path(path).name:
+            writes["n"] += 1
+            if writes["n"] == 2:
+                return HalfWriter(fp)
+        return fp
+
+    # a checkpoint of the same configuration left from an earlier run must
+    # survive the cut whole: readers see the old file or the new one
+    cut_dir = tmp_path / "cut"
+    (cut_dir / "ckpt").mkdir(parents=True)
+    stale = (full_dir / "ckpt" / "checkpoint_d1.json").read_bytes()
+    (cut_dir / "ckpt" / "checkpoint_d1.json").write_bytes(stale)
+    monkeypatch.setattr(cli, "open", cutting_open, raising=False)
+    assert main(run_args(cut_dir, **{"--depth": "5"})) == 130
+    monkeypatch.undo()
+
+    assert [s["depth"] for s in json.loads((cut_dir / "stats.json").read_text())] == [0]
+    ckpt_dir = cut_dir / "ckpt"
+    assert sorted(p.name for p in ckpt_dir.iterdir()) == ["checkpoint_d0.json", "checkpoint_d1.json"]
+    first = ckpt_dir / "checkpoint_d0.json"
+    assert first.read_bytes() == (full_dir / "ckpt" / "checkpoint_d0.json").read_bytes()
+    assert (ckpt_dir / "checkpoint_d1.json").read_bytes() == stale
+
+    resumed_dir = tmp_path / "resumed"
+    resumed_dir.mkdir()
+    assert main(run_args(resumed_dir, **{"--depth": "5", "--resume": str(first)})) == 0
+    assert read_jsonl(resumed_dir / "boxes.jsonl") == [r for r in full if r["depth"] > 0]
+    for d in range(1, 6):
+        name = f"checkpoint_d{d}.json"
+        assert (resumed_dir / "ckpt" / name).read_bytes() == (full_dir / "ckpt" / name).read_bytes()

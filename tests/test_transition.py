@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from boxattractor.geometry import Box, CoverLevel
+from boxattractor.geometry import Box, CoverLevel, subbox_centers
 from boxattractor.integrator import EulerParams, euler_backward
 from boxattractor.systems import (
     DiscreteSystemSpec,
@@ -14,7 +14,6 @@ from boxattractor.systems import (
 )
 from boxattractor.transition import (
     TransitionMap,
-    _level_centers,
     build_transition_continuous,
     build_transition_discrete,
     check_containment_condition,
@@ -57,7 +56,7 @@ def test_linmap_matches_pair_scan(M: int, depth: int) -> None:
     sys_ = make_builtin("linmap2d", Q2)
     level = CoverLevel.full(Q2, depth)
     tmap = build_transition_discrete(level, sys_, M=M)
-    centers = _level_centers(level, M)
+    centers = subbox_centers(level.box_los, level.box_his, M)
     images = eval_inverse_batch(sys_, centers.reshape(-1, 2)).reshape(centers.shape)
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, tmap.meta.radius)
     # the attracting segment {0} x [-1, 1] keeps its whole column connected
@@ -71,7 +70,7 @@ def test_cubic_depth4_matches_pair_scan() -> None:
     level = CoverLevel.full(Q, 4)
     params = EulerParams(h=0.08, substeps=1)
     tmap = build_transition_continuous(level, sys_, M=1, params=params)
-    centers = _level_centers(level, 1)
+    centers = subbox_centers(level.box_los, level.box_his, 1)
     images = euler_backward(sys_, centers.reshape(-1, 1), params).reshape(centers.shape)
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, tmap.meta.radius)
 
