@@ -258,34 +258,29 @@ def cmd_run(cfg: RunConfig) -> int:
     ckpt_base.mkdir(parents=True, exist_ok=True)
 
     resume = _read_checkpoint(Path(cfg.resume), cfg_hash) if cfg.resume else None
+    committed, records = _earlier_levels(cfg, resume[0]) if resume else (0, [])
 
-    reports: list[LevelReport] = []
     status = 0
-    boxes_fp = open(out_path, "w", encoding="utf-8", newline="\n")
+    boxes_fp = open(out_path, "r+b" if committed else "wb")
+    boxes_fp.seek(committed)  # the end of the last level whose checkpoint is written
+    boxes_fp.truncate()
 
     def on_level(level: CoverLevel, result: PruneResult, report: LevelReport) -> None:
+        nonlocal committed
         kept = result.kept_flats.tolist()
         locs = level.locate(result.kept_flats)
         los, his = level.box_los[locs].tolist(), level.box_his[locs].tolist()
-        for flat, lo, hi in zip(kept, los, his):
-            rec = {
-                "depth": level.depth,
-                "index": flat,
-                "lo": lo,
-                "hi": hi,
-            }
-            boxes_fp.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        boxes_fp.flush()
-        ck = {
-            "depth": level.depth,
-            "kept": kept,
-            "config_hash": cfg_hash,
-        }
-        _write_atomic(
-            _checkpoint_path(cfg, level.depth),
-            json.dumps(ck, sort_keys=True, separators=(",", ":")) + "\n",
+        boxes_fp.writelines(
+            (json.dumps({"depth": level.depth, "index": flat, "lo": lo, "hi": hi},
+                        sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+            for flat, lo, hi in zip(kept, los, his)
         )
-        reports.append(report)
+        boxes_fp.flush()
+        ck = json.dumps({"depth": level.depth, "kept": kept, "config_hash": cfg_hash},
+                        sort_keys=True, separators=(",", ":"))
+        _write_atomic(_checkpoint_path(cfg, level.depth), ck + "\n")
+        committed = boxes_fp.tell()
+        records.append(report.to_json_dict())
         _log(
             f"[run] depth={report.depth} rho={report.rho:.6g} h={report.h:.6g} r={report.r:.6g} "
             f"boxes_in={report.boxes_in} kept={report.boxes_kept} edges={report.edges} "
@@ -318,12 +313,31 @@ def cmd_run(cfg: RunConfig) -> int:
         _log(f"[run] aborted: {exc}")
         status = 1
     finally:
+        # a level interrupted before its checkpoint was written is dropped
+        boxes_fp.truncate(committed)
         boxes_fp.close()
-        _write_atomic(
-            Path(cfg.stats),
-            json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True) + "\n",
-        )
+        _write_atomic(Path(cfg.stats), json.dumps(records, indent=2, sort_keys=True) + "\n")
     return status
+
+
+def _earlier_levels(cfg: RunConfig, depth0: int) -> tuple[int, list[dict]]:
+    """What a run resumed at depth0 keeps of an earlier run's output files:
+    the length of the leading box lines of depths <= depth0, and the stats
+    records of those depths."""
+    keep, records = 0, []
+    try:
+        if Path(cfg.out).exists():
+            with open(cfg.out, "rb") as fp:
+                for line in fp:
+                    if json.loads(line)["depth"] > depth0:
+                        break
+                    keep += len(line)
+        if Path(cfg.stats).exists():
+            stats = json.loads(Path(cfg.stats).read_text(encoding="utf-8"))
+            records = [r for r in stats if r["depth"] <= depth0]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot extend the earlier run's artifacts: {exc!r}") from None
+    return keep, records
 
 
 # -- check -----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_FULL_GRID = 1 << 24  # hard cap on materialised full-grid covers and lookup grids
+MAX_FULL_GRID = 1 << 24  # hard cap on materialised full-grid covers
 
 
 def _as_vector(x) -> np.ndarray:
@@ -310,18 +310,12 @@ class CoverLevel:
         return np.stack([self.boundaries[k][self.coords[:, k] + 1] for k in range(self.dim)], axis=1)
 
     @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Full-grid active mask and local-id arrays, when small enough."""
-        cells = 1 << (self.depth * self.dim)
-        if cells > MAX_FULL_GRID:
-            return None
-        shape = (self.cells_per_axis,) * self.dim
-        coords = tuple(self.coords[:, k] for k in range(self.dim))
-        mask = np.zeros(shape, dtype=bool)
-        mask[coords] = True
-        local = np.full(shape, -1, dtype=np.int32)  # grid cap fits int32
-        local[coords] = np.arange(self.size, dtype=np.int32)
-        return mask, local
+    def _lex(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate-lexicographic keys of the active cells (axis 0 slowest),
+        sorted, and the local id of the cell behind each key."""
+        keys = self.coords @ self.cells_per_axis ** np.arange(self.dim - 1, -1, -1)
+        order = np.argsort(keys)
+        return keys[order], order
 
     def box_of_flat(self, flat: int) -> Box:
         c = flats_to_coords(np.array([flat]), self.depth, self.dim)[0]
@@ -360,12 +354,56 @@ class CoverLevel:
 
     # -- spatial queries -----------------------------------------------------
 
-    def _axis_window(self, k: int, lo: float, hi: float) -> tuple[int, int]:
-        """Conservative cell-index window intersecting [lo, hi] on axis k."""
-        B = self.boundaries[k]
-        c0 = int(np.searchsorted(B, lo, side="left")) - 2
-        c1 = int(np.searchsorted(B, hi, side="right"))
-        return max(c0, 0), min(c1, self.cells_per_axis - 1)
+    def cell_windows(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """First and last cell index, per point and axis, of the cells c with
+        max(B[c] - p, p - B[c+1], 0) <= r for the axis boundaries B (lo > hi
+        where none is). The passing cells are contiguous, so a conservative
+        window from two binary searches is trimmed at both ends by that test.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
+        los = np.empty(pts.shape, dtype=np.int64)
+        his = np.empty(pts.shape, dtype=np.int64)
+        for k in range(self.dim):
+            B, x = self.boundaries[k], pts[:, k]
+            lo = np.maximum(np.searchsorted(B, x - r, side="left") - 2, 0)
+            hi = np.minimum(np.searchsorted(B, x + r, side="right"), self.cells_per_axis - 1)
+            for end, step in ((lo, 1), (hi, -1)):
+                i = np.arange(x.size)
+                while i.size:
+                    i = i[lo[i] <= hi[i]]
+                    c = end[i]
+                    gap = np.maximum(np.maximum(B[c] - x[i], x[i] - B[c + 1]), 0.0)
+                    i = i[~(gap <= r)]
+                    end[i] += step
+            los[:, k], his[:, k] = lo, hi
+        return los, his
+
+    def active_near_points(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Point indices i and local cell indices j of every pair with active
+        cell j within distance r of points[i], under the exactness contract
+        of :meth:`cells_near_point`; ordered by point, then by cell
+        coordinates. Each product of axis windows takes two binary searches
+        in the sorted lexicographic keys per row of its first d-1 axes.
+        """
+        lo, hi = self.cell_windows(points, r)
+        width = hi - lo + 1
+        rows = np.where(width.min(axis=1) > 0, np.prod(width[:, :-1], axis=1), 0)
+        point = np.repeat(np.arange(rows.size), rows)
+        j = np.arange(point.size) - np.repeat(np.cumsum(rows) - rows, rows)
+        n = self.cells_per_axis
+        prefix = np.zeros(point.size, dtype=np.int64)
+        stride = 1
+        for k in range(self.dim - 2, -1, -1):  # last of the row axes varies fastest
+            w = width[point, k]
+            prefix += (lo[point, k] + j % w) * stride
+            j //= w
+            stride *= n
+        keys, order = self._lex
+        start = np.searchsorted(keys, prefix * n + lo[point, -1], side="left")
+        count = np.searchsorted(keys, prefix * n + hi[point, -1], side="right") - start
+        return np.repeat(point, count), order[_expand_ranges(start, count)]
 
     def cells_near_point(self, p, r: float) -> np.ndarray:
         """Flat indices of ALL grid cells within distance r of p, sorted.
@@ -373,62 +411,34 @@ class CoverLevel:
         Exactness contract: a cell is reported iff
         point_box_distance(p, cell) <= r with the cell's canonical bounds.
         """
-        p = _as_vector(p)
-        gaps = []
-        windows = []
-        for k in range(self.dim):
-            c0, c1 = self._axis_window(k, p[k] - r, p[k] + r)
-            if c0 > c1:
-                return np.empty(0, dtype=np.int64)
-            idx = np.arange(c0, c1 + 1)
-            B = self.boundaries[k]
-            gap = np.maximum(np.maximum(B[idx] - p[k], p[k] - B[idx + 1]), 0.0)
-            windows.append(idx)
-            gaps.append(gap <= r)
-        mask = gaps[0]
-        for g in gaps[1:]:
-            mask = np.logical_and.outer(mask, g)
-        if not mask.any():
-            return np.empty(0, dtype=np.int64)
-        picked = np.nonzero(mask)
-        coords = np.stack([windows[k][picked[k]] for k in range(self.dim)], axis=-1)
+        lo, hi = self.cell_windows(_as_vector(p)[None, :], r)
+        axes = [np.arange(lo[0, k], hi[0, k] + 1) for k in range(self.dim)]
+        coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         return np.sort(coords_to_flats(coords, self.depth, self.dim))
 
     def active_near_point(self, p, r: float) -> np.ndarray:
         """Local indices of active cells within distance r of p, sorted."""
-        cand = self.cells_near_point(p, r)
-        if cand.size == 0:
-            return cand
-        loc = self.locate(cand)
-        return loc[loc >= 0]
+        return np.sort(self.active_near_points(_as_vector(p)[None, :], r)[1])
 
     def contains_points(self, points) -> np.ndarray:
         """Membership of points in the union of active (closed) cells."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        n = pts.shape[0]
-        out = np.zeros(n, dtype=bool)
-        if self.size == 0:
-            return out
-        inside = np.ones(n, dtype=bool)
-        coords = np.empty((n, self.dim), dtype=np.int64)
-        on_edge = np.zeros(n, dtype=bool)
-        for k in range(self.dim):
-            B = self.boundaries[k]
-            x = pts[:, k]
-            inside &= (x >= B[0]) & (x <= B[-1])
-            c = np.searchsorted(B, x, side="right") - 1
-            c = np.clip(c, 0, self.cells_per_axis - 1)
-            coords[:, k] = c
-            on_edge |= x == B[c]
-        flats = coords_to_flats(coords, self.depth, self.dim)
-        out[inside] = self.locate(flats[inside]) >= 0
-        # points on a cell face may belong to a neighbouring active cell
-        recheck = inside & on_edge & ~out
-        for i in np.nonzero(recheck)[0]:
-            out[i] = self.active_near_point(pts[i], 0.0).size > 0
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        out = np.zeros(pts.shape[0], dtype=bool)
+        out[self.active_near_points(pts, 0.0)[0]] = True
         return out
+
+
+def _expand_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + c) over the pairs (s, c)."""
+    nz = count > 0
+    start, count = start[nz], count[nz]
+    out = np.ones(int(count.sum()), dtype=np.int64)
+    if out.size:
+        ends = np.cumsum(count[:-1])
+        out[0] = start[0]
+        out[ends] = start[1:] - start[:-1] - count[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
 
 
 def refine_cover(level: CoverLevel, retained) -> CoverLevel:

@@ -11,8 +11,11 @@ with r the enclosure radius. Cells sharing only a face count as
 intersecting (closed cells), which can only enlarge phi and therefore
 preserves every containment guarantee.
 
-Edge construction is independent per source cell and runs in source order
-on one thread, so the output is canonical.
+All image points of a chunk of sources go through one batch neighbour
+lookup, CoverLevel.active_near_points, which returns every active cell
+within r of each point. One sort of packed (source, target) keys per chunk,
+deduplicated when M > 1, turns the pairs into CSR rows sorted by flat
+index, so the output is canonical.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .geometry import (
     BoxKey,
     CoverLevel,
     box_corners,
-    coords_to_flats,
     grid_points,
     point_box_distance,
     subbox_centers,
@@ -126,52 +128,33 @@ class GapReport:
 # -- construction --------------------------------------------------------------
 
 
-def _targets_for_images(level: CoverLevel, images: np.ndarray, radius: float) -> np.ndarray:
-    """Sorted local target indices for one source cell's image points."""
-    dense = level._dense
-    if dense is None:
-        parts = [level.active_near_point(p, radius) for p in images]
-        return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-    mask_grid, local_grid = dense
-    d = level.dim
-    parts = []
-    for p in images:
-        slices = []
-        within = []
-        empty = False
-        for k in range(d):
-            c0, c1 = level._axis_window(k, p[k] - radius, p[k] + radius)
-            if c0 > c1:
-                empty = True
-                break
-            B = level.boundaries[k]
-            idx = np.arange(c0, c1 + 1)
-            gap = np.maximum(np.maximum(B[idx] - p[k], p[k] - B[idx + 1]), 0.0)
-            slices.append(slice(c0, c1 + 1))
-            within.append(gap <= radius)
-        if empty:
-            continue
-        sub = mask_grid[tuple(slices)].copy()
-        for k in range(d):
-            shape = [1] * d
-            shape[k] = within[k].size
-            sub &= within[k].reshape(shape)
-        if not sub.any():
-            continue
-        parts.append(local_grid[tuple(slices)][sub])
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    if len(parts) == 1:
-        return np.sort(parts[0])
-    return np.unique(np.concatenate(parts))
+_CHUNK_POINTS = 1 << 10  # image points per batch neighbour lookup
 
 
 def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: TransitionMeta) -> TransitionMap:
-    per_source = [_targets_for_images(level, pts, radius) for pts in images]
-    lengths = np.array([t.size for t in per_source], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    targets = np.concatenate(per_source) if per_source else np.empty(0, dtype=np.int64)
-    return TransitionMap(level, indptr.astype(np.int64), targets.astype(np.int64), meta)
+    """CSR successors of every source from its (V, M^d, d) image points: per
+    chunk of sources, the sorted (and, for M > 1, deduplicated) packed int32
+    (source, target) keys of the lookup's pairs are the chunk's CSR rows."""
+    n, per = images.shape[:2]
+    size = level.size
+    pts = images.reshape(-1, level.dim)
+    step = max(1, min(_CHUNK_POINTS // per, np.iinfo(np.int32).max // max(size, 1)))
+    counts = np.zeros(n, dtype=np.int64)
+    parts = []
+    for s0 in range(0, n, step):
+        s1 = min(s0 + step, n)
+        point, target = level.active_near_points(pts[s0 * per : s1 * per], radius)
+        keys = (point // per if per > 1 else point).astype(np.int32)
+        keys *= size
+        keys += target
+        keys = np.unique(keys) if per > 1 else np.sort(keys)
+        first = (np.arange(s1 - s0 + 1) * size).astype(np.int32)  # first key of each source
+        counts[s0:s1] = np.diff(np.searchsorted(keys, first))
+        keys -= np.repeat(first[:-1], counts[s0:s1])
+        parts.append(keys)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    targets = np.concatenate(parts, dtype=np.int64) if parts else np.empty(0, dtype=np.int64)
+    return TransitionMap(level, indptr, targets, meta)
 
 
 def build_transition_discrete(
@@ -259,51 +242,39 @@ def check_containment_condition(
         return report
     continuous = tmap.meta.kind == "continuous"
     slack = 10.0 * tol if continuous else 0.0
+    n, d = level.size, level.dim
     lo, hi = level.box_los, level.box_his
-    for i in range(level.size):
-        flat = int(level.flats[i])
-        rng = _box_rng(seed, level.depth, flat)
-        pts = lo[i] + rng.random((samples, level.dim)) * (hi[i] - lo[i])
+    step = max(1, _CHUNK_POINTS // samples)
+    for b0 in range(0, n, step):
+        b1 = min(b0 + step, n)
+        box_pts = [
+            lo[i] + _box_rng(seed, level.depth, int(level.flats[i])).random((samples, d)) * (hi[i] - lo[i])
+            for i in range(b0, b1)
+        ]
         if continuous:
-            images = reference_backward_flow(sys, pts, tmap.meta.h, tol)
+            images = np.concatenate([reference_backward_flow(sys, p, tmap.meta.h, tol) for p in box_pts])
         else:
-            images = eval_inverse_batch(sys, pts)
-        phi = tmap.targets_local(i)
-        # fast path: the cell containing each image
-        coords = np.empty((samples, level.dim), dtype=np.int64)
-        inside = np.ones(samples, dtype=bool)
-        on_edge = np.zeros(samples, dtype=bool)
-        for k in range(level.dim):
-            B = level.boundaries[k]
-            x = images[:, k]
-            inside &= (x >= B[0]) & (x <= B[-1])
-            c = np.clip(np.searchsorted(B, x, side="right") - 1, 0, level.cells_per_axis - 1)
-            coords[:, k] = c
-            on_edge |= x == B[c]
-        flats = coords_to_flats(coords, level.depth, level.dim)
-        loc = level.locate(flats)
-        if phi.size:
-            pos_c = np.minimum(np.searchsorted(phi, loc), phi.size - 1)
-            in_phi = (loc >= 0) & (phi[pos_c] == loc)
+            images = np.concatenate([eval_inverse_batch(sys, p) for p in box_pts])
+        pts = np.concatenate(box_pts)
+        # an image is covered when an active cell within the slack of it is a
+        # successor of its box, found as a packed (box, cell) key among the edges
+        point, near = level.active_near_points(images, slack)
+        rows = np.repeat(np.arange(b1 - b0), np.diff(tmap.indptr[b0 : b1 + 1]))
+        edges = rows * n + tmap.targets[tmap.indptr[b0] : tmap.indptr[b1]]
+        covered = np.zeros(images.shape[0], dtype=bool)
+        covered[point[np.isin((point // samples) * n + near, edges)]] = True
+        # images outside the covered region need no successor; for flows the
+        # whole slack ball around the image must be covered
+        active = np.bincount(point, minlength=images.shape[0])
+        if continuous:
+            wlo, whi = level.cell_windows(images, slack)
+            inside = np.all((images >= level.root.lo) & (images <= level.root.hi), axis=1)
+            in_region = inside & (active == np.prod(np.maximum(whi - wlo + 1, 0), axis=1))
         else:
-            in_phi = np.zeros(samples, dtype=bool)
-        # images whose own cell is inactive sit outside the covered region,
-        # except possibly on a shared face; only those need the careful path
-        maybe_in_region = (loc >= 0) | on_edge if not continuous else loc >= 0
-        suspicious = np.nonzero(inside & ~in_phi & maybe_in_region)[0]
-        for s in suspicious:
-            p = images[s]
-            cand = level.cells_near_point(p, slack)
-            loc_c = level.locate(cand)
-            if continuous:
-                in_region = cand.size > 0 and np.all(loc_c >= 0)
-            else:
-                in_region = bool(np.any(loc_c >= 0))
-            if not in_region:
-                continue
-            hits = loc_c[loc_c >= 0]
-            if not np.any(np.isin(hits, phi)):
-                report.containment_violations.append((level.key_of_flat(flat), pts[s].copy()))
+            in_region = active > 0
+        for s in np.nonzero(in_region & ~covered)[0]:
+            key = level.key_of_flat(int(level.flats[b0 + s // samples]))
+            report.containment_violations.append((key, pts[s].copy()))
     return report
 
 

@@ -157,6 +157,18 @@ def test_resume_reproduces_tail(tmp_path: Path) -> None:
     assert resumed == [r for r in full if r["depth"] > 4]
 
 
+def test_resume_into_same_files_matches_fresh_run(tmp_path: Path) -> None:
+    fresh_dir = tmp_path / "fresh"
+    fresh_dir.mkdir()
+    assert main(run_args(fresh_dir, **{"--depth": "5"})) == 0
+
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    resume = str(tmp_path / "ckpt" / "checkpoint_d3.json")
+    assert main(run_args(tmp_path, **{"--depth": "5", "--resume": resume})) == 0
+    for name in ("boxes.jsonl", "stats.json", *(f"ckpt/checkpoint_d{d}.json" for d in range(6))):
+        assert (tmp_path / name).read_bytes() == (fresh_dir / name).read_bytes(), name
+
+
 def test_resume_hash_mismatch_exit_2(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
     rc = main(run_args(
@@ -378,6 +390,9 @@ def test_interrupted_checkpoint_write_leaves_whole_files(tmp_path: Path, monkeyp
     assert main(run_args(cut_dir, **{"--depth": "5"})) == 130
     monkeypatch.undo()
 
+    # depth 1 is not committed: boxes, stats and the checkpoints this run
+    # wrote all end at depth 0, and the stale depth-1 checkpoint is untouched
+    assert read_jsonl(cut_dir / "boxes.jsonl") == [r for r in full if r["depth"] == 0]
     assert [s["depth"] for s in json.loads((cut_dir / "stats.json").read_text())] == [0]
     ckpt_dir = cut_dir / "ckpt"
     assert sorted(p.name for p in ckpt_dir.iterdir()) == ["checkpoint_d0.json", "checkpoint_d1.json"]

@@ -165,20 +165,40 @@ def test_dyadic_boundaries_match_recursive_bounds() -> None:
         assert key.box(root) == level.box_of_flat(int(flat))
 
 
-def test_cells_near_point_matches_bruteforce() -> None:
-    root = Box([-1.0, -1.0], [1.0, 1.0])
-    level = CoverLevel.full(root, 4)
+def _lookup_cases() -> list[tuple[CoverLevel, np.ndarray, list[float]]]:
+    """(level, points, radii): a full 2-D level and a sparse 3-D level, each
+    with random points in and around Q at random radii, plus points on cell
+    faces, edges and corners at r = 0."""
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        p = rng.uniform(-1.4, 1.4, size=2)
-        r = float(rng.uniform(0, 0.5))
-        got = set(level.cells_near_point(p, r).tolist())
-        want = {
-            int(f)
-            for f in level.flats
-            if point_box_distance(p, level.box_of_flat(int(f))) <= r
-        }
-        assert got == want
+    full = CoverLevel.full(Box([-1.0, -1.0], [1.0, 1.0]), 4)
+    sparse = CoverLevel(Box([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]), 3, rng.choice(1 << 9, size=60, replace=False))
+    cases = []
+    for level in (full, sparse):
+        lo, hi = level.root.lo, level.root.hi
+        pts = [rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo)) for _ in range(50)]
+        radii = [float(rng.uniform(0, 0.5)) for _ in range(50)]
+        for _ in range(40):
+            p = rng.uniform(lo, hi)
+            for k in np.nonzero(rng.random(level.dim) < 0.7)[0]:
+                p[k] = level.boundaries[k][rng.integers(0, level.cells_per_axis + 1)]
+            pts.append(p)
+            radii.append(0.0)
+        cases.append((level, np.array(pts), radii))
+    return cases
+
+
+def test_cells_near_point_matches_bruteforce() -> None:
+    for level, pts, radii in _lookup_cases():
+        grid = CoverLevel.full(level.root, level.depth)
+        boxes = [grid.box_of_flat(int(f)) for f in grid.flats]
+        active = np.zeros(grid.size, dtype=bool)
+        active[level.flats] = True
+        for p, r in zip(pts, radii):
+            near = np.array([point_box_distance(p, b) <= r for b in boxes])
+            assert level.cells_near_point(p, r).tolist() == np.nonzero(near)[0].tolist()
+            assert level.active_near_point(p, r).tolist() == np.nonzero(near[level.flats])[0].tolist()
+        want = [any(b.contains_point(p) for b, a in zip(boxes, active) if a) for p in pts]
+        assert level.contains_points(pts).tolist() == want
 
 
 def test_contains_points_boundary_inclusive() -> None:

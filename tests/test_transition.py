@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import boxattractor.transition as transition
 
 from boxattractor.geometry import Box, CoverLevel, subbox_centers
 from boxattractor.integrator import EulerParams, euler_backward
@@ -14,6 +18,8 @@ from boxattractor.systems import (
 )
 from boxattractor.transition import (
     TransitionMap,
+    TransitionMeta,
+    _build_map,
     build_transition_continuous,
     build_transition_discrete,
     check_containment_condition,
@@ -183,19 +189,34 @@ def test_continuous_gap_below_proof_bound() -> None:
         assert rep.defect_gap <= (rho + r) / h + 0.5 * L * P * h + rho / h + L * rho + 1e-9
 
 
-def test_sparse_lookup_path_matches_dense(monkeypatch) -> None:
-    # grids above the dense cap fall back to per-point tree queries; force
-    # that path and compare against the dense result
-    import boxattractor.geometry as geometry
-
-    sys_ = make_builtin("linmap2d", Q2)
-    dense_level = CoverLevel.full(Q2, 3)
-    want = build_transition_discrete(dense_level, sys_, M=1).dumps()
-    sparse_level = CoverLevel.full(Q2, 3)  # build before shrinking the cap
-    monkeypatch.setattr(geometry, "MAX_FULL_GRID", 0)
-    assert sparse_level._dense is None
-    got = build_transition_discrete(sparse_level, sys_, M=1).dumps()
-    assert got == want
+@given(
+    dim=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    M=st.sampled_from([1, 2]),
+    chunk=st.sampled_from([1, 3, 1 << 10]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_lookup_matches_pair_scan(dim: int, depth: int, M: int, chunk: int, data) -> None:
+    # random sparse active sets; images inside Q, outside Q and exactly on
+    # cell faces; radii from 0 to several cell widths
+    root = Box([-1.0] * dim, [1.0] * dim)
+    cells = 1 << (depth * dim)
+    flats = data.draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=min(cells, 20), unique=True))
+    level = CoverLevel(root, depth, flats)
+    width = 2.0 / level.cells_per_axis
+    radius = data.draw(st.sampled_from([0.0, 0.5 * width, width, 3 * width]) | st.floats(0.0, 4 * width))
+    face = st.sampled_from(level.boundaries[0].tolist())
+    coord = face | st.floats(-1.0, 1.0) | st.floats(-1.0 - 5 * width, 1.0 + 5 * width)
+    n_images = level.size * M**dim
+    images = np.array(
+        data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n_images, max_size=n_images))
+    ).reshape(level.size, M**dim, dim)
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    with patch.object(transition, "_CHUNK_POINTS", chunk):
+        tmap = _build_map(level, images, radius, meta)
+    assert tmap.targets.dtype == np.int64
+    assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
 
 
 def test_targets_of_by_key() -> None:
