@@ -26,8 +26,8 @@ from .transition import (
     TransitionMap,
     build_transition_continuous,
     build_transition_discrete,
+    check_margin,
     run_diagnostics,
-    validity_margin,
 )
 
 DEFAULT_BOX_BUDGET = 1 << 22
@@ -119,7 +119,7 @@ def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
     """Counter-decrement worklist on a CSR graph; returns (alive mask, rounds)."""
     counts = np.diff(indptr).astype(np.int64)
     if targets.size:
-        order = np.argsort(targets, kind="stable")
+        order = np.argsort(targets)
         rev_sources = np.repeat(np.arange(n, dtype=np.int64), counts)[order]
         rev_counts = np.bincount(targets, minlength=n)
         rev_indptr = np.concatenate([[0], np.cumsum(rev_counts)])
@@ -263,12 +263,7 @@ def run_subdivision(
     if continuous:
         if euler is None:
             raise ValueError("continuous systems need an EulerSchedule")
-        margin = validity_margin(sys, Q)
-        if sys.bound_P * euler.h0 > margin:
-            raise ValueError(
-                f"margin check failed: P*h0 = {sys.bound_P * euler.h0:.6g} exceeds "
-                f"the validity margin {margin:.6g}"
-            )
+        check_margin(sys, Q, euler.h0)
     if resume is None:
         level = CoverLevel.full(Q, 0)
         start = 0

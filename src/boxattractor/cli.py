@@ -49,8 +49,8 @@ from .transition import (
     build_transition_continuous,
     build_transition_discrete,
     check_containment_condition,
+    check_margin,
     measure_overapprox_gap,
-    validity_margin,
 )
 
 
@@ -128,17 +128,16 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if self.M < 1 or self.N < 1 or self.threads < 1 or self.box_budget < 1:
             raise ConfigError("M, N, threads, and box budget must be positive")
+        if self.samples < 1:
+            raise ConfigError("samples must be positive")
         system = self.build_system()
         if for_run and isinstance(system, ContinuousSystemSpec):
             if self.h0 is None:
                 raise ConfigError(f"system {self.system!r} is continuous: --h0 is required")
-            sched = self.schedule()
-            margin = validity_margin(system, self.q)
-            if system.bound_P * sched.h0 > margin:
-                raise ConfigError(
-                    f"margin check failed: P*h0 = {system.bound_P * sched.h0:.6g} "
-                    f"exceeds the validity margin {margin:.6g}"
-                )
+            try:
+                check_margin(system, self.q, self.schedule().h0)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -446,7 +445,7 @@ def _read_boxes(path: str) -> dict[int, np.ndarray]:
                     continue
                 rec = json.loads(line)
                 out.setdefault(int(rec["depth"]), []).append(int(rec["index"]))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read boxes file: {exc}") from None
     return {d: np.asarray(v, dtype=np.int64) for d, v in out.items()}
 

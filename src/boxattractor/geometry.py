@@ -12,7 +12,6 @@ array, or through a spatial query.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -450,13 +449,15 @@ def refine_cover(level: CoverLevel, retained) -> CoverLevel:
 
 
 def grid_points(lo: np.ndarray, hi: np.ndarray, per_axis: int) -> np.ndarray:
-    """Uniform grid over a box, endpoints included for per_axis >= 2."""
-    d = lo.size
+    """Uniform grids over boxes given as (..., d) corner arrays, endpoints
+    included for per_axis >= 2: shape (..., per_axis^d, d), the last axis
+    varying fastest."""
+    d = lo.shape[-1]
     if per_axis == 1:
-        return ((lo + hi) / 2.0)[None, :]
-    axes = [np.linspace(lo[k], hi[k], per_axis) for k in range(d)]
-    pts = np.array(list(itertools.product(*axes)))
-    return pts.reshape(-1, d)
+        return ((lo + hi) / 2.0)[..., None, :]
+    axes = np.linspace(lo, hi, per_axis, axis=-1)  # (..., d, per_axis)
+    idx = (np.arange(per_axis**d)[:, None] // per_axis ** np.arange(d - 1, -1, -1)) % per_axis
+    return axes[..., np.arange(d), idx]
 
 
 def semidistance_estimate(

@@ -15,7 +15,8 @@ All image points of a chunk of sources go through one batch neighbour
 lookup, CoverLevel.active_near_points, which returns every active cell
 within r of each point. One sort of packed (source, target) keys per chunk,
 deduplicated when M > 1, turns the pairs into CSR rows sorted by flat
-index, so the output is canonical.
+index, so the output is canonical. The diagnostics run on the same kind of
+chunked arrays, with one image call per chunk of cells or per level.
 """
 
 from __future__ import annotations
@@ -177,10 +178,16 @@ def build_transition_discrete(
     return _build_map(level, images, radius, meta)
 
 
-def validity_margin(sys: ContinuousSystemSpec, root: Box) -> float:
-    """Smallest slack between the study box and the validity region."""
+def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:
+    """Raise ValueError unless the drift bound P*h fits between the study box
+    and the validity region, so every Euler image stays where g is valid."""
     V = sys.validity_region
-    return float(min(np.min(root.lo - V.lo), np.min(V.hi - root.hi)))
+    margin = float(min(np.min(root.lo - V.lo), np.min(V.hi - root.hi)))
+    if sys.bound_P * h > margin:
+        raise ValueError(
+            f"margin check failed: P*h = {sys.bound_P * h:.6g} exceeds the "
+            f"distance {margin:.6g} between the study box and the validity region"
+        )
 
 
 def build_transition_continuous(
@@ -194,12 +201,7 @@ def build_transition_continuous(
         raise ValueError("M must be >= 1")
     if params is None:
         raise ValueError("continuous transition maps need EulerParams")
-    margin = validity_margin(sys, level.root)
-    if sys.bound_P * params.h > margin:
-        raise ValueError(
-            f"margin check failed: P*h = {sys.bound_P * params.h:.6g} exceeds the "
-            f"distance {margin:.6g} between the study box and the validity region"
-        )
+    check_margin(sys, level.root, params.h)
     subdiameter = level.rho / M
     radius = enclosure_radius(sys.lipschitz_L, sys.bound_P, params.h, params.substeps, subdiameter)
     meta = TransitionMeta(
@@ -230,8 +232,9 @@ def check_containment_condition(
 ) -> GapReport:
     """Sampled check of the containment condition behind the lower enclosure.
 
-    Draws seeded uniform points in every cell, maps them backward (exactly
-    for discrete systems, with the reference integrator for flows) and
+    Draws seeded uniform points in every cell, from one stream per (depth,
+    cell), maps each chunk of cells backward with one call (exactly for
+    discrete systems, with the per-point reference integrator for flows) and
     asserts that images landing in the covered region lie in the cell's
     successor union. For flows the membership test uses a tolerance ball, so
     the verdict is diagnostic-strength, not proof-strength.
@@ -247,15 +250,12 @@ def check_containment_condition(
     step = max(1, _CHUNK_POINTS // samples)
     for b0 in range(0, n, step):
         b1 = min(b0 + step, n)
-        box_pts = [
-            lo[i] + _box_rng(seed, level.depth, int(level.flats[i])).random((samples, d)) * (hi[i] - lo[i])
-            for i in range(b0, b1)
-        ]
+        unit = np.stack([_box_rng(seed, level.depth, int(f)).random((samples, d)) for f in level.flats[b0:b1]])
+        pts = (lo[b0:b1, None, :] + unit * (hi[b0:b1] - lo[b0:b1])[:, None, :]).reshape(-1, d)
         if continuous:
-            images = np.concatenate([reference_backward_flow(sys, p, tmap.meta.h, tol) for p in box_pts])
+            images = reference_backward_flow(sys, pts, tmap.meta.h, tol)
         else:
-            images = np.concatenate([eval_inverse_batch(sys, p) for p in box_pts])
-        pts = np.concatenate(box_pts)
+            images = eval_inverse_batch(sys, pts)
         # an image is covered when an active cell within the slack of it is a
         # successor of its box, found as a packed (box, cell) key among the edges
         point, near = level.active_near_points(images, slack)
@@ -278,11 +278,15 @@ def check_containment_condition(
     return report
 
 
-def _stride_subsample(n: int, cap: int) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
-    stride = int(np.ceil(n / cap))
-    return np.arange(0, n, stride)
+def _strided_entries(indptr: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every stride-th entry of each CSR row, the stride ceil(length / cap)
+    chosen per row so at most cap entries remain: (rows, value positions)."""
+    lengths = np.diff(indptr)
+    stride = np.maximum(-(-lengths // cap), 1)
+    counts = -(-lengths // stride)
+    rows = np.repeat(np.arange(lengths.size), counts)
+    k = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, indptr[rows] + k * stride[rows]
 
 
 def measure_overapprox_gap(
@@ -302,29 +306,19 @@ def measure_overapprox_gap(
     if level.size == 0 or tmap.edge_count == 0:
         return report
     lo, hi = level.box_los, level.box_his
+    d, chunk = level.dim, 4096  # sampled edges per chunk
     if tmap.meta.kind == "discrete":
-        d = level.dim
-        cap_t = max(1, samples // ((1 << d) + 1))
+        # witnesses: each source's sample centres, corners and centre, mapped
+        # back; a sampled successor's corners and centre find their nearest one
+        ends = np.concatenate([box_corners(lo, hi), ((lo + hi) / 2.0)[:, None, :]], axis=1)
+        w_pts = np.concatenate([subbox_centers(lo, hi, tmap.meta.M), ends], axis=1)
+        w_img = eval_inverse_batch(sys, w_pts.reshape(-1, d)).reshape(w_pts.shape)
+        rows, pos = _strided_entries(tmap.indptr, max(1, samples // ((1 << d) + 1)))
         gap = 0.0
-        for i in range(level.size):
-            phi = tmap.targets_local(i)
-            if phi.size == 0:
-                continue
-            sel = phi[_stride_subsample(phi.size, cap_t)]
-            a_corners = box_corners(lo[sel], hi[sel]).reshape(-1, d)
-            a_centers = (lo[sel] + hi[sel]) / 2.0
-            a_pts = np.concatenate([a_corners, a_centers], axis=0)
-            w_pts = np.concatenate(
-                [
-                    subbox_centers(lo[i], hi[i], tmap.meta.M),
-                    box_corners(lo[i], hi[i]).reshape(-1, d),
-                    ((lo[i] + hi[i]) / 2.0)[None, :],
-                ],
-                axis=0,
-            )
-            w_img = eval_inverse_batch(sys, w_pts)
-            dists = np.max(np.abs(a_pts[:, None, :] - w_img[None, :, :]), axis=2)
-            gap = max(gap, float(np.max(np.min(dists, axis=1))))
+        for c0 in range(0, pos.size, chunk):
+            si, ti = rows[c0 : c0 + chunk], tmap.targets[pos[c0 : c0 + chunk]]
+            dists = np.max(np.abs(ends[ti][:, :, None, :] - w_img[si][:, None, :, :]), axis=3)
+            gap = max(gap, float(np.max(np.min(dists, axis=2))))
         report.overapprox_gap = gap
         return report
 
@@ -335,15 +329,13 @@ def measure_overapprox_gap(
     # neighbor gap dist(D_j, D_i): per-axis separable supremum, exact
     neighbor = np.maximum(lo[src_of_edge] - lo[tgt_of_edge], hi[tgt_of_edge] - hi[src_of_edge])
     report.neighbor_gap = float(max(np.max(neighbor), 0.0))
-    edges = _stride_subsample(tgt_of_edge.size, max(samples * 100, 10_000))
-    d = level.dim
+    _, edges = _strided_entries(np.array([0, tgt_of_edge.size]), max(samples * 100, 10_000))
     defect = 0.0
-    chunk = 4096
     for c0 in range(0, edges.size, chunk):
         e = edges[c0 : c0 + chunk]
         si, ti = src_of_edge[e], tgt_of_edge[e]
         x = box_corners(lo[ti], hi[ti])  # (E, 2^d, d), exact extremes in x
-        zs = np.stack([grid_points(lo[i], hi[i], 3) for i in si])  # (E, 3^d, d)
+        zs = grid_points(lo[si], hi[si], 3)  # (E, 3^d, d)
         gz = eval_field_batch(sys, zs.reshape(-1, d)).reshape(zs.shape)
         val = np.abs((x[:, :, None, :] - zs[:, None, :, :]) / h + gz[:, None, :, :])
         defect = max(defect, float(np.max(val)))

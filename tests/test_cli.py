@@ -104,6 +104,12 @@ def test_config_errors_exit_2(tmp_path: Path) -> None:
     assert main(run_args(
         tmp_path, **{"--system": "cubic1d", "--q": "-1.9:1.9", "--h0": "0.1"}
     )) == 2
+    # no diagnostic samples would make the containment check pass vacuously
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    for samples in ("0", "-3"):
+        assert main(run_args(tmp_path, **{"--depth": "2", "--diagnostics": None, "--samples": samples})) == 2
+        base = run_args(tmp_path, **{"--depth": "2", "--samples": samples})[1:]
+        assert main(["check", "--mode", "containment", *base]) == 2
 
 
 def test_budget_overflow_exit_3(tmp_path: Path) -> None:
@@ -336,6 +342,16 @@ def test_check_truncated_checkpoint_exit_2(tmp_path: Path) -> None:
     ckpt.write_text(text[: len(text) // 2])
     base = run_args(tmp_path, **{"--depth": "4"})[1:]
     assert main(["check", "--mode", "containment", *base]) == 2
+
+
+def test_check_malformed_boxes_exit_2(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    base = run_args(tmp_path, **{"--depth": "2"})[1:]
+    boxes = tmp_path / "boxes.jsonl"
+    good = boxes.read_text()
+    for bad in ('{"depth": 1, "index": "x"}', "[1,2]", "7", '{"depth": 1}'):
+        boxes.write_text(good + bad + "\n")
+        assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 2
 
 
 def test_resume_checkpoint_without_depth_exit_2(tmp_path: Path) -> None:

@@ -92,6 +92,16 @@ def test_reference_backward_flow_saddle_closed_form() -> None:
     assert y[1] == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("h", [0.08, 0.2, 0.5])
+def test_reference_backward_flow_per_point(h: float) -> None:
+    # 1.5 needs more substeps than 0.01; that batch-mate must not change
+    # the bits of 0.01's image
+    cubic = make_builtin("cubic1d", Box([-1.5], [1.5]))
+    alone = reference_backward_flow(cubic, np.array([[0.01]]), h)
+    batch = reference_backward_flow(cubic, np.array([[0.01], [1.5]]), h)
+    assert batch[:1].tobytes() == alone.tobytes()
+
+
 def test_rk4_fourth_order_on_linear_system() -> None:
     sys_ = linear_decay()
     h = 0.5

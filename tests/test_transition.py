@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from unittest.mock import patch
 
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import boxattractor.transition as transition
 
-from boxattractor.geometry import Box, CoverLevel, subbox_centers
-from boxattractor.integrator import EulerParams, euler_backward
+from boxattractor.geometry import Box, CoverLevel, point_box_distance, subbox_centers
+from boxattractor.integrator import EulerParams, euler_backward, reference_backward_flow
 from boxattractor.systems import (
     DiscreteSystemSpec,
+    eval_field_batch,
     eval_inverse_batch,
     make_builtin,
 )
@@ -128,23 +130,27 @@ def test_containment_zero_violations_on_builtins() -> None:
     assert rep.containment_violations == []
 
 
-def test_corrupted_map_reports_violation() -> None:
-    sys_ = make_builtin("halving1d", Q1)
-    level = CoverLevel.full(Q1, 3)
-    tmap = build_transition_discrete(level, sys_, M=1)
-    # drop the edge that receives the image of an interior point of cell i,
-    # so sampled containment must catch the hole
+def drop_edge_of_probe(tmap: TransitionMap, image) -> TransitionMap:
+    """The map without the edge that receives the image of an interior point
+    of the middle cell, so sampled containment must catch the hole."""
+    level = tmap.level
     i = level.size // 2
     probe = level.box_los[i] + 0.8 * (level.box_his[i] - level.box_los[i])
-    img = eval_inverse_batch(sys_, probe[None, :])[0]
-    victim = int(level.active_near_point(img, 0.0)[0])
+    victim = int(level.active_near_point(image(probe[None, :])[0], 0.0)[0])
     keep = tmap.targets_local(i)
     assert victim in keep
     trimmed = keep[keep != victim]
     mutated_targets = np.concatenate([tmap.targets[: tmap.indptr[i]], trimmed, tmap.targets[tmap.indptr[i + 1] :]])
     indptr = tmap.indptr.copy()
     indptr[i + 1 :] -= keep.size - trimmed.size
-    mutated = TransitionMap(level, indptr, mutated_targets, tmap.meta)
+    return TransitionMap(level, indptr, mutated_targets, tmap.meta)
+
+
+def test_corrupted_map_reports_violation() -> None:
+    sys_ = make_builtin("halving1d", Q1)
+    level = CoverLevel.full(Q1, 3)
+    tmap = build_transition_discrete(level, sys_, M=1)
+    mutated = drop_edge_of_probe(tmap, lambda p: eval_inverse_batch(sys_, p))
     rep = check_containment_condition(mutated, sys_, samples=400, seed=0)
     assert len(rep.containment_violations) >= 1
     key, witness = rep.containment_violations[0]
@@ -155,6 +161,26 @@ def test_corrupted_map_reports_violation() -> None:
     loc = int(level.locate(np.array([key.flat(1)]))[0])
     phi_boxes = [level.box_of_flat(int(level.flats[t])) for t in mutated.targets_local(loc)]
     assert all(not b.contains_point(wimg) for b in phi_boxes)
+
+
+def test_corrupted_flow_map_reports_violation() -> None:
+    sys_ = make_builtin("saddle2d", Q2)
+    level = CoverLevel.full(Q2, 3)
+    h, tol = 0.1, 1e-10
+    tmap = build_transition_continuous(level, sys_, M=1, params=EulerParams(h=h))
+    mutated = drop_edge_of_probe(tmap, lambda p: reference_backward_flow(sys_, p, h, tol))
+    rep = check_containment_condition(mutated, sys_, samples=200, seed=0, tol=tol)
+    assert len(rep.containment_violations) >= 1
+    # brute-force confirmation that every witness is genuine: its image lies
+    # in Q, so the whole slack ball is covered, yet no mutated successor of
+    # its cell comes within the slack
+    for key, witness in rep.containment_violations:
+        assert level.box_of_flat(key.flat(2)).contains_point(witness)
+        wimg = reference_backward_flow(sys_, witness, h, tol)
+        assert Q2.contains_point(wimg)
+        loc = int(level.locate(np.array([key.flat(2)]))[0])
+        phi_boxes = [level.box_of_flat(int(level.flats[t])) for t in mutated.targets_local(loc)]
+        assert all(point_box_distance(wimg, b) > 10 * tol for b in phi_boxes)
 
 
 def test_containment_holds_for_every_M() -> None:
@@ -187,6 +213,84 @@ def test_continuous_gap_below_proof_bound() -> None:
         rho, r = level.rho, tmap.meta.radius
         assert rep.neighbor_gap <= rho + r + P * h + 1e-9
         assert rep.defect_gap <= (rho + r) / h + 0.5 * L * P * h + rho / h + L * rho + 1e-9
+
+
+def brute_force_gaps(tmap: TransitionMap, sys_, samples: int) -> tuple[float, float, float]:
+    """(overapprox, neighbor, defect) gap straight from their definitions,
+    one edge and one point at a time, with every stride-th successor of a
+    row (discrete) or every stride-th edge (flows) sampled."""
+    level, M, h = tmap.level, tmap.meta.M, tmap.meta.h
+    d = level.dim
+
+    def corners(b):
+        return [np.array(c) for c in itertools.product(*zip(level.box_los[b], level.box_his[b]))]
+
+    def center(b):
+        return (level.box_los[b] + level.box_his[b]) / 2.0
+
+    def strided(seq, cap):
+        return seq[:: -(-len(seq) // cap)] if len(seq) > cap else seq
+
+    rows = [list(tmap.targets_local(i)) for i in range(level.size)]
+    if tmap.meta.kind == "discrete":
+        gap = 0.0
+        for i, phi in enumerate(rows):
+            w = (level.box_his[i] - level.box_los[i]) / M
+            subs = [level.box_los[i] + (np.array(k) + 0.5) * w for k in itertools.product(range(M), repeat=d)]
+            witnesses = [eval_inverse_batch(sys_, p[None, :])[0] for p in subs + corners(i) + [center(i)]]
+            for j in strided(phi, max(1, samples // (2**d + 1))):
+                for a in corners(j) + [center(j)]:
+                    gap = max(gap, min(float(np.max(np.abs(a - z))) for z in witnesses))
+        return gap, 0.0, 0.0
+    edges = [(i, j) for i, phi in enumerate(rows) for j in phi]
+    neighbor, defect = 0.0, 0.0
+    for i, j in edges:
+        lo_i, hi_i, lo_j, hi_j = level.box_los[i], level.box_his[i], level.box_los[j], level.box_his[j]
+        neighbor = max(neighbor, float(np.max(np.maximum(lo_i - lo_j, hi_j - hi_i))))
+    for i, j in strided(edges, max(100 * samples, 10_000)):
+        axes = [np.linspace(level.box_los[i][k], level.box_his[i][k], 3) for k in range(d)]
+        for z in itertools.product(*axes):
+            z = np.array(z)
+            g = eval_field_batch(sys_, z[None, :])[0]
+            for x in corners(j):
+                defect = max(defect, float(np.max(np.abs((x - z) / h + g))))
+    return 0.0, neighbor, defect
+
+
+@pytest.mark.parametrize(
+    "name,Q,depth,M,h",
+    [
+        ("linmap2d", Q2, 3, 1, None),
+        ("linmap2d", Q2, 3, 2, None),
+        ("henon", Box([-2.0, -2.0], [2.0, 2.0]), 3, 1, None),
+        ("henon", Box([-2.0, -2.0], [2.0, 2.0]), 3, 2, None),
+        ("cubic1d", Box([-1.5], [1.5]), 5, 1, 0.08),
+        ("saddle2d", Q2, 3, 2, 0.1),
+    ],
+)
+def test_gap_matches_brute_force(name: str, Q: Box, depth: int, M: int, h: float | None) -> None:
+    sys_ = make_builtin(name, Q)
+    rng = np.random.default_rng(depth * M)
+    for _ in range(3):
+        cells = 1 << (depth * Q.dim)
+        level = CoverLevel(Q, depth, np.sort(rng.choice(cells, size=cells // 2, replace=False)))
+        if h is None:
+            tmap = build_transition_discrete(level, sys_, M=M)
+            samples = 14  # a cap of 2 successors per row, so long rows are strided
+            assert np.max(np.diff(tmap.indptr)) > samples // 5
+        else:
+            tmap = build_transition_continuous(level, sys_, M=M, params=EulerParams(h=h))
+            samples = 100
+        # the whole map, and each row alone, so the sampled successors and
+        # witnesses of every row reach the maximum
+        maps = [tmap]
+        for i in range(level.size):
+            counts = np.zeros(level.size, dtype=np.int64)
+            counts[i] = tmap.targets_local(i).size
+            maps.append(TransitionMap(level, np.concatenate([[0], np.cumsum(counts)]), tmap.targets_local(i), tmap.meta))
+        for m in maps:
+            rep = measure_overapprox_gap(m, sys_, samples=samples)
+            assert (rep.overapprox_gap, rep.neighbor_gap, rep.defect_gap) == brute_force_gaps(m, sys_, samples)
 
 
 @given(
