@@ -57,6 +57,7 @@ from .systems import (
 from .transition import (
     GapReport,
     TransitionMap,
+    build_transition,
     build_transition_continuous,
     build_transition_discrete,
     check_containment_condition,
@@ -84,6 +85,7 @@ __all__ = [
     "SandwichVerdict",
     "TransitionMap",
     "backward_containment_mask",
+    "build_transition",
     "build_transition_continuous",
     "build_transition_discrete",
     "check_containment_condition",

@@ -18,17 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Box, BoxKey, CoverLevel, refine_cover
+from .geometry import Box, BoxKey, CoverLevel, expand_ranges, refine_cover
 from .integrator import EulerParams, EulerSchedule
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
-from .transition import (
-    GapReport,
-    TransitionMap,
-    build_transition_continuous,
-    build_transition_discrete,
-    check_margin,
-    run_diagnostics,
-)
+from .transition import GapReport, TransitionMap, build_transition, check_margin, run_diagnostics
 
 DEFAULT_BOX_BUDGET = 1 << 22
 
@@ -107,32 +100,19 @@ class LevelReport:
         return out
 
 
-def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positions in a CSR value array of all entries of the given rows."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    offsets = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.repeat(starts, lengths) + offsets
-
-
 def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
     """Counter-decrement worklist on a CSR graph; returns (alive mask, rounds)."""
     counts = np.diff(indptr).astype(np.int64)
-    if targets.size:
-        order = np.argsort(targets)
-        rev_sources = np.repeat(np.arange(n, dtype=np.int64), counts)[order]
-        rev_counts = np.bincount(targets, minlength=n)
-        rev_indptr = np.concatenate([[0], np.cumsum(rev_counts)])
-    else:
-        rev_sources = np.empty(0, dtype=np.int64)
-        rev_indptr = np.zeros(n + 1, dtype=np.int64)
+    rev_sources = np.repeat(np.arange(n, dtype=np.int64), counts)[np.argsort(targets)]
+    rev_counts = np.bincount(targets, minlength=n)
+    rev_starts = np.cumsum(rev_counts) - rev_counts
     alive = np.ones(n, dtype=bool)
     frontier = np.flatnonzero(counts == 0)
     rounds = 0
     while frontier.size:
         rounds += 1
         alive[frontier] = False
-        preds = rev_sources[_gather_rows(rev_indptr, frontier)]
+        preds = rev_sources[expand_ranges(rev_starts[frontier], rev_counts[frontier])]
         if preds.size:
             counts -= np.bincount(preds, minlength=n)
         frontier = np.flatnonzero(alive & (counts <= 0))
@@ -145,8 +125,9 @@ def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.
         return tmap.indptr, tmap.targets
     relabel = np.full(tmap.size, -1, dtype=np.int64)
     relabel[loc] = np.arange(loc.size)
-    edges = _gather_rows(tmap.indptr, loc)
-    sources = np.repeat(np.arange(loc.size), np.diff(tmap.indptr)[loc])
+    lengths = np.diff(tmap.indptr)[loc]
+    edges = expand_ranges(tmap.indptr[loc], lengths)
+    sources = np.repeat(np.arange(loc.size), lengths)
     targets = relabel[tmap.targets[edges]]
     inside = targets >= 0
     indptr = np.concatenate([[0], np.cumsum(np.bincount(sources[inside], minlength=loc.size))])
@@ -190,10 +171,7 @@ def _run_level(
 ) -> tuple[PruneResult, LevelReport]:
     """Map, prune and (optionally) diagnose one level."""
     t0 = time.perf_counter()
-    if isinstance(sys, ContinuousSystemSpec):
-        tmap = build_transition_continuous(level, sys, M=M, params=euler)
-    else:
-        tmap = build_transition_discrete(level, sys, M=M)
+    tmap = build_transition(level, sys, M, euler)
     t1 = time.perf_counter()
     result = prune(level.flats, tmap)
     t2 = time.perf_counter()
@@ -219,16 +197,12 @@ def run_global(
     depth: int,
     M: int = 1,
     euler: EulerParams | None = None,
-    threads: int = 1,
     box_budget: int = DEFAULT_BOX_BUDGET,
     diagnostics: bool = False,
     samples: int = 100,
     seed: int = 0,
 ) -> tuple[PruneResult, LevelReport]:
-    """Fixed-depth scheme: build the full 2^{nd}-cell cover, map, and prune.
-
-    `threads` is accepted for compatibility and ignored.
-    """
+    """Fixed-depth scheme: build the full 2^{nd}-cell cover, map, and prune."""
     needed = 1 << (depth * Q.dim)
     if needed > box_budget:
         raise BoxBudgetError(depth=depth, needed=needed, budget=box_budget)
@@ -259,11 +233,12 @@ def run_subdivision(
     artifacts stay complete per level. `threads` is accepted for
     compatibility and ignored.
     """
-    continuous = isinstance(sys, ContinuousSystemSpec)
-    if continuous:
+    if isinstance(sys, ContinuousSystemSpec):
         if euler is None:
             raise ValueError("continuous systems need an EulerSchedule")
         check_margin(sys, Q, euler.h0)
+    if diagnostics and samples < 1:
+        raise ValueError("samples must be >= 1")
     if resume is None:
         level = CoverLevel.full(Q, 0)
         start = 0
@@ -277,7 +252,7 @@ def run_subdivision(
     for n in range(start, max_depth + 1):
         if level.size > box_budget:
             raise BoxBudgetError(depth=n, needed=level.size, budget=box_budget)
-        params = euler.params_at(n) if continuous else None
+        params = euler.params_at(n) if euler is not None else None
         result, report = _run_level(level, sys, M, params, diagnostics, samples, seed)
         out.append((result, report))
         if on_level is not None:

@@ -10,6 +10,8 @@ Subcommands:
 
 Progress and timings go to stderr; data artifacts only to files (and the
 check verdict to stdout), so machine output stays clean and byte-stable.
+Box records are joined by numpy string operations from the reprs of the
+level boundaries, in the bytes of json.dumps with sorted keys.
 
 Exit codes: 0 success, 1 failed verdict, 2 configuration error,
 3 box-budget overflow (partial results flushed), 130 handled interrupt.
@@ -23,6 +25,7 @@ import json
 import os
 import sys as _sys
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from .attractor import (
     run_global,
     run_subdivision,
 )
-from .geometry import Box, CoverLevel, refine_cover
+from .geometry import Box, CoverLevel, flats_to_coords, refine_cover
 from .integrator import EulerSchedule
 from .oracle import export_points_csv, reference_attractor_points, verify_sandwich
 from .systems import (
@@ -45,13 +48,7 @@ from .systems import (
     EvaluationError,
     make_builtin,
 )
-from .transition import (
-    build_transition_continuous,
-    build_transition_discrete,
-    check_containment_condition,
-    check_margin,
-    measure_overapprox_gap,
-)
+from .transition import build_transition, check_containment_condition, check_margin, measure_overapprox_gap
 
 
 class ConfigError(ValueError):
@@ -120,6 +117,11 @@ class RunConfig:
             return EulerSchedule(h0=self.h0, alpha=self.alpha, substeps=self.N)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def system_and_schedule(self):
+        """The system and, for a flow, its Euler schedule (None for a map)."""
+        system = self.build_system()
+        return system, self.schedule() if isinstance(system, ContinuousSystemSpec) else None
 
     def validate(self, for_run: bool = True) -> None:
         if self.depth < 0:
@@ -248,8 +250,7 @@ def _read_checkpoint(path: Path, cfg_hash: str) -> tuple[int, np.ndarray]:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    schedule = cfg.schedule() if isinstance(system, ContinuousSystemSpec) else None
+    system, schedule = cfg.system_and_schedule()
     cfg_hash = cfg.config_hash()
     out_path = Path(cfg.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -266,16 +267,9 @@ def cmd_run(cfg: RunConfig) -> int:
 
     def on_level(level: CoverLevel, result: PruneResult, report: LevelReport) -> None:
         nonlocal committed
-        kept = result.kept_flats.tolist()
-        locs = level.locate(result.kept_flats)
-        los, his = level.box_los[locs].tolist(), level.box_his[locs].tolist()
-        boxes_fp.writelines(
-            (json.dumps({"depth": level.depth, "index": flat, "lo": lo, "hi": hi},
-                        sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-            for flat, lo, hi in zip(kept, los, his)
-        )
+        boxes_fp.writelines(_box_lines(level, result.kept_flats))
         boxes_fp.flush()
-        ck = json.dumps({"depth": level.depth, "kept": kept, "config_hash": cfg_hash},
+        ck = json.dumps({"depth": level.depth, "kept": result.kept_flats.tolist(), "config_hash": cfg_hash},
                         sort_keys=True, separators=(",", ":"))
         _write_atomic(_checkpoint_path(cfg, level.depth), ck + "\n")
         committed = boxes_fp.tell()
@@ -319,6 +313,21 @@ def cmd_run(cfg: RunConfig) -> int:
     return status
 
 
+def _box_lines(level: CoverLevel, kept: np.ndarray, chunk: int = 4096):
+    """The boxes JSONL records of the kept flat indices, chunk by chunk, as
+    the bytes json.dumps(sort_keys=True, separators=(",", ":")) writes:
+    json writes floats with float.__repr__, so each boundary's repr is made
+    once per level and the lines are joined from them with numpy."""
+    reprs = [np.array([repr(x) for x in b.tolist()]) for b in level.boundaries]
+    for c0 in range(0, kept.size, chunk):
+        flats = kept[c0 : c0 + chunk]
+        coords = flats_to_coords(flats, level.depth, level.dim)
+        # upper (e = 1) and lower (e = 0) corner reprs, axis by axis, with "," between them
+        hi, lo = ([s for k in range(level.dim) for s in (",", reprs[k][coords[:, k] + e])][1:] for e in (1, 0))
+        parts = ['{"depth":%d,"hi":[' % level.depth, *hi, '],"index":', flats.astype(str), ',"lo":[', *lo, "]}\n"]
+        yield "".join(reduce(np.char.add, parts).tolist()).encode("utf-8")
+
+
 def _earlier_levels(cfg: RunConfig, depth0: int) -> tuple[int, list[dict]]:
     """What a run resumed at depth0 keeps of an earlier run's output files:
     the length of the leading box lines of depths <= depth0, and the stats
@@ -355,8 +364,7 @@ def _load_checkpoints(cfg: RunConfig) -> dict[int, np.ndarray]:
 
 def _replay_levels(cfg: RunConfig, checkpoints: dict[int, np.ndarray]):
     """Rebuild (level, transition map, kept) per checkpointed depth."""
-    system = cfg.build_system()
-    schedule = cfg.schedule() if isinstance(system, ContinuousSystemSpec) else None
+    system, schedule = cfg.system_and_schedule()
     for depth in sorted(checkpoints):
         if depth == 0:
             level = CoverLevel.full(cfg.q, 0)
@@ -365,10 +373,7 @@ def _replay_levels(cfg: RunConfig, checkpoints: dict[int, np.ndarray]):
             level = refine_cover(prev, prev.flats)
         else:
             continue
-        if isinstance(system, ContinuousSystemSpec):
-            tmap = build_transition_continuous(level, system, M=cfg.M, params=schedule.params_at(depth))
-        else:
-            tmap = build_transition_discrete(level, system, M=cfg.M)
+        tmap = build_transition(level, system, cfg.M, schedule.params_at(depth) if schedule else None)
         yield depth, level, tmap, checkpoints[depth], system
 
 
@@ -406,8 +411,7 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
         verdict["non_increasing_from_depth_2"] = non_increasing
         ok &= non_increasing
     elif mode == "sandwich":
-        system = cfg.build_system()
-        schedule = cfg.schedule() if isinstance(system, ContinuousSystemSpec) else None
+        system, schedule = cfg.system_and_schedule()
         boxes = _read_boxes(cfg.out)
         reference = reference_attractor_points(system, cfg.q, resolution=resolution, horizon=horizon)
         for depth in sorted(boxes):

@@ -383,14 +383,21 @@ class CoverLevel:
         """Point indices i and local cell indices j of every pair with active
         cell j within distance r of points[i], under the exactness contract
         of :meth:`cells_near_point`; ordered by point, then by cell
-        coordinates. Each product of axis windows takes two binary searches
-        in the sorted lexicographic keys per row of its first d-1 axes.
+        coordinates.
         """
-        lo, hi = self.cell_windows(points, r)
+        return self.active_in_windows(*self.cell_windows(points, r))
+
+    def active_in_windows(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Window indices i and local cell indices j of every active cell j
+        inside the product of axis windows lo[i]..hi[i] (from
+        :meth:`cell_windows`), ordered as in :meth:`active_near_points`. Each
+        window takes two binary searches in the sorted lexicographic keys per
+        row of its first d-1 axes.
+        """
         width = hi - lo + 1
         rows = np.where(width.min(axis=1) > 0, np.prod(width[:, :-1], axis=1), 0)
         point = np.repeat(np.arange(rows.size), rows)
-        j = np.arange(point.size) - np.repeat(np.cumsum(rows) - rows, rows)
+        j = expand_ranges(np.zeros_like(rows), rows)
         n = self.cells_per_axis
         prefix = np.zeros(point.size, dtype=np.int64)
         stride = 1
@@ -402,7 +409,7 @@ class CoverLevel:
         keys, order = self._lex
         start = np.searchsorted(keys, prefix * n + lo[point, -1], side="left")
         count = np.searchsorted(keys, prefix * n + hi[point, -1], side="right") - start
-        return np.repeat(point, count), order[_expand_ranges(start, count)]
+        return np.repeat(point, count), order[expand_ranges(start, count)]
 
     def cells_near_point(self, p, r: float) -> np.ndarray:
         """Flat indices of ALL grid cells within distance r of p, sorted.
@@ -427,7 +434,7 @@ class CoverLevel:
         return out
 
 
-def _expand_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+def expand_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The concatenation of arange(s, s + c) over the pairs (s, c)."""
     nz = count > 0
     start, count = start[nz], count[nz]

@@ -9,20 +9,23 @@ and every cell met by the inflated image ball becomes a successor:
 
 with r the enclosure radius. Cells sharing only a face count as
 intersecting (closed cells), which can only enlarge phi and therefore
-preserves every containment guarantee.
+preserves every containment guarantee. Only the image function and the
+radius differ; build_transition picks both by the system kind.
 
 All image points of a chunk of sources go through one batch neighbour
 lookup, CoverLevel.active_near_points, which returns every active cell
 within r of each point. One sort of packed (source, target) keys per chunk,
 deduplicated when M > 1, turns the pairs into CSR rows sorted by flat
 index, so the output is canonical. The diagnostics run on the same kind of
-chunked arrays, with one image call per chunk of cells or per level.
+chunked arrays, with one image call per chunk of cells or per level, and
+one pass of cell windows per chunk of the containment check.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -32,6 +35,7 @@ from .geometry import (
     BoxKey,
     CoverLevel,
     box_corners,
+    expand_ranges,
     grid_points,
     point_box_distance,
     subbox_centers,
@@ -158,26 +162,6 @@ def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: Trans
     return TransitionMap(level, indptr, targets, meta)
 
 
-def build_transition_discrete(
-    level: CoverLevel, sys: DiscreteSystemSpec, M: int = 1, threads: int = 1
-) -> TransitionMap:
-    """Overapproximating map for a discrete system on the given level.
-
-    `threads` is accepted for compatibility and ignored; maps are built on
-    one thread.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if level.size and not sys.validity_region.contains_box(level.root):
-        raise ValueError("cover must lie inside the system's validity region")
-    subdiameter = level.rho / M
-    radius = sys.lipschitz_L * subdiameter
-    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=subdiameter)
-    centers = subbox_centers(level.box_los, level.box_his, M)
-    images = eval_inverse_batch(sys, centers.reshape(-1, level.dim)).reshape(centers.shape)
-    return _build_map(level, images, radius, meta)
-
-
 def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:
     """Raise ValueError unless the drift bound P*h fits between the study box
     and the validity region, so every Euler image stays where g is valid."""
@@ -190,30 +174,49 @@ def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:
         )
 
 
-def build_transition_continuous(
-    level: CoverLevel, sys: ContinuousSystemSpec, M: int = 1, params: EulerParams | None = None, threads: int = 1
+def build_transition(
+    level: CoverLevel, sys: DiscreteSystemSpec | ContinuousSystemSpec, M: int = 1, params: EulerParams | None = None
 ) -> TransitionMap:
-    """Overapproximating map for an ODE flow via inflated Euler images.
+    """Overapproximating map of a map or a flow on the given level.
 
-    `threads` is accepted for compatibility and ignored.
+    The system kind fixes the image of the sample centres and the radius of
+    the ball around it: f^{-1} and L * subdiameter for a map, N Euler
+    substeps of `params` and the enclosure radius for a flow. Maps ignore
+    `params`.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if params is None:
-        raise ValueError("continuous transition maps need EulerParams")
-    check_margin(sys, level.root, params.h)
     subdiameter = level.rho / M
-    radius = enclosure_radius(sys.lipschitz_L, sys.bound_P, params.h, params.substeps, subdiameter)
-    meta = TransitionMeta(
-        kind="continuous", M=M, radius=radius, subdiameter=subdiameter,
-        h=params.h, substeps=params.substeps,
-    )
-    centers = subbox_centers(level.box_los, level.box_his, M)
-    if level.size:
-        images = euler_backward(sys, centers.reshape(-1, level.dim), params).reshape(centers.shape)
+    if isinstance(sys, ContinuousSystemSpec):
+        if params is None:
+            raise ValueError("continuous transition maps need EulerParams")
+        check_margin(sys, level.root, params.h)
+        radius = enclosure_radius(sys.lipschitz_L, sys.bound_P, params.h, params.substeps, subdiameter)
+        meta = TransitionMeta("continuous", M, radius, subdiameter, h=params.h, substeps=params.substeps)
+        image = partial(euler_backward, sys, p=params)
     else:
-        images = centers
+        if level.size and not sys.validity_region.contains_box(level.root):
+            raise ValueError("cover must lie inside the system's validity region")
+        radius = sys.lipschitz_L * subdiameter
+        meta = TransitionMeta("discrete", M, radius, subdiameter)
+        image = partial(eval_inverse_batch, sys)
+    centers = subbox_centers(level.box_los, level.box_his, M)
+    images = image(centers.reshape(-1, level.dim)).reshape(centers.shape) if level.size else centers
     return _build_map(level, images, radius, meta)
+
+
+def build_transition_discrete(
+    level: CoverLevel, sys: DiscreteSystemSpec, M: int = 1, threads: int = 1
+) -> TransitionMap:
+    """build_transition for a map; `threads` is accepted and ignored."""
+    return build_transition(level, sys, M)
+
+
+def build_transition_continuous(
+    level: CoverLevel, sys: ContinuousSystemSpec, M: int = 1, params: EulerParams | None = None, threads: int = 1
+) -> TransitionMap:
+    """build_transition for a flow; `threads` is accepted and ignored."""
+    return build_transition(level, sys, M, params)
 
 
 # -- diagnostics ----------------------------------------------------------------
@@ -239,10 +242,10 @@ def check_containment_condition(
     successor union. For flows the membership test uses a tolerance ball, so
     the verdict is diagnostic-strength, not proof-strength.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     level = tmap.level
     report = GapReport()
-    if level.size == 0 or samples <= 0:
-        return report
     continuous = tmap.meta.kind == "continuous"
     slack = 10.0 * tol if continuous else 0.0
     n, d = level.size, level.dim
@@ -258,7 +261,8 @@ def check_containment_condition(
             images = eval_inverse_batch(sys, pts)
         # an image is covered when an active cell within the slack of it is a
         # successor of its box, found as a packed (box, cell) key among the edges
-        point, near = level.active_near_points(images, slack)
+        wlo, whi = level.cell_windows(images, slack)
+        point, near = level.active_in_windows(wlo, whi)
         rows = np.repeat(np.arange(b1 - b0), np.diff(tmap.indptr[b0 : b1 + 1]))
         edges = rows * n + tmap.targets[tmap.indptr[b0] : tmap.indptr[b1]]
         covered = np.zeros(images.shape[0], dtype=bool)
@@ -267,7 +271,6 @@ def check_containment_condition(
         # whole slack ball around the image must be covered
         active = np.bincount(point, minlength=images.shape[0])
         if continuous:
-            wlo, whi = level.cell_windows(images, slack)
             inside = np.all((images >= level.root.lo) & (images <= level.root.hi), axis=1)
             in_region = inside & (active == np.prod(np.maximum(whi - wlo + 1, 0), axis=1))
         else:
@@ -285,7 +288,7 @@ def _strided_entries(indptr: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarr
     stride = np.maximum(-(-lengths // cap), 1)
     counts = -(-lengths // stride)
     rows = np.repeat(np.arange(lengths.size), counts)
-    k = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = expand_ranges(np.zeros_like(counts), counts)
     return rows, indptr[rows] + k * stride[rows]
 
 
@@ -301,6 +304,8 @@ def measure_overapprox_gap(
     formula) and defect_gap (difference quotients against the field).
     Sampling grids are deterministic, so repeated measurements agree.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     level = tmap.level
     report = GapReport()
     if level.size == 0 or tmap.edge_count == 0:

@@ -237,6 +237,17 @@ def test_subdivision_budget_overflow_flushes_partial() -> None:
     assert seen == [0, 1, 2, 3, 4]  # depth 5 would need 96 * 4 > 200 cells
 
 
+def test_subdivision_rejects_samples_below_one_before_level_0() -> None:
+    sys_ = make_builtin("saddle2d", Q2)
+    seen: list[int] = []
+    with pytest.raises(ValueError, match="samples"):
+        run_subdivision(
+            sys_, Q2, max_depth=3, euler=EulerSchedule(h0=0.2), diagnostics=True, samples=0,
+            on_level=lambda level, res, rep: seen.append(rep.depth),
+        )
+    assert seen == []
+
+
 def test_subdivision_resume_matches_uninterrupted() -> None:
     sys_ = make_builtin("halving1d", Q1)
     full = run_subdivision(sys_, Q1, max_depth=7, M=1)

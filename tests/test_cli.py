@@ -335,6 +335,30 @@ def test_transition_dumps_is_pinned() -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "system, q, extra",
+    [
+        ("cubic1d", "-1.5:1.5", ("--h0", "0.08", "--depth", "8")),
+        ("saddle2d", "-1,-1:1,1", ("--h0", "0.2", "--depth", "5")),
+        ("halving1d", "-1e-05:3e-05", ("--depth", "8")),  # bounds print in exponent form
+    ],
+)
+def test_box_records_are_canonical_json(tmp_path: Path, system: str, q: str, extra: tuple) -> None:
+    argv = run_args(tmp_path, **{"--system": system, "--q": q})
+    assert main([*argv, *extra]) == 0
+    lines = (tmp_path / "boxes.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines
+    levels: dict[int, CoverLevel] = {}
+    for line in lines:
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        level = levels.setdefault(rec["depth"], CoverLevel.full(parse_q(q), rec["depth"]))
+        box = level.box_of_flat(rec["index"])
+        assert (rec["lo"], rec["hi"]) == (box.lo.tolist(), box.hi.tolist())
+    if system == "halving1d":
+        assert any("e-" in line for line in lines)
+
+
 def test_check_truncated_checkpoint_exit_2(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "4"})) == 0
     ckpt = tmp_path / "ckpt" / "checkpoint_d2.json"

@@ -22,6 +22,7 @@ from boxattractor.transition import (
     TransitionMap,
     TransitionMeta,
     _build_map,
+    build_transition,
     build_transition_continuous,
     build_transition_discrete,
     check_containment_condition,
@@ -105,15 +106,44 @@ def test_margin_violation_rejected() -> None:
         build_transition_continuous(level, sys_, M=1, params=EulerParams(h=0.1))
 
 
+def test_build_transition_chooses_by_system_kind() -> None:
+    level = CoverLevel.full(Q2, 3)
+    params = EulerParams(h=0.1, substeps=2)
+    linmap = make_builtin("linmap2d", Q2)
+    tmap = build_transition(level, linmap, 2, params)  # maps ignore the Euler parameters
+    assert tmap.meta == TransitionMeta("discrete", 2, linmap.lipschitz_L * level.rho / 2, level.rho / 2)
+    assert tmap.dumps() == build_transition_discrete(level, linmap, M=2).dumps()
+    saddle = make_builtin("saddle2d", Q2)
+    tmap = build_transition(level, saddle, 2, params)
+    assert (tmap.meta.kind, tmap.meta.h, tmap.meta.substeps) == ("continuous", 0.1, 2)
+    assert tmap.dumps() == build_transition_continuous(level, saddle, M=2, params=params).dumps()
+    with pytest.raises(ValueError, match="EulerParams"):
+        build_transition(level, saddle, 2)
+    with pytest.raises(ValueError, match="M must be"):
+        build_transition(level, linmap, 0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_diagnostics_reject_samples_below_one(samples: int) -> None:
+    sys_ = make_builtin("saddle2d", Q2)
+    tmap = build_transition_continuous(CoverLevel.full(Q2, 2), sys_, M=1, params=EulerParams(h=0.1))
+    with pytest.raises(ValueError, match="samples"):
+        check_containment_condition(tmap, sys_, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        measure_overapprox_gap(tmap, sys_, samples=samples)
+
+
 def test_empty_level_yields_empty_map_and_report() -> None:
-    sys_ = make_builtin("halving1d", Q1)
     level = CoverLevel(Q1, 3, [])
-    tmap = build_transition_discrete(level, sys_, M=1)
-    assert tmap.edge_count == 0
-    rep = check_containment_condition(tmap, sys_, samples=20, seed=0)
-    assert rep.containment_violations == []
-    gaps = measure_overapprox_gap(tmap, sys_, samples=20)
-    assert gaps.overapprox_gap == 0.0
+    # a system evaluated point by point is never called on no points
+    pointwise = DiscreteSystemSpec(inverse_eval=lambda p: 2.0 * p, lipschitz_L=2.0, validity_region=Q1)
+    for sys_ in (make_builtin("halving1d", Q1), pointwise):
+        tmap = build_transition_discrete(level, sys_, M=1)
+        assert tmap.edge_count == 0
+        rep = check_containment_condition(tmap, sys_, samples=20, seed=0)
+        assert rep.containment_violations == []
+        gaps = measure_overapprox_gap(tmap, sys_, samples=20)
+        assert gaps.overapprox_gap == 0.0
 
 
 def test_containment_zero_violations_on_builtins() -> None:
