@@ -82,11 +82,13 @@ class LevelReport:
     edges: int
     map_ms: float = 0.0
     prune_ms: float = 0.0
+    rounds: int = 0  # prune worklist generations
+    selfloop_frac: float = 0.0  # share of boxes that are their own successor
     gaps: GapReport | None = None
 
     def to_json_dict(self) -> dict:
-        # timings go to stderr, not into data artifacts, so stats files are
-        # reproducible byte for byte
+        # timings and the prune trace go to stderr, not into data artifacts,
+        # so stats files keep their keys and are reproducible byte for byte
         out = {
             "depth": self.depth,
             "rho": self.rho,
@@ -117,6 +119,25 @@ def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
             counts -= np.bincount(preds, minlength=n)
         frontier = np.flatnonzero(alive & (counts <= 0))
     return alive, rounds
+
+
+def _selfloop_frac(tmap: TransitionMap) -> float:
+    """Share of sources that are their own successor: one vectorised
+    bisection over every row, since each row's targets are sorted."""
+    n = tmap.size
+    if n == 0:
+        return 0.0
+    lo, hi = tmap.indptr[:-1].copy(), tmap.indptr[1:].copy()
+    open_ = np.flatnonzero(lo < hi)
+    while open_.size:
+        mid = (lo[open_] + hi[open_]) // 2
+        below = tmap.targets[mid] < open_
+        lo[open_[below]] = mid[below] + 1
+        hi[open_[~below]] = mid[~below]
+        open_ = open_[lo[open_] < hi[open_]]
+    found = lo < tmap.indptr[1:]
+    found[found] = tmap.targets[lo[found]] == np.flatnonzero(found)
+    return float(np.mean(found))
 
 
 def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +200,14 @@ def _run_level(
         depth=level.depth,
         rho=level.rho,
         h=tmap.meta.h,
-        r=tmap.meta.radius if tmap.meta.kind == "continuous" else 0.0,
+        r=tmap.meta.radius,
         boxes_in=level.size,
         boxes_kept=int(result.kept_flats.size),
         edges=tmap.edge_count,
         map_ms=(t1 - t0) * 1e3,
         prune_ms=(t2 - t1) * 1e3,
+        rounds=result.rounds,
+        selfloop_frac=_selfloop_frac(tmap),
     )
     if diagnostics:
         report.gaps = run_diagnostics(tmap, sys, samples=samples, seed=seed)

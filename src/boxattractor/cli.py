@@ -277,6 +277,7 @@ def cmd_run(cfg: RunConfig) -> int:
         _log(
             f"[run] depth={report.depth} rho={report.rho:.6g} h={report.h:.6g} r={report.r:.6g} "
             f"boxes_in={report.boxes_in} kept={report.boxes_kept} edges={report.edges} "
+            f"rounds={report.rounds} selfloop={report.selfloop_frac:.4f} "
             f"map_ms={report.map_ms:.1f} prune_ms={report.prune_ms:.1f}"
         )
         if report.boxes_kept == 0:

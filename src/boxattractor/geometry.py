@@ -106,7 +106,7 @@ class SampleGrid:
     """Centers of the M^d commensurate subboxes of a box.
 
     `subdiameter` is the subbox diameter; every point of the parent box is
-    within subdiameter (conservatively) of some listed center.
+    within subdiameter / 2 of some listed center.
     """
 
     centers: np.ndarray  # (M^d, d)

@@ -4,9 +4,9 @@ by diagnostics and oracles.
 
 The enclosure radius inflates a single Euler image of a sample center so it
 is guaranteed to cover the exact backward-flow image of the whole sampled
-subbox:
+subbox, every point of which lies within spread = rho/(2M) of the center:
 
-    r = e^{L h} * subdiameter + (1 / 2N) * P * h * (e^{L h} - 1)
+    r = e^{L h} * spread + (1 / 2N) * P * h * (e^{L h} - 1)
 """
 
 from __future__ import annotations
@@ -74,16 +74,17 @@ def euler_backward(sys: ContinuousSystemSpec, x, p: EulerParams) -> np.ndarray:
     return y
 
 
-def enclosure_radius(L: float, P: float, h: float, N: int, subdiameter: float) -> float:
-    """Inflation radius certifying backward-flow coverage of a sampled subbox."""
-    if L < 0 or P < 0 or subdiameter < 0:
-        raise ValueError("L, P and subdiameter must be nonnegative")
+def enclosure_radius(L: float, P: float, h: float, N: int, spread: float) -> float:
+    """Inflation radius certifying backward-flow coverage of a sampled subbox
+    whose points all lie within `spread` of its center."""
+    if L < 0 or P < 0 or spread < 0:
+        raise ValueError("L, P and spread must be nonnegative")
     if not h > 0:
         raise ValueError("h must be positive")
     if N < 1:
         raise ValueError("N must be >= 1")
     growth = math.exp(L * h)
-    return growth * subdiameter + P * h * (growth - 1.0) / (2.0 * N)
+    return growth * spread + P * h * (growth - 1.0) / (2.0 * N)
 
 
 def euler_defect(sys: ContinuousSystemSpec, x, p: EulerParams) -> float:

@@ -28,7 +28,10 @@ class DiscreteSystemSpec:
     lipschitz_L bounds ||f^{-1}(x) - f^{-1}(z)|| / ||x - z|| for arguments in
     validity_region. forward_eval is optional and used only by oracles and
     round-trip checks. Evaluators flagged `vectorized` must broadcast over
-    leading axes of (..., d) arrays.
+    leading axes of (..., d) arrays. The transition radius is rounded
+    outward for the package's own float64 arithmetic, which covers the
+    built-in evaluators; the rounding error of a user's inverse_eval is not
+    covered.
     """
 
     inverse_eval: Callable[[np.ndarray], np.ndarray]
@@ -49,7 +52,9 @@ class ContinuousSystemSpec:
 
     ||g|| <= bound_P and g is lipschitz_L-Lipschitz on validity_region.
     Built-in fields clamp their argument to the validity region, which
-    preserves both constants globally.
+    preserves both constants globally. The enclosure radius is rounded
+    outward for the package's own float64 arithmetic, including the Euler
+    substeps; the rounding error of a user's field_eval is not covered.
     """
 
     field_eval: Callable[[np.ndarray], np.ndarray]

@@ -4,13 +4,15 @@ For every active cell, sample centers are pushed through the backward
 dynamics (the inverse map, or an Euler approximation of the backward flow)
 and every cell met by the inflated image ball becomes a successor:
 
-    discrete:    j in phi(i)  iff  min_l dist(f^{-1}(z_l), D_j) <= L * subdiameter
+    discrete:    j in phi(i)  iff  min_l dist(f^{-1}(z_l), D_j) <= L * rho/(2M)
     continuous:  j in phi(i)  iff  min_l dist(phi_E(-h, z_l), D_j) <= r
 
-with r the enclosure radius. Cells sharing only a face count as
-intersecting (closed cells), which can only enlarge phi and therefore
-preserves every containment guarantee. Only the image function and the
-radius differ; build_transition picks both by the system kind.
+with r the enclosure radius of rho/(2M), the infinity-norm distance from a
+sample centre to the farthest point of its subbox. Both radii are rounded
+outward by a few ulps, so the float64 test errs outward. Cells sharing only
+a face count as intersecting (closed cells), which can only enlarge phi and
+therefore preserves every containment guarantee. Only the image function
+and the radius differ; build_transition picks both by the system kind.
 
 All image points of a chunk of sources go through one batch neighbour
 lookup, CoverLevel.active_near_points, which returns every active cell
@@ -24,6 +26,7 @@ one pass of cell windows per chunk of the containment check.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
@@ -174,34 +177,58 @@ def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:
         )
 
 
+_ROUNDING_ULPS = 8  # rounding budget per step, in ulps of the scale
+
+
+def _round_outward(radius: float, lip: float, extent: float, images: np.ndarray, steps: int) -> float:
+    """The radius plus a few ulps of the level's magnitude scale, so that the
+    float64 closed-cell test errs outward. The scale bounds every value the
+    computation passes through: the radius, the largest |image|, and the
+    largest |boundary|, |centre| or Euler iterate (`extent`) times the image
+    function's Lipschitz constant `lip`, which carries the rounding of the
+    centres and cell widths into the images. Each of the `steps` evaluation
+    steps, the radius and the cell test's subtractions round by a few ulps."""
+    scale = max(radius, max(lip, 1.0) * extent, float(np.max(np.abs(images), initial=0.0)))
+    return radius + _ROUNDING_ULPS * (steps + 1) * float(np.spacing(scale))
+
+
 def build_transition(
     level: CoverLevel, sys: DiscreteSystemSpec | ContinuousSystemSpec, M: int = 1, params: EulerParams | None = None
 ) -> TransitionMap:
     """Overapproximating map of a map or a flow on the given level.
 
-    The system kind fixes the image of the sample centres and the radius of
-    the ball around it: f^{-1} and L * subdiameter for a map, N Euler
-    substeps of `params` and the enclosure radius for a flow. Maps ignore
-    `params`.
+    Every point of a subbox of side rho/M lies within rho/(2M) of its centre
+    in the infinity norm, so the system kind fixes the image of the sample
+    centres and the radius of the ball around it: f^{-1} and L * rho/(2M)
+    for a map, N Euler substeps of `params` and the enclosure radius of
+    rho/(2M) for a flow. The radius is rounded outward for float64 and
+    recorded in the map's meta. Maps ignore `params`.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     subdiameter = level.rho / M
+    spread = subdiameter / 2.0
+    extent = float(np.max(np.abs([level.root.lo, level.root.hi])))  # largest |boundary| and |centre|
     if isinstance(sys, ContinuousSystemSpec):
         if params is None:
             raise ValueError("continuous transition maps need EulerParams")
         check_margin(sys, level.root, params.h)
-        radius = enclosure_radius(sys.lipschitz_L, sys.bound_P, params.h, params.substeps, subdiameter)
-        meta = TransitionMeta("continuous", M, radius, subdiameter, h=params.h, substeps=params.substeps)
+        kind, h, steps = "continuous", params.h, params.substeps
+        lip = math.exp(sys.lipschitz_L * h)  # of the backward flow and of the Euler map
+        extent += sys.bound_P * h  # Euler iterates drift at most P*h from their centre
+        radius = enclosure_radius(sys.lipschitz_L, sys.bound_P, h, steps, spread)
         image = partial(euler_backward, sys, p=params)
     else:
         if level.size and not sys.validity_region.contains_box(level.root):
             raise ValueError("cover must lie inside the system's validity region")
-        radius = sys.lipschitz_L * subdiameter
-        meta = TransitionMeta("discrete", M, radius, subdiameter)
+        kind, h, steps = "discrete", 0.0, 1
+        lip = sys.lipschitz_L
+        radius = lip * spread
         image = partial(eval_inverse_batch, sys)
     centers = subbox_centers(level.box_los, level.box_his, M)
     images = image(centers.reshape(-1, level.dim)).reshape(centers.shape) if level.size else centers
+    radius = _round_outward(radius, lip, extent, images, steps)
+    meta = TransitionMeta(kind, M, radius, subdiameter, h=h, substeps=steps)
     return _build_map(level, images, radius, meta)
 
 

@@ -260,11 +260,28 @@ def test_subdivision_resume_matches_uninterrupted() -> None:
         assert ra.kept == rb.kept and ra.removed == rb.removed
 
 
+def test_level_report_traces_prune_rounds_and_selfloops() -> None:
+    # the report carries the radius used, the prune's round count and the
+    # share of boxes that are their own successor, counted here row by row
+    Q = Box([-2.0, -2.0], [2.0, 2.0])
+    sys_ = make_builtin("henon", Q)
+    rounds = []
+
+    def check(level, result, rep):
+        tmap = build_transition_discrete(level, sys_)
+        assert (rep.r, rep.rounds) == (tmap.meta.radius, result.rounds)
+        assert rep.selfloop_frac == np.mean([i in tmap.targets_local(i) for i in range(level.size)])
+        rounds.append(rep.rounds)
+
+    run_subdivision(sys_, Q, max_depth=6, on_level=check)
+    assert len(rounds) == 7 and max(rounds) > 1  # boxes without successors were pruned
+
+
 def test_deep_continuous_runs_eventually_prune() -> None:
     # at M=1 a cell keeps its self-loop while its drift h_n*|g| is at most
-    # r_n + rho_n/2; at depth 11 the threshold (r_n + rho_n/2)/h_n = 1.32
+    # r_n + rho_n/2; at depth 9 the threshold (r_n + rho_n/2)/h_n = 1.81
     # first drops below max|g| = 1.875 and the outer cells start dying: the
-    # onset of upper convergence
+    # onset of upper convergence, well under way at depth 11 (0.90)
     Q = Box([-1.5], [1.5])
     sys_ = make_builtin("cubic1d", Q)
     sched = EulerSchedule(h0=0.08, alpha=0.5, substeps=1)
@@ -277,9 +294,9 @@ def test_deep_continuous_runs_eventually_prune() -> None:
 
 
 def test_deep_saddle_prunes_boundary_rows() -> None:
-    # same onset for the 2-d flow: rows with |y| above (r_8 + rho_8/2)/h_8
-    # = 0.957 lose their self-loops at depth 8 and the kept union pulls off
-    # the top boundary
+    # same onset for the 2-d flow: rows with |y| above (r_n + rho_n/2)/h_n
+    # lose their self-loops, 0.910 at depth 7 and 0.642 at depth 8, and the
+    # kept union pulls off the top boundary
     sys_ = make_builtin("saddle2d", Q2)
     sched = EulerSchedule(h0=0.2, alpha=0.5, substeps=1)
     levels = run_subdivision(sys_, Q2, max_depth=8, euler=sched)

@@ -61,6 +61,20 @@ def test_run_halving_final_boxes_near_zero(tmp_path: Path) -> None:
     assert all("map_ms" not in s for s in stats)
 
 
+def test_prune_trace_goes_to_stderr_not_stats(tmp_path: Path, capsys) -> None:
+    # prune rounds and the self-loop fraction join the [run] line, while the
+    # stats records keep exactly their keys, so the artifact stays byte-stable
+    argv = run_args(tmp_path, **{"--system": "henon", "--q": "-2,-2:2,2", "--depth": "4"})
+    assert main(argv) == 0
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    keys = ["boxes_in", "boxes_kept", "depth", "edges", "gaps", "h", "r", "rho"]
+    assert [sorted(s) for s in stats] == [keys] * 5
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[run] depth=")]
+    assert len(lines) == 5
+    assert all(" rounds=" in line and " selfloop=" in line for line in lines)
+    assert "rounds=0 selfloop=1.0000" in lines[0]  # the root box maps onto itself
+
+
 def test_run_diagnostics_lands_in_stats(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "4", "--diagnostics": None})) == 0
     stats = json.loads((tmp_path / "stats.json").read_text())
@@ -299,14 +313,14 @@ def sha256(data: bytes) -> str:
 # dyadic, so these bytes do not depend on the platform's libm.
 PINNED_RUNS = {
     ("henon", "-2,-2:2,2", "6"): (
-        "4e553e270fd1688eb5c9fd2b104f9f7a0e3200441a8aae085f0c314bfadfaf3f",
-        "b634dad754f373ef3644da698c554aba79515d44899c5afbbbf40b79d81066c9",
-        "56d4373eb740180448992ab3840cfff8768bafe2e3c7340ddaa01b1310d9870a",
+        "7a374168ff0cbe4ce513fd634dcd555b072061d523a949e284a6fa22af5ad0cc",
+        "354b96faac499a9bcfe5d8464caa22d22b0abcfb3a1710cf88d4581fe41d6c47",
+        "42e1f4bda97e4e958e9e53c4af271bd4ebffa35dfb0c63e88ee385c0e82dd283",
     ),
     ("linmap2d", "-1,-1:1,1", "7"): (
-        "bb4ea6aa798fc47aa9eb5708b92778dace43985a554d27f6e628fa78a9b521e7",
-        "7a9243099ccf664abc800a655f1fb87e4e6fb819b5cd41f7a8aa146091a07381",
-        "f4f071b3841bc97ae524f6eb19b3ab2f53fd8356a48e5c72006b8b3536f01e32",
+        "a5c7d99f043d145c920f41cc9c96c74d3c2f8a9bc27f395a38c070c840541906",
+        "8f9306ddf3bc9b0facadffda37bae49562c2e100f3e61b1ca2960a7a26c64498",
+        "6f67b1552dc8aa8b0ec37accc3e720f82bf245cc71ee7bdf3d7f21a8a5247515",
     ),
 }
 
@@ -331,7 +345,7 @@ def test_transition_dumps_is_pinned() -> None:
     Q2 = Box([-1.0, -1.0], [1.0, 1.0])
     tmap = build_transition_discrete(CoverLevel.full(Q2, 4), make_builtin("linmap2d", Q2))
     assert sha256(tmap.dumps().encode("utf-8")) == (
-        "e4f885eb421ba7657ec46a577a7f3e9f76e3503aa9baaf50cd7f9397077c59ab"
+        "3ea4b9206fe2325ca386b09339b9be91a9526890e60fdd9b49470e69d5eab99b"
     )
 
 

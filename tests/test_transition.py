@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import boxattractor.transition as transition
 
 from boxattractor.geometry import Box, CoverLevel, point_box_distance, subbox_centers
-from boxattractor.integrator import EulerParams, euler_backward, reference_backward_flow
+from boxattractor.integrator import EulerParams, enclosure_radius, euler_backward, reference_backward_flow
 from boxattractor.systems import (
     DiscreteSystemSpec,
     eval_field_batch,
@@ -43,7 +45,8 @@ def test_halving_depth1_hand_example() -> None:
     sys_ = make_builtin("halving1d", Q1)
     level = CoverLevel.full(Q1, 1)
     tmap = build_transition_discrete(level, sys_, M=1)
-    # centers -/+0.5 map to -/+1 under f^{-1}(x) = 2x, ball radius 2 reaches both cells
+    # centers -/+0.5 map to -/+1 under f^{-1}(x) = 2x; the ball of radius
+    # L * rho/2 = 1 reaches both closed cells
     assert edges_as_flats(tmap) == {0: [0, 1], 1: [0, 1]}
 
 
@@ -111,11 +114,17 @@ def test_build_transition_chooses_by_system_kind() -> None:
     params = EulerParams(h=0.1, substeps=2)
     linmap = make_builtin("linmap2d", Q2)
     tmap = build_transition(level, linmap, 2, params)  # maps ignore the Euler parameters
-    assert tmap.meta == TransitionMeta("discrete", 2, linmap.lipschitz_L * level.rho / 2, level.rho / 2)
+    # the ball is L * rho/(2M), the distance from a sample centre to its
+    # subbox's corners, rounded outward by a few ulps
+    want = linmap.lipschitz_L * level.rho / 4
+    assert tmap.meta == TransitionMeta("discrete", 2, tmap.meta.radius, level.rho / 2)
+    assert want <= tmap.meta.radius <= want * (1 + 1e-12)
     assert tmap.dumps() == build_transition_discrete(level, linmap, M=2).dumps()
     saddle = make_builtin("saddle2d", Q2)
     tmap = build_transition(level, saddle, 2, params)
     assert (tmap.meta.kind, tmap.meta.h, tmap.meta.substeps) == ("continuous", 0.1, 2)
+    want = enclosure_radius(saddle.lipschitz_L, saddle.bound_P, 0.1, 2, level.rho / 4)
+    assert want <= tmap.meta.radius <= want * (1 + 1e-12)
     assert tmap.dumps() == build_transition_continuous(level, saddle, M=2, params=params).dumps()
     with pytest.raises(ValueError, match="EulerParams"):
         build_transition(level, saddle, 2)
@@ -158,6 +167,119 @@ def test_containment_zero_violations_on_builtins() -> None:
     tmap = build_transition_continuous(level, cub, M=1, params=EulerParams(h=0.08))
     rep = check_containment_condition(tmap, cub, samples=100, seed=0)
     assert rep.containment_violations == []
+
+
+HENON_A, HENON_B = Fraction(1.4), Fraction(0.3)  # the built-in's float parameters, exactly
+
+# exact inverse maps of the discrete built-ins, from their definitions
+EXACT_INVERSE = {
+    "halving1d": (Q1, lambda x: (2 * x[0],)),
+    "linmap2d": (Q2, lambda x: (2 * x[0], x[1] / 2)),
+    "henon": (
+        Box([-2.0, -2.0], [2.0, 2.0]),
+        lambda x: (x[1] / HENON_B, x[0] - 1 + HENON_A * (x[1] / HENON_B) ** 2),
+    ),
+}
+
+
+def subbox_grid(lo, hi, M: int, per_axis: int = 4) -> list[tuple]:
+    """A per_axis^d grid, corners included, on each of the M^d subboxes of
+    the box [lo, hi], whose bounds may be Fractions; the points of subbox k
+    (axis 0 fastest, as subbox_centers orders them) are entry k."""
+    d = len(lo)
+    ts = [Fraction(t, per_axis - 1) for t in range(per_axis)]
+    out = []
+    for k in itertools.product(range(M), repeat=d):
+        k = k[::-1]  # axis 0 varies fastest
+        axes = [[lo[a] + (k[a] + t) * (hi[a] - lo[a]) / M for t in ts] for a in range(d)]
+        out.append(list(itertools.product(*axes)))
+    return out
+
+
+def exact_enclosure_deviation(name: str, depth: int, M: int) -> list[Fraction]:
+    """Per axis, the largest distance from the exact image of a subbox point
+    to the float image of its sample centre, over a dense grid on every
+    subbox of the full level. Asserts in exact arithmetic that the distance
+    is within meta.radius and that every cell containing the exact image is
+    a successor of the source; images outside Q need none."""
+    Q, inverse = EXACT_INVERSE[name]
+    sys_ = make_builtin(name, Q)
+    level = CoverLevel.full(Q, depth)
+    tmap = build_transition_discrete(level, sys_, M=M)
+    radius = Fraction(tmap.meta.radius)
+    centers = subbox_centers(level.box_los, level.box_his, M)
+    images = eval_inverse_batch(sys_, centers.reshape(-1, level.dim)).reshape(centers.shape)
+    bounds = [[Fraction(b) for b in B] for B in level.boundaries]
+    n = level.cells_per_axis
+    worst = [Fraction(0)] * level.dim
+    for i in range(level.size):
+        successors = {tuple(c) for c in level.coords[tmap.targets_local(i)].tolist()}
+        lo = [Fraction(v) for v in level.box_los[i]]
+        hi = [Fraction(v) for v in level.box_his[i]]
+        for k, pts in enumerate(subbox_grid(lo, hi, M)):
+            centre_image = [Fraction(v) for v in images[i, k]]
+            for p in pts:
+                y = inverse(p)
+                dev = [abs(a - b) for a, b in zip(y, centre_image)]
+                assert max(dev) <= radius
+                worst = [max(w, v) for w, v in zip(worst, dev)]
+                if any(not B[0] <= v <= B[-1] for v, B in zip(y, bounds)):
+                    continue  # outside Q
+                ranges = [
+                    range(max(bisect_left(B, v) - 1, 0), min(bisect_right(B, v) - 1, n - 1) + 1)
+                    for v, B in zip(y, bounds)
+                ]
+                assert set(itertools.product(*ranges)) <= successors
+    return worst
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(EXACT_INVERSE))
+def test_discrete_ball_encloses_exact_subbox_images(name: str, M: int) -> None:
+    rng = np.random.default_rng([M, len(name)])
+    top = 8 if name == "halving1d" else 4
+    for depth in sorted(rng.choice(np.arange(1, top + 1), size=2, replace=False)):
+        exact_enclosure_deviation(name, int(depth), M)
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_linmap_ball_is_tight(M: int) -> None:
+    # a subbox corner's image lies exactly L * rho/(2M) from its centre's on
+    # axis 0, so no smaller radius encloses linmap2d's subbox images
+    depth = 3
+    rho = Fraction(CoverLevel.full(Q2, depth).rho)
+    assert exact_enclosure_deviation("linmap2d", depth, M)[0] == 2 * rho / (2 * M)
+
+
+def saddle_flow(x: np.ndarray, h: float) -> np.ndarray:
+    return x * np.array([np.exp(-h), np.exp(h)])  # phi(-h, (x, y)) of g = (x, -y)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("name", ["cubic1d", "saddle2d"])
+def test_flow_ball_encloses_subbox_images(name: str, M: int) -> None:
+    # backward-flow images of a dense grid on every subbox lie within the
+    # radius, less a margin well above the oracle's error, of the Euler image
+    # of the subbox centre; every cell within that margin of such an image
+    # is a successor
+    Q, h = (Box([-1.5], [1.5]), 0.08) if name == "cubic1d" else (Q2, 0.1)
+    tol, margin = 1e-12, 1e-8
+    sys_ = make_builtin(name, Q)
+    params = EulerParams(h=h, substeps=M)  # each M also takes a different substep count
+    rng = np.random.default_rng([M, len(name)])
+    for depth in sorted(rng.choice(np.arange(1, 8 if Q.dim == 1 else 5), size=2, replace=False)):
+        level = CoverLevel.full(Q, int(depth))
+        lo, hi = level.box_los, level.box_his
+        tmap = build_transition_continuous(level, sys_, M=M, params=params)
+        images = euler_backward(sys_, subbox_centers(lo, hi, M), params)
+        for i in range(level.size):
+            pts = np.array(subbox_grid(lo[i], hi[i], M), dtype=np.float64)  # (M^d, per_axis^d, d)
+            flat = pts.reshape(-1, level.dim)
+            exact = saddle_flow(flat, h) if name == "saddle2d" else reference_backward_flow(sys_, flat, h, tol)
+            assert np.max(np.abs(exact.reshape(pts.shape) - images[i][:, None, :])) <= tmap.meta.radius - margin
+            gap = np.maximum(np.maximum(lo[None] - exact[:, None], exact[:, None] - hi[None]), 0.0)
+            near = np.flatnonzero(np.any(np.max(gap, axis=2) <= margin, axis=0))
+            assert set(near.tolist()) <= set(tmap.targets_local(i).tolist())
 
 
 def drop_edge_of_probe(tmap: TransitionMap, image) -> TransitionMap:
