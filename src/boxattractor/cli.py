@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 failed verdict, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -107,7 +108,7 @@ class RunConfig:
     def build_system(self):
         try:
             return make_builtin(self.system, self.q, **self.params)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     def schedule(self) -> EulerSchedule | None:
@@ -115,7 +116,7 @@ class RunConfig:
             return None
         try:
             return EulerSchedule(h0=self.h0, alpha=self.alpha, substeps=self.N)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     def system_and_schedule(self):
@@ -124,6 +125,11 @@ class RunConfig:
         return system, self.schedule() if isinstance(system, ContinuousSystemSpec) else None
 
     def validate(self, for_run: bool = True) -> None:
+        kinds = dict.fromkeys(("depth", "M", "N", "seed", "threads", "box_budget", "samples"), int)
+        kinds.update(diagnostics=bool, out=str, stats=str, checkpoint_dir=(str, type(None)))
+        for name, kind in kinds.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
         if self.depth < 0:
             raise ConfigError("depth must be nonnegative")
         if self.seed < 0:
@@ -171,9 +177,11 @@ def _load_config(args: argparse.Namespace, for_run: bool = True) -> RunConfig:
                 data = json.load(fp)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
+        raise ConfigError("a config file holds a JSON object, with params as an object")
     merged = dict(data)
-    for key in ("system", "q", "depth", "M", "N", "h0", "alpha", "seed", "threads",
-                "box_budget", "diagnostics", "samples", "out", "stats", "checkpoint_dir"):
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    for key in fields:  # flags override the file; --param is merged into params below
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -193,13 +201,11 @@ def _load_config(args: argparse.Namespace, for_run: bool = True) -> RunConfig:
     if "q" not in merged:
         raise ConfigError("--q is required")
     q = merged["q"]
-    box = parse_q(q) if isinstance(q, str) else Box(q["lo"], q["hi"])
-    merged["q"] = box
-    merged.setdefault("checkpoint_dir", None)
-    if getattr(args, "resume", None):
-        merged["resume"] = args.resume
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(merged) - known
+    try:
+        merged["q"] = parse_q(q) if isinstance(q, str) else Box(q["lo"], q["hi"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read Q from {q!r}: {exc!r}") from None
+    unknown = set(merged) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -232,14 +238,16 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _read_checkpoint(path: Path, cfg_hash: str) -> tuple[int, np.ndarray]:
+def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> tuple[int, np.ndarray]:
     """Depth and kept flat indices of a checkpoint written for `cfg_hash`."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             ck = json.load(fp)
         matches = ck.get("config_hash") == cfg_hash
         depth, kept = int(ck["depth"]), np.asarray(ck["kept"], dtype=np.int64)
-    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        if matches:
+            CoverLevel(root, depth, kept)  # rejects a depth or an index out of range
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc!r}") from None
     if not matches:
         raise ConfigError(f"config hash mismatch in {path.name}")
@@ -257,7 +265,7 @@ def cmd_run(cfg: RunConfig) -> int:
     ckpt_base = _checkpoint_path(cfg, 0).parent
     ckpt_base.mkdir(parents=True, exist_ok=True)
 
-    resume = _read_checkpoint(Path(cfg.resume), cfg_hash) if cfg.resume else None
+    resume = _read_checkpoint(Path(cfg.resume), cfg_hash, cfg.q) if cfg.resume else None
     committed, records = _earlier_levels(cfg, resume[0]) if resume else (0, [])
 
     status = 0
@@ -357,7 +365,7 @@ def _load_checkpoints(cfg: RunConfig) -> dict[int, np.ndarray]:
     cfg_hash = cfg.config_hash()
     out: dict[int, np.ndarray] = {}
     for path in sorted(base.glob("checkpoint_d*.json")):
-        depth, kept = _read_checkpoint(path, cfg_hash)
+        depth, kept = _read_checkpoint(path, cfg_hash, cfg.q)
         out[depth] = kept
     if not out:
         raise ConfigError(f"no checkpoints found under {base}")
@@ -413,7 +421,7 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
         ok &= non_increasing
     elif mode == "sandwich":
         system, schedule = cfg.system_and_schedule()
-        boxes = _read_boxes(cfg.out)
+        boxes = _read_boxes(cfg.out, cfg.q)
         reference = reference_attractor_points(system, cfg.q, resolution=resolution, horizon=horizon)
         for depth in sorted(boxes):
             if depth > max_global_depth:
@@ -440,7 +448,8 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
     return 0 if ok else 1
 
 
-def _read_boxes(path: str) -> dict[int, np.ndarray]:
+def _read_boxes(path: str, root: Box) -> dict[int, np.ndarray]:
+    """Flat indices per depth of a boxes file over `root`."""
     out: dict[int, list[int]] = {}
     try:
         with open(path, "r", encoding="utf-8") as fp:
@@ -450,9 +459,12 @@ def _read_boxes(path: str) -> dict[int, np.ndarray]:
                     continue
                 rec = json.loads(line)
                 out.setdefault(int(rec["depth"]), []).append(int(rec["index"]))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        boxes = {d: np.asarray(v, dtype=np.int64) for d, v in out.items()}
+        for d, flats in boxes.items():
+            CoverLevel(root, d, flats)  # rejects a depth or an index out of range
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read boxes file: {exc}") from None
-    return {d: np.asarray(v, dtype=np.int64) for d, v in out.items()}
+    return boxes
 
 
 # -- prune-graph -------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import ContinuousSystemSpec, EvaluationError, eval_field_batch
+from .systems import ContinuousSystemSpec, EvaluationError, eval_field
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def euler_backward(sys: ContinuousSystemSpec, x, p: EulerParams) -> np.ndarray:
     """Backward Euler image after exactly N substeps; broadcasts over (..., d)."""
     y = np.asarray(x, dtype=np.float64)
     for _ in range(p.substeps):
-        y = y - p.theta * eval_field_batch(sys, y)
+        y = y - p.theta * eval_field(sys, y)
     if not np.all(np.isfinite(y)):
         raise EvaluationError("Euler iteration produced a non-finite value")
     return y
@@ -91,7 +91,7 @@ def euler_defect(sys: ContinuousSystemSpec, x, p: EulerParams) -> float:
     """||(phi_E(-h, x) - x) / h + g(x)||, bounded by L*P*h/2."""
     x = np.asarray(x, dtype=np.float64)
     y = euler_backward(sys, x, p)
-    g = eval_field_batch(sys, x[None, :])[0] if x.ndim == 1 else eval_field_batch(sys, x)
+    g = eval_field(sys, x)
     return float(np.max(np.abs((y - x) / p.h + g)))
 
 
@@ -103,7 +103,7 @@ def rk4_backward(sys: ContinuousSystemSpec, x, h: float, steps: int) -> np.ndarr
     dt = h / steps
 
     def f(v):
-        return -eval_field_batch(sys, v)
+        return -eval_field(sys, v)
 
     for _ in range(steps):
         k1 = f(y)

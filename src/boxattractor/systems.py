@@ -74,38 +74,32 @@ SystemSpec = DiscreteSystemSpec | ContinuousSystemSpec
 BUILTIN_NAMES = ("linmap2d", "henon", "halving1d", "cubic1d", "saddle2d")
 
 
-def _check_finite(y: np.ndarray, what: str) -> np.ndarray:
+def _evaluate(fn: Callable[[np.ndarray], np.ndarray], vectorized: bool, x, what: str) -> np.ndarray:
+    """fn at a point or a (..., d) batch of points, point by point when fn is
+    not vectorised; raises EvaluationError on a non-finite value."""
+    x = np.asarray(x, dtype=np.float64)
+    if vectorized or x.ndim <= 1:
+        y = np.asarray(fn(x), dtype=np.float64)
+    else:
+        y = np.array([fn(p) for p in x.reshape(-1, x.shape[-1])], dtype=np.float64).reshape(x.shape)
     if not np.all(np.isfinite(y)):
         raise EvaluationError(f"{what} produced a non-finite value")
     return y
 
 
 def eval_inverse(sys: DiscreteSystemSpec, x) -> np.ndarray:
-    """Evaluate f^{-1} at a point (or a batch of points)."""
-    y = np.asarray(sys.inverse_eval(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-    return _check_finite(y, f"inverse map of {sys.name}")
+    """Evaluate f^{-1} at a point or a (..., d) batch of points."""
+    return _evaluate(sys.inverse_eval, sys.vectorized, x, f"inverse map of {sys.name}")
 
 
 def eval_field(sys: ContinuousSystemSpec, x) -> np.ndarray:
-    """Evaluate the right-hand side g at a point (or a batch of points)."""
-    y = np.asarray(sys.field_eval(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-    return _check_finite(y, f"field of {sys.name}")
+    """Evaluate the right-hand side g at a point or a (..., d) batch of points."""
+    return _evaluate(sys.field_eval, sys.vectorized, x, f"field of {sys.name}")
 
 
-def eval_inverse_batch(sys: DiscreteSystemSpec, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=np.float64)
-    if sys.vectorized or pts.ndim == 1:
-        return eval_inverse(sys, pts)
-    flat = pts.reshape(-1, pts.shape[-1])
-    return np.stack([eval_inverse(sys, p) for p in flat]).reshape(pts.shape)
-
-
-def eval_field_batch(sys: ContinuousSystemSpec, pts: np.ndarray) -> np.ndarray:
-    pts = np.asarray(pts, dtype=np.float64)
-    if sys.vectorized or pts.ndim == 1:
-        return eval_field(sys, pts)
-    flat = pts.reshape(-1, pts.shape[-1])
-    return np.stack([eval_field(sys, p) for p in flat]).reshape(pts.shape)
+# earlier names of the same evaluators, kept for callers that import them
+eval_inverse_batch = eval_inverse
+eval_field_batch = eval_field
 
 
 # -- built-in systems ---------------------------------------------------------
@@ -193,7 +187,6 @@ def _make_cubic1d(Q: Box, **_) -> ContinuousSystemSpec:
     _require_inside(Q, region, "cubic1d")
 
     def field(p):
-        p = np.asarray(p, dtype=np.float64)
         return p - p**3
 
     return ContinuousSystemSpec(
@@ -209,7 +202,6 @@ def _make_saddle2d(Q: Box, **_) -> ContinuousSystemSpec:
     _require_inside(Q, region, "saddle2d")
 
     def field(p):
-        p = np.asarray(p, dtype=np.float64)
         return np.stack([p[..., 0], -p[..., 1]], axis=-1)
 
     return ContinuousSystemSpec(
@@ -243,28 +235,24 @@ def make_builtin(name: str, Q: Box, **params) -> SystemSpec:
 # -- spot checks for user-supplied constants ----------------------------------
 
 
-def spot_check_discrete(sys: DiscreteSystemSpec, pairs: int = 10_000, seed: int = 0) -> float:
-    """Largest observed ||f^{-1}(x)-f^{-1}(z)|| / ||x-z|| on random pairs."""
+def _spot_check(evaluate, sys: SystemSpec, pairs: int, seed: int) -> tuple[float, float]:
+    """Largest observed |evaluate(x)| and ||evaluate(x)-evaluate(z)|| / ||x-z||
+    on random pairs in the validity region."""
     rng = np.random.default_rng(seed)
     V = sys.validity_region
-    x = V.lo + rng.random((pairs, V.dim)) * (V.hi - V.lo)
-    z = V.lo + rng.random((pairs, V.dim)) * (V.hi - V.lo)
-    num = np.max(np.abs(eval_inverse_batch(sys, x) - eval_inverse_batch(sys, z)), axis=1)
+    x, z = V.lo + rng.random((2, pairs, V.dim)) * (V.hi - V.lo)
+    fx, fz = evaluate(sys, x), evaluate(sys, z)
+    num = np.max(np.abs(fx - fz), axis=1)
     den = np.max(np.abs(x - z), axis=1)
     ok = den > 0
-    return float(np.max(num[ok] / den[ok]))
+    return float(np.max(np.abs(fx))), float(np.max(num[ok] / den[ok]))
+
+
+def spot_check_discrete(sys: DiscreteSystemSpec, pairs: int = 10_000, seed: int = 0) -> float:
+    """Largest observed ||f^{-1}(x)-f^{-1}(z)|| / ||x-z|| on random pairs."""
+    return _spot_check(eval_inverse, sys, pairs, seed)[1]
 
 
 def spot_check_continuous(sys: ContinuousSystemSpec, pairs: int = 10_000, seed: int = 0) -> tuple[float, float]:
     """Largest observed field norm and Lipschitz ratio on random pairs."""
-    rng = np.random.default_rng(seed)
-    V = sys.validity_region
-    x = V.lo + rng.random((pairs, V.dim)) * (V.hi - V.lo)
-    z = V.lo + rng.random((pairs, V.dim)) * (V.hi - V.lo)
-    gx = eval_field_batch(sys, x)
-    gz = eval_field_batch(sys, z)
-    bound = float(np.max(np.abs(gx)))
-    num = np.max(np.abs(gx - gz), axis=1)
-    den = np.max(np.abs(x - z), axis=1)
-    ok = den > 0
-    return bound, float(np.max(num[ok] / den[ok]))
+    return _spot_check(eval_field, sys, pairs, seed)

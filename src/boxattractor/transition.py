@@ -47,8 +47,8 @@ from .integrator import EulerParams, enclosure_radius, euler_backward, reference
 from .systems import (
     ContinuousSystemSpec,
     DiscreteSystemSpec,
-    eval_field_batch,
-    eval_inverse_batch,
+    eval_field,
+    eval_inverse,
 )
 
 
@@ -224,9 +224,9 @@ def build_transition(
         kind, h, steps = "discrete", 0.0, 1
         lip = sys.lipschitz_L
         radius = lip * spread
-        image = partial(eval_inverse_batch, sys)
+        image = partial(eval_inverse, sys)
     centers = subbox_centers(level.box_los, level.box_his, M)
-    images = image(centers.reshape(-1, level.dim)).reshape(centers.shape) if level.size else centers
+    images = image(centers) if level.size else centers
     radius = _round_outward(radius, lip, extent, images, steps)
     meta = TransitionMeta(kind, M, radius, subdiameter, h=h, substeps=steps)
     return _build_map(level, images, radius, meta)
@@ -249,8 +249,7 @@ def build_transition_continuous(
 # -- diagnostics ----------------------------------------------------------------
 
 
-def _box_rng(seed: int, depth: int, flat: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(depth, flat)))
+_CONTAINMENT_TOL = 1e-10  # reference-flow accuracy; flows test membership within 10x this
 
 
 def check_containment_condition(
@@ -258,34 +257,34 @@ def check_containment_condition(
     sys: DiscreteSystemSpec | ContinuousSystemSpec,
     samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> GapReport:
     """Sampled check of the containment condition behind the lower enclosure.
 
-    Draws seeded uniform points in every cell, from one stream per (depth,
-    cell), maps each chunk of cells backward with one call (exactly for
-    discrete systems, with the per-point reference integrator for flows) and
-    asserts that images landing in the covered region lie in the cell's
-    successor union. For flows the membership test uses a tolerance ball, so
-    the verdict is diagnostic-strength, not proof-strength.
+    Draws `samples` uniform points per cell from one stream seeded by (seed,
+    depth), in cell order, so the points do not depend on the chunking. Each
+    chunk of cells is mapped backward with one call (exactly for maps, with
+    the per-point reference integrator for flows); images landing in the
+    covered region must lie in their cell's successor union. Flows test
+    membership within 10 * _CONTAINMENT_TOL: diagnostic, not proof-strength.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     level = tmap.level
     report = GapReport()
     continuous = tmap.meta.kind == "continuous"
-    slack = 10.0 * tol if continuous else 0.0
+    slack = 10.0 * _CONTAINMENT_TOL if continuous else 0.0
     n, d = level.size, level.dim
     lo, hi = level.box_los, level.box_his
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(level.depth,)))
     step = max(1, _CHUNK_POINTS // samples)
     for b0 in range(0, n, step):
         b1 = min(b0 + step, n)
-        unit = np.stack([_box_rng(seed, level.depth, int(f)).random((samples, d)) for f in level.flats[b0:b1]])
+        unit = rng.random((b1 - b0, samples, d))
         pts = (lo[b0:b1, None, :] + unit * (hi[b0:b1] - lo[b0:b1])[:, None, :]).reshape(-1, d)
         if continuous:
-            images = reference_backward_flow(sys, pts, tmap.meta.h, tol)
+            images = reference_backward_flow(sys, pts, tmap.meta.h, _CONTAINMENT_TOL)
         else:
-            images = eval_inverse_batch(sys, pts)
+            images = eval_inverse(sys, pts)
         # an image is covered when an active cell within the slack of it is a
         # successor of its box, found as a packed (box, cell) key among the edges
         wlo, whi = level.cell_windows(images, slack)
@@ -344,7 +343,7 @@ def measure_overapprox_gap(
         # back; a sampled successor's corners and centre find their nearest one
         ends = np.concatenate([box_corners(lo, hi), ((lo + hi) / 2.0)[:, None, :]], axis=1)
         w_pts = np.concatenate([subbox_centers(lo, hi, tmap.meta.M), ends], axis=1)
-        w_img = eval_inverse_batch(sys, w_pts.reshape(-1, d)).reshape(w_pts.shape)
+        w_img = eval_inverse(sys, w_pts)
         rows, pos = _strided_entries(tmap.indptr, max(1, samples // ((1 << d) + 1)))
         gap = 0.0
         for c0 in range(0, pos.size, chunk):
@@ -368,7 +367,7 @@ def measure_overapprox_gap(
         si, ti = src_of_edge[e], tgt_of_edge[e]
         x = box_corners(lo[ti], hi[ti])  # (E, 2^d, d), exact extremes in x
         zs = grid_points(lo[si], hi[si], 3)  # (E, 3^d, d)
-        gz = eval_field_batch(sys, zs.reshape(-1, d)).reshape(zs.shape)
+        gz = eval_field(sys, zs)
         val = np.abs((x[:, :, None, :] - zs[:, None, :, :]) / h + gz[:, None, :, :])
         defect = max(defect, float(np.max(val)))
     report.defect_gap = defect

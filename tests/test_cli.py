@@ -402,6 +402,52 @@ def test_resume_checkpoint_without_depth_exit_2(tmp_path: Path) -> None:
     assert rc == 2
 
 
+def test_resume_checkpoint_out_of_range_exit_2(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    ckpt = tmp_path / "ckpt" / "checkpoint_d2.json"
+    data = json.loads(ckpt.read_text())
+    for depth, kept in ((2, [0, 99]), (2, [-1]), (-1, []), (70, [])):
+        ckpt.write_text(json.dumps({**data, "depth": depth, "kept": kept}))
+        assert main(run_args(tmp_path, **{"--depth": "5", "--resume": str(ckpt)})) == 2
+        base = run_args(tmp_path, **{"--depth": "3"})[1:]
+        assert main(["check", "--mode", "containment", *base]) == 2
+
+
+def test_check_boxes_out_of_range_exit_2(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    base = run_args(tmp_path, **{"--depth": "2"})[1:]
+    boxes = tmp_path / "boxes.jsonl"
+    good = boxes.read_text()
+    for bad in ('{"depth": 2, "index": 1000000}', '{"depth": 2, "index": -1}', '{"depth": -1, "index": 0}',
+                '{"depth": 1, "index": 100000000000000000000}'):
+        boxes.write_text(good + bad + "\n")
+        assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"q": {"lo": [1]}},
+    {"q": {"lo": [1], "hi": [0]}},
+    {"q": [[-1], [1]]},
+    {"depth": "x"},
+    {"samples": 2.5},
+    {"out": 5},
+    {"checkpoint_dir": 3},
+    {"diagnostics": "no"},
+    {"system": "cubic1d", "q": "-1.5:1.5", "h0": 0.05, "alpha": "fast"},
+    {"system": "cubic1d", "q": "-1.5:1.5", "h0": [0.05]},
+    {"params": [1]},
+    {"system": "henon", "q": "-1,-1:1,1", "params": {"a": "x"}},
+])
+def test_malformed_config_values_exit_2(tmp_path: Path, entry: dict) -> None:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "halving1d", "q": "-1:1", "depth": 2,
+        "out": str(tmp_path / "a.jsonl"), "stats": str(tmp_path / "a.json"), **entry,
+    }))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "a.jsonl").exists()
+
+
 def test_interrupted_checkpoint_write_leaves_whole_files(tmp_path: Path, monkeypatch) -> None:
     full_dir = tmp_path / "full"
     full_dir.mkdir()

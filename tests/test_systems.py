@@ -100,3 +100,19 @@ def test_non_finite_evaluation_aborts() -> None:
     )
     with pytest.raises(EvaluationError):
         eval_field(bad_field, [0.5])
+
+
+def test_scalar_evaluators_take_batches() -> None:
+    # a system not flagged vectorized is evaluated point by point
+    inv = DiscreteSystemSpec(
+        inverse_eval=lambda p: np.array([p[1], p[0] - p[1] ** 2]), lipschitz_L=5.0, validity_region=Q2,
+    )
+    field = ContinuousSystemSpec(
+        field_eval=lambda p: np.array([p[0] * p[1], -p[1]]), bound_P=1.0, lipschitz_L=2.0, validity_region=Q2,
+    )
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 2))
+    for evaluate, sys_ in ((eval_inverse, inv), (eval_field, field)):
+        batch = evaluate(sys_, pts)
+        assert batch.shape == (3, 2)
+        assert np.array_equal(batch, np.stack([evaluate(sys_, p) for p in pts]))
+        assert np.array_equal(evaluate(sys_, pts.reshape(3, 1, 2)), batch.reshape(3, 1, 2))
