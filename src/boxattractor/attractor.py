@@ -6,6 +6,12 @@ iterate of the map; it is realised as reverse-adjacency counter decrement
 (every node tracks how many successors survive, nodes hitting zero join the
 removal worklist) processed in batched generations on a CSR graph, so the
 result and the round count do not depend on the order of the nodes.
+
+The reverse adjacency comes from one sort: every edge is packed into the key
+target * n + source (int32 while n * n fits in int32, int64 otherwise), the
+sorted keys hold each target's predecessors as one contiguous run, and
+searchsorted of the keys t * n gives the run bounds. Sources are decoded
+(key % n) only for the runs a removal round gathers.
 """
 
 from __future__ import annotations
@@ -103,18 +109,29 @@ class LevelReport:
 
 
 def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
-    """Counter-decrement worklist on a CSR graph; returns (alive mask, rounds)."""
+    """Counter-decrement worklist on a CSR graph; returns (alive mask, rounds).
+
+    The transpose is one sort: each edge is packed as the key
+    target * n + source, int32 while n * n fits in int32 and int64 otherwise,
+    and the sorted keys list every target's predecessors as one run, whose
+    bounds are the searchsorted positions of the keys t * n. A removal round
+    decodes the sources (key % n) of only the runs it gathers.
+    """
     counts = np.diff(indptr).astype(np.int64)
-    rev_sources = np.repeat(np.arange(n, dtype=np.int64), counts)[np.argsort(targets)]
-    rev_counts = np.bincount(targets, minlength=n)
-    rev_starts = np.cumsum(rev_counts) - rev_counts
+    kind = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    keys = targets.astype(kind)
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=kind), counts)
+    keys.sort()
+    rev_starts = np.searchsorted(keys, (np.arange(n + 1) * n).astype(kind))
+    rev_counts = np.diff(rev_starts)
     alive = np.ones(n, dtype=bool)
     frontier = np.flatnonzero(counts == 0)
     rounds = 0
     while frontier.size:
         rounds += 1
         alive[frontier] = False
-        preds = rev_sources[expand_ranges(rev_starts[frontier], rev_counts[frontier])]
+        preds = keys[expand_ranges(rev_starts[frontier], rev_counts[frontier])] % n
         if preds.size:
             counts -= np.bincount(preds, minlength=n)
         frontier = np.flatnonzero(alive & (counts <= 0))

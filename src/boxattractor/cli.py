@@ -470,6 +470,22 @@ def _read_boxes(path: str, root: Box) -> dict[int, np.ndarray]:
 # -- prune-graph -------------------------------------------------------------------
 
 
+def _graph_edges(raw) -> dict[int, list[int]]:
+    """The successor lists of a prune-graph input: an object whose keys are
+    integers in plain decimal and whose values are lists of JSON integers."""
+    if not isinstance(raw, dict):
+        raise TypeError("edges must be an object")
+    edges = {}
+    for key, targets in raw.items():
+        node = int(key)
+        if str(node) != key:
+            raise ValueError(f"node {key!r} is not a plain decimal integer")
+        if not isinstance(targets, list) or any(type(t) is not int for t in targets):
+            raise TypeError(f"successors of node {key} must be a list of integers")
+        edges[node] = targets
+    return edges
+
+
 def cmd_prune_graph(input_path: str | None, output_path: str | None) -> int:
     try:
         if input_path and input_path != "-":
@@ -477,11 +493,7 @@ def cmd_prune_graph(input_path: str | None, output_path: str | None) -> int:
                 data = json.load(fp)
         else:
             data = json.load(_sys.stdin)
-        edges_raw = data["edges"]
-        edges = {}
-        for key, targets in edges_raw.items():
-            node = int(key)
-            edges[node] = [int(t) for t in targets]
+        edges = _graph_edges(data["edges"])
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         _log(f"[prune-graph] malformed input: {exc}")
         return 2

@@ -57,6 +57,29 @@ def test_prune_matches_reach_cycle_oracle_random_graphs() -> None:
         assert set(prune(range(n), edges).kept) == reach_cycle_set(edges)
 
 
+def test_prune_packed_key_widths() -> None:
+    # 46,340 nodes is the last count whose packed (target, source) keys fit
+    # in int32 and 46,341 the first that needs int64. The embedded graph's
+    # chain 38 -> 39 into a sink sits at the two largest ids, so its edge has
+    # the key (n - 1) * n + n - 2, which int32 would wrap at 46,341 nodes.
+    adj = np.random.default_rng(20261018).random((40, 40)) < 0.045
+    adj[38:] = False
+    adj[38, 39] = True
+    small = {i: np.flatnonzero(adj[i]).tolist() for i in range(40)}
+    want = reach_cycle_set(small)
+    assert 0 < len(want) < 38
+    rounds = set()
+    for n in (46_340, 46_341):
+        ids = np.random.default_rng(n).choice(n - 2, size=41, replace=False).tolist()
+        nodes, loops = ids[:38] + [n - 2, n - 1], ids[38:]
+        edges = {nodes[i]: [nodes[j] for j in succ] for i, succ in small.items()}
+        edges.update({v: [v] for v in loops})
+        res = prune(range(n), edges)
+        assert set(res.kept) == {nodes[i] for i in want} | set(loops)
+        rounds.add(res.rounds)
+    assert len(rounds) == 1 and rounds.pop() > 1
+
+
 @given(
     st.dictionaries(
         st.integers(0, 14),

@@ -217,6 +217,27 @@ def test_prune_graph_examples(tmp_path: Path, capsys) -> None:
     assert main(["prune-graph", "--input", str(graph)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"edges": {"0": "01"}}',  # a string is not a successor list
+        '{"edges": {"0": [1.9]}}',
+        '{"edges": {"0": [true]}}',
+        '{"edges": {"1_0": [10]}}',  # int() would read node 10
+        '{"edges": {"01": [1]}}',
+        '{"edges": [[0]]}',
+    ],
+    ids=["string", "float", "bool", "underscore-key", "leading-zero-key", "list-of-edges"],
+)
+def test_prune_graph_rejects_malformed_successors(tmp_path: Path, capsys, text: str) -> None:
+    graph = tmp_path / "graph.json"
+    graph.write_text(text)
+    assert main(["prune-graph", "--input", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[prune-graph] malformed input" in captured.err
+
+
 def test_check_containment_and_gaps(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "5"})) == 0
     base = run_args(tmp_path, **{"--depth": "5"})[1:]  # reuse config flags
