@@ -88,6 +88,7 @@ class LevelReport:
     edges: int
     map_ms: float = 0.0
     prune_ms: float = 0.0
+    diag_ms: float = 0.0  # diagnostics of the level; 0 when they are off
     rounds: int = 0  # prune worklist generations
     selfloop_frac: float = 0.0  # share of boxes that are their own successor
     gaps: GapReport | None = None
@@ -228,6 +229,7 @@ def _run_level(
     )
     if diagnostics:
         report.gaps = run_diagnostics(tmap, sys, samples=samples, seed=seed)
+        report.diag_ms = (time.perf_counter() - t2) * 1e3
     return result, report
 
 

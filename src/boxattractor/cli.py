@@ -238,13 +238,23 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> tuple[int, np.ndarray]:
     """Depth and kept flat indices of a checkpoint written for `cfg_hash`."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             ck = json.load(fp)
         matches = ck.get("config_hash") == cfg_hash
-        depth, kept = int(ck["depth"]), np.asarray(ck["kept"], dtype=np.int64)
+        if not isinstance(ck["kept"], list):
+            raise TypeError("kept must be a list")
+        depth = _json_int(ck["depth"], "depth")
+        kept = np.asarray([_json_int(k, "a kept index") for k in ck["kept"]], dtype=np.int64)
         if matches:
             CoverLevel(root, depth, kept)  # rejects a depth or an index out of range
     except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -287,6 +297,7 @@ def cmd_run(cfg: RunConfig) -> int:
             f"boxes_in={report.boxes_in} kept={report.boxes_kept} edges={report.edges} "
             f"rounds={report.rounds} selfloop={report.selfloop_frac:.4f} "
             f"map_ms={report.map_ms:.1f} prune_ms={report.prune_ms:.1f}"
+            + (f" diag_ms={report.diag_ms:.1f}" if cfg.diagnostics else "")
         )
         if report.boxes_kept == 0:
             _log(f"[run] attractor region empty at depth {report.depth}")
@@ -458,7 +469,7 @@ def _read_boxes(path: str, root: Box) -> dict[int, np.ndarray]:
                 if not line:
                     continue
                 rec = json.loads(line)
-                out.setdefault(int(rec["depth"]), []).append(int(rec["index"]))
+                out.setdefault(_json_int(rec["depth"], "depth"), []).append(_json_int(rec["index"], "index"))
         boxes = {d: np.asarray(v, dtype=np.int64) for d, v in out.items()}
         for d, flats in boxes.items():
             CoverLevel(root, d, flats)  # rejects a depth or an index out of range

@@ -106,10 +106,19 @@ eval_field_batch = eval_field
 
 
 def _clamped(field, region: Box):
-    lo, hi = region.lo, region.hi
+    """field of the argument clamped to the region, the values of
+    np.clip(p, lo, hi). The clamp runs axis by axis with scalar bounds on a
+    copy: a (d,) bound broadcast over (N, d) points makes numpy run N inner
+    loops of length d, several times slower on a batch."""
+    bounds = list(zip(region.lo, region.hi))
 
     def g(p):
-        return field(np.clip(p, lo, hi))
+        q = np.array(p, dtype=np.float64, ndmin=1)
+        for k, (lo, hi) in enumerate(bounds):
+            axis = q[..., k]
+            np.maximum(axis, lo, out=axis)
+            np.minimum(axis, hi, out=axis)
+        return field(q)
 
     return g
 

@@ -250,6 +250,7 @@ def build_transition_continuous(
 
 
 _CONTAINMENT_TOL = 1e-10  # reference-flow accuracy; flows test membership within 10x this
+_CHECK_POINTS = 1 << 14  # sample points per image call of the containment check
 
 
 def check_containment_condition(
@@ -262,10 +263,12 @@ def check_containment_condition(
 
     Draws `samples` uniform points per cell from one stream seeded by (seed,
     depth), in cell order, so the points do not depend on the chunking. Each
-    chunk of cells is mapped backward with one call (exactly for maps, with
-    the per-point reference integrator for flows); images landing in the
-    covered region must lie in their cell's successor union. Flows test
-    membership within 10 * _CONTAINMENT_TOL: diagnostic, not proof-strength.
+    chunk of cells, about _CHECK_POINTS sample points, is mapped backward
+    with one call (exactly for maps, with the reference integrator for
+    flows, which picks the step count per point, so no image depends on its
+    batch); images landing in the covered region must lie in their cell's
+    successor union. Flows test membership within 10 * _CONTAINMENT_TOL:
+    diagnostic, not proof-strength.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -276,7 +279,7 @@ def check_containment_condition(
     n, d = level.size, level.dim
     lo, hi = level.box_los, level.box_his
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(level.depth,)))
-    step = max(1, _CHUNK_POINTS // samples)
+    step = max(1, _CHECK_POINTS // samples)
     for b0 in range(0, n, step):
         b1 = min(b0 + step, n)
         unit = rng.random((b1 - b0, samples, d))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,15 @@ def test_prune_trace_goes_to_stderr_not_stats(tmp_path: Path, capsys) -> None:
     assert len(lines) == 5
     assert all(" rounds=" in line and " selfloop=" in line for line in lines)
     assert "rounds=0 selfloop=1.0000" in lines[0]  # the root box maps onto itself
+    assert not any(" diag_ms=" in line for line in lines)
+    # with diagnostics on, their time per level joins the line and stays out of the stats
+    assert main(argv + ["--diagnostics", "--samples", "5"]) == 0
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert [sorted(s) for s in stats] == [keys] * 5
+    assert all(s["gaps"] is not None for s in stats)
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[run] depth=")]
+    assert len(lines) == 5
+    assert all(re.search(r" prune_ms=[0-9.]+ diag_ms=[0-9.]+$", line) for line in lines)
 
 
 def test_run_diagnostics_lands_in_stats(tmp_path: Path) -> None:
@@ -443,6 +453,33 @@ def test_check_boxes_out_of_range_exit_2(tmp_path: Path) -> None:
                 '{"depth": 1, "index": 100000000000000000000}'):
         boxes.write_text(good + bad + "\n")
         assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("depth", 1.0), ("depth", True), ("depth", "1"),
+    ("index", 0.0), ("index", True), ("index", "1"),
+])
+def test_check_boxes_non_integer_exit_2(tmp_path: Path, field: str, value) -> None:
+    # each record would name a valid box if the value were read as int(value)
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    base = run_args(tmp_path, **{"--depth": "2"})[1:]
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_text(boxes.read_text() + json.dumps({"depth": 1, "index": 0, field: value}) + "\n")
+    assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"depth": 2.0}, {"depth": True, "kept": [0, 1]}, {"depth": "2"},
+    {"kept": [1.0]}, {"kept": [True]}, {"kept": ["1"]},
+])
+def test_checkpoint_non_integer_exit_2(tmp_path: Path, entry: dict) -> None:
+    # each checkpoint would be a valid one if its values were read as int(value)
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    ckpt = tmp_path / "ckpt" / "checkpoint_d2.json"
+    ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), **entry}))
+    assert main(run_args(tmp_path, **{"--depth": "5", "--resume": str(ckpt)})) == 2
+    base = run_args(tmp_path, **{"--depth": "3"})[1:]
+    assert main(["check", "--mode", "containment", *base]) == 2
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from boxattractor.systems import (
     ContinuousSystemSpec,
     DiscreteSystemSpec,
     EvaluationError,
+    _clamped,
     eval_field,
     eval_inverse,
     make_builtin,
@@ -116,3 +119,41 @@ def test_scalar_evaluators_take_batches() -> None:
         assert batch.shape == (3, 2)
         assert np.array_equal(batch, np.stack([evaluate(sys_, p) for p in pts]))
         assert np.array_equal(evaluate(sys_, pts.reshape(3, 1, 2)), batch.reshape(3, 1, 2))
+
+
+RAW_FIELDS = {  # the built-in fields before the clamp
+    "cubic1d": lambda p: p - p**3,
+    "saddle2d": lambda p: np.stack([p[..., 0], -p[..., 1]], axis=-1),
+}
+
+
+@pytest.mark.parametrize("name,Q", [("cubic1d", Box([-1.5], [1.5])), ("saddle2d", Q2)])
+def test_builtin_clamp_matches_np_clip(name: str, Q: Box) -> None:
+    # the clamp runs axis by axis with scalar bounds; its values must be
+    # bitwise those of np.clip, and the caller's array must stay untouched
+    sys_ = make_builtin(name, Q)
+    region = sys_.validity_region
+    d = sys_.dim
+    rng = np.random.default_rng(7)
+    edges = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.nextafter(2.0, 3.0), -2.5, 1e300, -np.inf]
+    pts = np.concatenate([
+        rng.uniform(-1.9, 1.9, size=(20, d)),  # inside the region
+        rng.uniform(-6.0, 6.0, size=(20, d)),  # mostly outside
+        np.array(list(itertools.product(edges, repeat=d))),  # boundary, beyond it, signed zeros
+    ])
+    clamp = _clamped(lambda q: q, region)
+    for p in (pts, pts[:30].reshape(5, 6, d), *pts[40:]):  # batches, then single points
+        before = p.copy()
+        clipped = np.clip(p, region.lo, region.hi)
+        assert clamp(p).tobytes() == clipped.tobytes()
+        got, want = eval_field(sys_, p), RAW_FIELDS[name](clipped)
+        assert got.shape == want.shape == p.shape
+        assert got.tobytes() == want.tobytes()
+        assert p.tobytes() == before.tobytes()
+    nan = np.full((3, d), np.nan)
+    nan[0] = -np.nan
+    assert clamp(nan).tobytes() == np.clip(nan, region.lo, region.hi).tobytes()
+    with pytest.raises(EvaluationError):
+        eval_field(sys_, nan)
+    with pytest.raises(EvaluationError):
+        eval_field(sys_, nan[0])

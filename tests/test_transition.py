@@ -343,7 +343,7 @@ def test_containment_witnesses_do_not_depend_on_chunking(name: str, Q: Box, para
     image = (lambda p: reference_backward_flow(sys_, p, 0.1)) if params else (lambda p: eval_inverse(sys_, p))
     mutated = drop_edge_of_probe(tmap, image)
     reports = [check_containment_condition(mutated, sys_, samples=60, seed=5)]
-    with patch.object(transition, "_CHUNK_POINTS", 7):
+    with patch.object(transition, "_CHUNK_POINTS", 7), patch.object(transition, "_CHECK_POINTS", 7):
         reports.append(check_containment_condition(mutated, sys_, samples=60, seed=5))
     default, small = ([(key, p.tobytes()) for key, p in r.containment_violations] for r in reports)
     assert default and default == small
