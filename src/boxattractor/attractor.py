@@ -8,10 +8,12 @@ removal worklist) processed in batched generations on a CSR graph, so the
 result and the round count do not depend on the order of the nodes.
 
 The reverse adjacency comes from one sort: every edge is packed into the key
-target * n + source (int32 while n * n fits in int32, int64 otherwise), the
-sorted keys hold each target's predecessors as one contiguous run, and
-searchsorted of the keys t * n gives the run bounds. Sources are decoded
-(key % n) only for the runs a removal round gathers.
+target * n + source (int32 while n * n fits in int32, int64 otherwise),
+built in place in one copy of the int32 targets, the sorted keys hold each
+target's predecessors as one contiguous run, and searchsorted of the keys
+t * n gives the run bounds. Sources are decoded (key % n) only for the runs
+a removal round gathers, and the next frontier is drawn from the nodes the
+round decremented, so the whole prune costs O(edges), not O(n) per round.
 """
 
 from __future__ import annotations
@@ -109,20 +111,29 @@ class LevelReport:
         return out
 
 
+_BLOCK_EDGES = 1 << 20  # edges per row block when the transpose keys get their sources
+
+
 def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
     """Counter-decrement worklist on a CSR graph; returns (alive mask, rounds).
 
     The transpose is one sort: each edge is packed as the key
-    target * n + source, int32 while n * n fits in int32 and int64 otherwise,
-    and the sorted keys list every target's predecessors as one run, whose
-    bounds are the searchsorted positions of the keys t * n. A removal round
-    decodes the sources (key % n) of only the runs it gathers.
+    target * n + source, int32 while n * n fits in int32 and int64 otherwise.
+    The keys are built in place from one copy of the targets, the sources
+    added one row block at a time, and the sorted keys list every target's
+    predecessors as one run, whose bounds are the searchsorted positions of
+    the keys t * n. A removal round decodes the sources (key % n) of only the
+    runs it gathers, and only the nodes it decrements can join the next
+    frontier, so a round costs O(its predecessors), not O(n).
     """
     counts = np.diff(indptr).astype(np.int64)
     kind = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     keys = targets.astype(kind)
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=kind), counts)
+    step = max(1, _BLOCK_EDGES * n // max(keys.size, 1))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        keys[indptr[r0] : indptr[r1]] += np.repeat(np.arange(r0, r1, dtype=kind), counts[r0:r1])
     keys.sort()
     rev_starts = np.searchsorted(keys, (np.arange(n + 1) * n).astype(kind))
     rev_counts = np.diff(rev_starts)
@@ -132,10 +143,12 @@ def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
     while frontier.size:
         rounds += 1
         alive[frontier] = False
-        preds = keys[expand_ranges(rev_starts[frontier], rev_counts[frontier])] % n
-        if preds.size:
-            counts -= np.bincount(preds, minlength=n)
-        frontier = np.flatnonzero(alive & (counts <= 0))
+        # edges are distinct pairs, so keys.size <= n * n and kind holds every position
+        preds = keys[expand_ranges(rev_starts[frontier], rev_counts[frontier], kind)]
+        preds %= n
+        touched, lost = np.unique(preds, return_counts=True)
+        counts[touched] -= lost
+        frontier = touched[alive[touched] & (counts[touched] <= 0)]
     return alive, rounds
 
 
@@ -162,7 +175,7 @@ def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.
     """CSR of a transition map restricted to the sorted local indices loc."""
     if loc.size == tmap.size:
         return tmap.indptr, tmap.targets
-    relabel = np.full(tmap.size, -1, dtype=np.int64)
+    relabel = np.full(tmap.size, -1, dtype=tmap.targets.dtype)
     relabel[loc] = np.arange(loc.size)
     lengths = np.diff(tmap.indptr)[loc]
     edges = expand_ranges(tmap.indptr[loc], lengths)

@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import sys as _sys
 from dataclasses import dataclass, field
 from functools import reduce
@@ -296,6 +297,7 @@ def cmd_run(cfg: RunConfig) -> int:
             f"[run] depth={report.depth} rho={report.rho:.6g} h={report.h:.6g} r={report.r:.6g} "
             f"boxes_in={report.boxes_in} kept={report.boxes_kept} edges={report.edges} "
             f"rounds={report.rounds} selfloop={report.selfloop_frac:.4f} "
+            f"rss_mb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} "
             f"map_ms={report.map_ms:.1f} prune_ms={report.prune_ms:.1f}"
             + (f" diag_ms={report.diag_ms:.1f}" if cfg.diagnostics else "")
         )

@@ -245,7 +245,7 @@ class CoverLevel:
     """
 
     def __init__(self, root: Box, depth: int, flats):
-        flats = np.unique(np.asarray(flats, dtype=np.int64))
+        flats = _sorted_unique(np.asarray(flats, dtype=np.int64))
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         if depth * root.dim > 62:
@@ -311,10 +311,11 @@ class CoverLevel:
     @cached_property
     def _lex(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate-lexicographic keys of the active cells (axis 0 slowest),
-        sorted, and the local id of the cell behind each key."""
+        sorted, and the local id of the cell behind each key (int32 while the
+        level has fewer than 2^31 cells)."""
         keys = self.coords @ self.cells_per_axis ** np.arange(self.dim - 1, -1, -1)
         order = np.argsort(keys)
-        return keys[order], order
+        return keys[order], order.astype(np.int32 if self.size <= np.iinfo(np.int32).max else np.int64)
 
     def box_of_flat(self, flat: int) -> Box:
         c = flats_to_coords(np.array([flat]), self.depth, self.dim)[0]
@@ -335,7 +336,7 @@ class CoverLevel:
             if any(k.depth != self.depth for k in keys):
                 raise ValueError("cells must live on this level's depth")
             flats = np.array([k.flat(self.dim) for k in keys], dtype=np.int64)
-        flats = np.unique(flats)
+        flats = _sorted_unique(flats)
         missing = flats[self.locate(flats) < 0]
         if missing.size:
             raise ValueError(f"cell {int(missing[0])} is not active on this level")
@@ -390,9 +391,18 @@ class CoverLevel:
     def active_in_windows(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Window indices i and local cell indices j of every active cell j
         inside the product of axis windows lo[i]..hi[i] (from
-        :meth:`cell_windows`), ordered as in :meth:`active_near_points`. Each
-        window takes two binary searches in the sorted lexicographic keys per
-        row of its first d-1 axes.
+        :meth:`cell_windows`), ordered as in :meth:`active_near_points`.
+        """
+        point, count, cells = self.window_runs(lo, hi)
+        return np.repeat(point, count), cells
+
+    def window_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The active cells of the windows lo[i]..hi[i] as runs, one per row
+        of a window's first d-1 axes, ordered by window and row: the window
+        index and the cell count of each run, and the local indices of the
+        cells, run after run, each run in coordinate order (int32 while the
+        level has fewer than 2^31 cells). Each row takes two binary searches
+        in the sorted lexicographic keys.
         """
         width = hi - lo + 1
         rows = np.where(width.min(axis=1) > 0, np.prod(width[:, :-1], axis=1), 0)
@@ -409,7 +419,7 @@ class CoverLevel:
         keys, order = self._lex
         start = np.searchsorted(keys, prefix * n + lo[point, -1], side="left")
         count = np.searchsorted(keys, prefix * n + hi[point, -1], side="right") - start
-        return np.repeat(point, count), order[expand_ranges(start, count)]
+        return point, count, order[expand_ranges(start, count, order.dtype)]
 
     def cells_near_point(self, p, r: float) -> np.ndarray:
         """Flat indices of ALL grid cells within distance r of p, sorted.
@@ -434,16 +444,26 @@ class CoverLevel:
         return out
 
 
-def expand_ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + c) over the pairs (s, c)."""
+def _sorted_unique(flats: np.ndarray) -> np.ndarray:
+    """np.unique(flats) as a new array; strictly increasing input, the usual
+    case, is only copied, since numpy 2 hashes even sorted input."""
+    flats = flats.ravel()
+    if np.all(flats[1:] > flats[:-1]):
+        return flats.copy()
+    return np.unique(flats)
+
+
+def expand_ranges(start: np.ndarray, count: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """The concatenation of arange(s, s + c) over the pairs (s, c), as
+    `dtype`, which must hold every value of the ranges."""
     nz = count > 0
     start, count = start[nz], count[nz]
-    out = np.ones(int(count.sum()), dtype=np.int64)
+    out = np.ones(int(count.sum()), dtype=dtype)
     if out.size:
         ends = np.cumsum(count[:-1])
         out[0] = start[0]
         out[ends] = start[1:] - start[:-1] - count[:-1] + 1
-        np.cumsum(out, out=out)
+        np.cumsum(out, out=out, dtype=dtype)
     return out
 
 

@@ -15,10 +15,12 @@ therefore preserves every containment guarantee. Only the image function
 and the radius differ; build_transition picks both by the system kind.
 
 All image points of a chunk of sources go through one batch neighbour
-lookup, CoverLevel.active_near_points, which returns every active cell
-within r of each point. One sort of packed (source, target) keys per chunk,
-deduplicated when M > 1, turns the pairs into CSR rows sorted by flat
-index, so the output is canonical. The diagnostics run on the same kind of
+lookup, CoverLevel.window_runs, which returns the active cells within r of
+each point as runs of the level's sorted lexicographic keys. The runs give
+packed int32 keys source * size + target directly; one sort of them per
+chunk, deduplicated when M > 1, gives CSR rows sorted by flat index, so the
+output is canonical. The targets stay int32 (4 bytes per edge) from the
+lookup to the prune. The diagnostics run on the same kind of
 chunked arrays, with one image call per chunk of cells or per level, and
 one pass of cell windows per chunk of the containment check.
 """
@@ -68,7 +70,8 @@ class TransitionMap:
     """Multivalued index map on a cover level, stored in CSR form.
 
     Successor sets are sorted by flat index, so iteration order and the JSON
-    serialisation are canonical.
+    serialisation are canonical. `targets` holds int32 local indices while
+    the level has fewer than 2^31 cells; `indptr` is int64.
     """
 
     def __init__(self, level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, meta: TransitionMeta):
@@ -141,8 +144,9 @@ _CHUNK_POINTS = 1 << 10  # image points per batch neighbour lookup
 
 def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: TransitionMeta) -> TransitionMap:
     """CSR successors of every source from its (V, M^d, d) image points: per
-    chunk of sources, the sorted (and, for M > 1, deduplicated) packed int32
-    (source, target) keys of the lookup's pairs are the chunk's CSR rows."""
+    chunk of sources, the lookup's row runs give packed int32 keys
+    source * size + target directly, whose sorted (and, for M > 1,
+    deduplicated) values are the chunk's CSR rows; the targets stay int32."""
     n, per = images.shape[:2]
     size = level.size
     pts = images.reshape(-1, level.dim)
@@ -151,17 +155,18 @@ def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: Trans
     parts = []
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
-        point, target = level.active_near_points(pts[s0 * per : s1 * per], radius)
-        keys = (point // per if per > 1 else point).astype(np.int32)
-        keys *= size
-        keys += target
-        keys = np.unique(keys) if per > 1 else np.sort(keys)
+        point, count, keys = level.window_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
         first = (np.arange(s1 - s0 + 1) * size).astype(np.int32)  # first key of each source
+        keys += np.repeat(first[point // per], count)
+        if per > 1:
+            keys = np.unique(keys)
+        else:
+            keys.sort()
         counts[s0:s1] = np.diff(np.searchsorted(keys, first))
         keys -= np.repeat(first[:-1], counts[s0:s1])
         parts.append(keys)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    targets = np.concatenate(parts, dtype=np.int64) if parts else np.empty(0, dtype=np.int64)
+    targets = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
     return TransitionMap(level, indptr, targets, meta)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from boxattractor.geometry import Box, CoverLevel, refine_cover, region_semidist
 from boxattractor.integrator import EulerParams, EulerSchedule, reference_backward_flow
 from boxattractor.oracle import reach_cycle_set, reference_attractor_points
 from boxattractor.systems import make_builtin
-from boxattractor.transition import build_transition_discrete
+from boxattractor.transition import build_transition, build_transition_discrete
 
 Q1 = Box([-1.0], [1.0])
 Q2 = Box([-1.0, -1.0], [1.0, 1.0])
@@ -90,6 +91,34 @@ def test_prune_packed_key_widths() -> None:
 @settings(max_examples=200, deadline=None)
 def test_prune_matches_reach_cycle_oracle_hypothesis(edges: dict[int, list[int]]) -> None:
     assert set(prune(edges.keys(), edges).kept) == reach_cycle_set(edges)
+
+
+def sink_generations(edges: dict[int, list[int]]) -> tuple[set, int]:
+    """Kept set and generation count by brute force: each generation removes
+    every alive node that has no alive successor, all at once."""
+    alive, generations = set(edges), 0
+    while True:
+        dead = {i for i in alive if not any(j in alive for j in edges[i])}
+        if not dead:
+            return alive, generations
+        alive -= dead
+        generations += 1
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_prune_rounds_match_sink_generations_hypothesis(succ: list[list[int]]) -> None:
+    # sparse random graphs have long chains into sinks, so the touched-node
+    # frontier must find every node a round strips of its last successor
+    edges = dict(enumerate(succ))
+    res = prune(range(len(succ)), edges)
+    kept, generations = sink_generations(edges)
+    assert set(res.kept) == reach_cycle_set(edges) == kept
+    assert res.rounds == generations
 
 
 def test_prune_result_independent_of_node_labelling() -> None:
@@ -405,3 +434,24 @@ def test_exact_box_map_keeps_all_of_q_at_shallow_depths() -> None:
         assert sd[depth] == sd[3]
         assert sd[depth] > sd[3] / 4.0
 
+
+def test_henon_level_peak_bytes_per_edge() -> None:
+    # int32 targets from the lookup to the prune: the traced peak of building
+    # a henon map at depth 7 (3.2 M edges) and of pruning it, per edge, with
+    # the map alive during the prune. int64 targets read 15.0 and 16.0 here.
+    Q = Box([-2.0, -2.0], [2.0, 2.0])
+    sys_ = make_builtin("henon", Q)
+    result, _ = run_subdivision(sys_, Q, 6)[-1]
+    level = refine_cover(CoverLevel(Q, 6, result.kept_flats), result.kept_flats)
+    tracemalloc.start()
+    try:
+        tmap = build_transition(level, sys_)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        prune(level.flats, tmap)
+        prune_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tmap.targets.dtype == np.int32 and tmap.edge_count > 3_000_000
+    assert build_peak / tmap.edge_count <= 10
+    assert prune_peak / tmap.edge_count <= 13

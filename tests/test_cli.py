@@ -63,8 +63,9 @@ def test_run_halving_final_boxes_near_zero(tmp_path: Path) -> None:
 
 
 def test_prune_trace_goes_to_stderr_not_stats(tmp_path: Path, capsys) -> None:
-    # prune rounds and the self-loop fraction join the [run] line, while the
-    # stats records keep exactly their keys, so the artifact stays byte-stable
+    # prune rounds, the self-loop fraction and the peak RSS join the [run]
+    # line, while the stats records keep exactly their keys, so the artifact
+    # stays byte-stable
     argv = run_args(tmp_path, **{"--system": "henon", "--q": "-2,-2:2,2", "--depth": "4"})
     assert main(argv) == 0
     stats = json.loads((tmp_path / "stats.json").read_text())
@@ -74,6 +75,10 @@ def test_prune_trace_goes_to_stderr_not_stats(tmp_path: Path, capsys) -> None:
     assert len(lines) == 5
     assert all(" rounds=" in line and " selfloop=" in line for line in lines)
     assert "rounds=0 selfloop=1.0000" in lines[0]  # the root box maps onto itself
+    # the peak RSS so far, which never falls from one level to the next
+    rss = [float(re.search(r" rss_mb=([0-9.]+) ", line).group(1)) for line in lines]
+    assert rss[0] > 0 and rss == sorted(rss)
+    assert not any("rss" in key for s in stats for key in s)
     assert not any(" diag_ms=" in line for line in lines)
     # with diagnostics on, their time per level joins the line and stays out of the stats
     assert main(argv + ["--diagnostics", "--samples", "5"]) == 0

@@ -117,6 +117,28 @@ def test_refine_cover_examples() -> None:
         refine_cover(level2, [BoxKey(2, (0, 0))])  # pruned away above
 
 
+def test_sorted_flats_are_copied_and_unsorted_flats_still_sorted() -> None:
+    # sorted unique input skips np.unique but is still copied: the level's
+    # array is read-only and the caller's array stays writable and its own
+    root = Box([-1.0, -1.0], [1.0, 1.0])
+    flats = np.array([0, 3, 6, 9, 12, 15], dtype=np.int64)
+    level = CoverLevel(root, 2, flats)
+    picked = level.flats_of(flats[1:4])
+    assert flats.flags.writeable and not level.flats.flags.writeable
+    assert not np.shares_memory(level.flats, flats) and not np.shares_memory(picked, flats)
+    flats[:] = 1
+    assert level.flats.tolist() == [0, 3, 6, 9, 12, 15] and picked.tolist() == [3, 6, 9]
+    # unsorted or duplicated input gives sorted unique flats on both paths
+    assert CoverLevel(root, 2, [9, 3, 3, 15, 0]).flats.tolist() == [0, 3, 9, 15]
+    assert CoverLevel(root, 2, [0, 3, 3, 9]).flats.tolist() == [0, 3, 9]
+    assert level.flats_of(np.array([6, 6, 15])).tolist() == [6, 15]
+    assert CoverLevel(root, 2, np.array([[6, 6], [0, 12]])).flats.tolist() == [0, 6, 12]
+    assert level.flats_of(np.array([15, 0, 15, 6])).tolist() == [0, 6, 15]
+    assert level.flats_of(level.flats).tolist() == level.flats.tolist()
+    with pytest.raises(ValueError):
+        level.flats_of(np.array([15, 1]))  # 1 is not active
+
+
 def test_nesting_and_partition_invariants() -> None:
     root = Box([-1.0, 0.5], [3.0, 2.5])
     level = CoverLevel.full(root, 3)

@@ -485,7 +485,7 @@ def test_lookup_matches_pair_scan(dim: int, depth: int, M: int, chunk: int, data
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
     with patch.object(transition, "_CHUNK_POINTS", chunk):
         tmap = _build_map(level, images, radius, meta)
-    assert tmap.targets.dtype == np.int64
+    assert tmap.targets.dtype == np.int32
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
 
 
