@@ -20,13 +20,10 @@ from .geometry import (
     Box,
     BoxKey,
     CoverLevel,
-    SampleGrid,
     point_box_distance,
     refine_cover,
     region_semidistance,
-    sample_centers,
     semidistance_estimate,
-    subdivide_box,
 )
 from .integrator import (
     EulerParams,
@@ -81,7 +78,6 @@ __all__ = [
     "LevelReport",
     "PruneResult",
     "ReferenceAttractor",
-    "SampleGrid",
     "SandwichVerdict",
     "TransitionMap",
     "backward_containment_mask",
@@ -107,8 +103,6 @@ __all__ = [
     "run_diagnostics",
     "run_global",
     "run_subdivision",
-    "sample_centers",
     "semidistance_estimate",
-    "subdivide_box",
     "verify_sandwich",
 ]

@@ -402,6 +402,8 @@ def _replay_levels(cfg: RunConfig, checkpoints: dict[int, np.ndarray]):
 def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
               resolution: float = 0.02, horizon: float | None = None,
               verdict_path: str | None = None) -> int:
+    if max_global_depth < 0:
+        raise ConfigError("--max-global-depth must be nonnegative")
     checkpoints = _load_checkpoints(cfg)
     verdict: dict = {"mode": mode, "config_hash": cfg.config_hash(), "levels": []}
     ok = True
@@ -435,7 +437,7 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
     elif mode == "sandwich":
         system, schedule = cfg.system_and_schedule()
         boxes = _read_boxes(cfg.out, cfg.q)
-        reference = reference_attractor_points(system, cfg.q, resolution=resolution, horizon=horizon)
+        reference = _reference(system, cfg.q, resolution, horizon)
         for depth in sorted(boxes):
             if depth > max_global_depth:
                 continue
@@ -448,6 +450,9 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
             v = verify_sandwich(cfg.q, depth, sub_keys, g_result.kept, reference)
             verdict["levels"].append({"depth": depth, **v.to_json_dict()})
             ok &= v.passed
+        if not verdict["levels"]:  # a verdict that checked nothing does not pass
+            _log(f"[check] the boxes file has no level of depth at most {max_global_depth}")
+            ok = False
     else:
         raise ConfigError(f"unknown check mode {mode!r}")
 
@@ -523,9 +528,16 @@ def cmd_prune_graph(input_path: str | None, output_path: str | None) -> int:
 # -- oracle ------------------------------------------------------------------------
 
 
+def _reference(system, q: Box, resolution: float, horizon: float | None):
+    try:
+        return reference_attractor_points(system, q, resolution=resolution, horizon=horizon)
+    except ValueError as exc:  # a bad --resolution or --horizon
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_oracle(cfg: RunConfig, resolution: float, horizon: float | None, out: str) -> int:
     system = cfg.build_system()
-    ref = reference_attractor_points(system, cfg.q, resolution=resolution, horizon=horizon)
+    ref = _reference(system, cfg.q, resolution, horizon)
     export_points_csv(ref, out)
     _log(f"[oracle] kept {len(ref.points)} points at resolution {resolution}")
     return 0

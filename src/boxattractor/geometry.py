@@ -79,46 +79,6 @@ class Box:
     def __repr__(self) -> str:
         return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
 
-    def to_json(self) -> dict:
-        return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Box":
-        return cls(obj["lo"], obj["hi"])
-
-
-def subdivide_box(b: Box) -> list[Box]:
-    """Split a box into its 2^d commensurate children.
-
-    The child with selector s takes the lower half on axis k iff bit k of s
-    is zero, so selectors enumerate children in canonical order.
-    """
-    mid = (b.lo + b.hi) / 2.0
-    out = []
-    for s in range(1 << b.dim):
-        bits = np.array([(s >> k) & 1 for k in range(b.dim)], dtype=bool)
-        out.append(Box(np.where(bits, mid, b.lo), np.where(bits, b.hi, mid)))
-    return out
-
-
-@dataclass(frozen=True)
-class SampleGrid:
-    """Centers of the M^d commensurate subboxes of a box.
-
-    `subdiameter` is the subbox diameter; every point of the parent box is
-    within subdiameter / 2 of some listed center.
-    """
-
-    centers: np.ndarray  # (M^d, d)
-    subdiameter: float
-
-
-def sample_centers(b: Box, M: int) -> SampleGrid:
-    """Decompose a box into M^d subboxes and return their centers."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    return SampleGrid(centers=subbox_centers(b.lo, b.hi, M), subdiameter=b.diameter / M)
-
 
 def point_box_distance(p, b: Box) -> float:
     """Infinity-norm distance from a point to a closed box (0 iff p in b)."""
@@ -165,18 +125,6 @@ def flats_to_coords(flats, depth: int, dim: int) -> np.ndarray:
     return coords
 
 
-def coords_to_flats(coords, depth: int, dim: int) -> np.ndarray:
-    """Inverse of :func:`flats_to_coords`."""
-    coords = np.asarray(coords, dtype=np.int64)
-    flats = np.zeros(coords.shape[:-1], dtype=np.int64)
-    for m in range(depth):
-        digit = np.zeros_like(flats)
-        for k in range(dim):
-            digit |= ((coords[..., k] >> (depth - 1 - m)) & 1) << k
-        flats = (flats << dim) | digit
-    return flats
-
-
 @dataclass(frozen=True, order=True)
 class BoxKey:
     """Canonical name of one dyadic cell: depth plus the child-selector path.
@@ -209,14 +157,6 @@ class BoxKey:
         path = tuple((flat >> (dim * (depth - 1 - m))) & mask for m in range(depth))
         return cls(depth=depth, path=path)
 
-    def ancestor(self, depth: int) -> "BoxKey":
-        if not 0 <= depth <= self.depth:
-            raise ValueError("ancestor depth out of range")
-        return BoxKey(depth=depth, path=self.path[:depth])
-
-    def children(self, dim: int) -> list["BoxKey"]:
-        return [BoxKey(self.depth + 1, self.path + (s,)) for s in range(1 << dim)]
-
     def box(self, root: Box) -> Box:
         lo = root.lo.copy()
         hi = root.hi.copy()
@@ -231,10 +171,6 @@ class BoxKey:
 
     def to_json(self) -> dict:
         return {"depth": self.depth, "path": list(self.path)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoxKey":
-        return cls(depth=obj["depth"], path=tuple(obj["path"]))
 
 
 class CoverLevel:
@@ -328,15 +264,18 @@ class CoverLevel:
 
     def flats_of(self, cells) -> np.ndarray:
         """Sorted unique flat indices of active cells, given as an integer
-        array of flat indices or as BoxKeys of this depth."""
-        if isinstance(cells, np.ndarray) and cells.dtype.kind == "i":
-            flats = np.asarray(cells, dtype=np.int64)
-        else:
-            keys = list(cells)
-            if any(k.depth != self.depth for k in keys):
-                raise ValueError("cells must live on this level's depth")
-            flats = np.array([k.flat(self.dim) for k in keys], dtype=np.int64)
-        flats = _sorted_unique(flats)
+        array-like of flat indices (any integer dtype) or as BoxKeys of this
+        depth; TypeError for anything else."""
+        if not isinstance(cells, np.ndarray):
+            cells = list(cells)
+            if cells and all(isinstance(k, BoxKey) for k in cells):
+                if any(k.depth != self.depth for k in cells):
+                    raise ValueError("cells must live on this level's depth")
+                cells = [k.flat(self.dim) for k in cells]
+        flats = np.asarray(cells)
+        if flats.size and flats.dtype.kind not in "iu":
+            raise TypeError(f"cells must be integer flat indices or BoxKeys, got dtype {flats.dtype}")
+        flats = _sorted_unique(flats.astype(np.int64, copy=False))
         missing = flats[self.locate(flats) < 0]
         if missing.size:
             raise ValueError(f"cell {int(missing[0])} is not active on this level")
@@ -359,6 +298,10 @@ class CoverLevel:
         max(B[c] - p, p - B[c+1], 0) <= r for the axis boundaries B (lo > hi
         where none is). The passing cells are contiguous, so a conservative
         window from two binary searches is trimmed at both ends by that test.
+
+        Exactness contract: the product of a point's windows holds a grid
+        cell iff point_box_distance(p, cell) <= r with the cell's canonical
+        bounds; :meth:`window_runs` gives the active cells among them.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -379,22 +322,6 @@ class CoverLevel:
                     end[i] += step
             los[:, k], his[:, k] = lo, hi
         return los, his
-
-    def active_near_points(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Point indices i and local cell indices j of every pair with active
-        cell j within distance r of points[i], under the exactness contract
-        of :meth:`cells_near_point`; ordered by point, then by cell
-        coordinates.
-        """
-        return self.active_in_windows(*self.cell_windows(points, r))
-
-    def active_in_windows(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Window indices i and local cell indices j of every active cell j
-        inside the product of axis windows lo[i]..hi[i] (from
-        :meth:`cell_windows`), ordered as in :meth:`active_near_points`.
-        """
-        point, count, cells = self.window_runs(lo, hi)
-        return np.repeat(point, count), cells
 
     def window_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The active cells of the windows lo[i]..hi[i] as runs, one per row
@@ -421,26 +348,12 @@ class CoverLevel:
         count = np.searchsorted(keys, prefix * n + hi[point, -1], side="right") - start
         return point, count, order[expand_ranges(start, count, order.dtype)]
 
-    def cells_near_point(self, p, r: float) -> np.ndarray:
-        """Flat indices of ALL grid cells within distance r of p, sorted.
-
-        Exactness contract: a cell is reported iff
-        point_box_distance(p, cell) <= r with the cell's canonical bounds.
-        """
-        lo, hi = self.cell_windows(_as_vector(p)[None, :], r)
-        axes = [np.arange(lo[0, k], hi[0, k] + 1) for k in range(self.dim)]
-        coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        return np.sort(coords_to_flats(coords, self.depth, self.dim))
-
-    def active_near_point(self, p, r: float) -> np.ndarray:
-        """Local indices of active cells within distance r of p, sorted."""
-        return np.sort(self.active_near_points(_as_vector(p)[None, :], r)[1])
-
     def contains_points(self, points) -> np.ndarray:
         """Membership of points in the union of active (closed) cells."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.zeros(pts.shape[0], dtype=bool)
-        out[self.active_near_points(pts, 0.0)[0]] = True
+        point, count, _ = self.window_runs(*self.cell_windows(pts, 0.0))
+        out[point[count > 0]] = True
         return out
 
 

@@ -104,16 +104,19 @@ def reference_attractor_points(
     """Scan a uniform grid on Q and keep backward-invariant points.
 
     Finite horizons over-select slightly, so the cloud is an outer sample of
-    the attractor, suitable for lower-bounding required coverage.
+    the attractor, suitable for lower-bounding required coverage. A
+    horizon that tests no backward step is refused.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
+    discrete = isinstance(sys, DiscreteSystemSpec)
+    if horizon is None:
+        horizon = DEFAULT_DISCRETE_HORIZON if discrete else DEFAULT_CONTINUOUS_HORIZON
+    if not (horizon >= 1 if discrete else horizon > 0) or horizon == np.inf:
+        raise ValueError("horizon must be finite and positive, and at least one step for a map")
     pts = _grid_over(Q, resolution)
     alive = backward_containment_mask(sys, Q, pts, horizon)
-    if isinstance(sys, DiscreteSystemSpec):
-        kept_horizon = float(int(horizon) if horizon is not None else DEFAULT_DISCRETE_HORIZON)
-    else:
-        kept_horizon = float(horizon) if horizon is not None else DEFAULT_CONTINUOUS_HORIZON
+    kept_horizon = float(int(horizon) if discrete else horizon)
     return ReferenceAttractor(points=pts[alive], resolution=resolution, horizon=kept_horizon)
 
 

@@ -31,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator
 
 import numpy as np
 
@@ -92,20 +91,6 @@ class TransitionMap:
 
     def targets_local(self, i: int) -> np.ndarray:
         return self.targets[self.indptr[i] : self.indptr[i + 1]]
-
-    def targets_of(self, key: BoxKey) -> tuple[BoxKey, ...]:
-        if key.depth != self.level.depth:
-            raise KeyError(key)
-        loc = self.level.locate(np.array([key.flat(self.level.dim)]))[0]
-        if loc < 0:
-            raise KeyError(key)
-        flats = self.level.flats[self.targets_local(int(loc))]
-        return tuple(self.level.key_of_flat(f) for f in flats)
-
-    def items(self) -> Iterator[tuple[BoxKey, tuple[BoxKey, ...]]]:
-        for i, key in enumerate(self.level.active):
-            flats = self.level.flats[self.targets_local(i)]
-            yield key, tuple(self.level.key_of_flat(f) for f in flats)
 
     def to_json_dict(self) -> dict:
         edges = {}
@@ -296,7 +281,8 @@ def check_containment_condition(
         # an image is covered when an active cell within the slack of it is a
         # successor of its box, found as a packed (box, cell) key among the edges
         wlo, whi = level.cell_windows(images, slack)
-        point, near = level.active_in_windows(wlo, whi)
+        point, count, near = level.window_runs(wlo, whi)
+        point = np.repeat(point, count)
         rows = np.repeat(np.arange(b1 - b0), np.diff(tmap.indptr[b0 : b1 + 1]))
         edges = rows * n + tmap.targets[tmap.indptr[b0] : tmap.indptr[b1]]
         covered = np.zeros(images.shape[0], dtype=bool)

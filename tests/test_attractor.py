@@ -137,7 +137,7 @@ def test_prune_on_transition_map_matches_oracle() -> None:
     sys_ = make_builtin("halving1d", Q1)
     level = CoverLevel.full(Q1, 4)
     tmap = build_transition_discrete(level, sys_, M=1)
-    edges = {int(k.flat(1)): [int(t.flat(1)) for t in v] for k, v in tmap.items()}
+    edges = {int(k): v for k, v in tmap.to_json_dict()["edges"].items()}
     want = reach_cycle_set(edges)
     res = prune(level.active, tmap)
     assert {int(k.flat(1)) for k in res.kept} == want
@@ -147,13 +147,16 @@ def test_prune_on_transition_map_matches_oracle() -> None:
     assert {int(k.flat(1)) for k in res.kept} == set(res_generic.kept)
     assert {int(k.flat(1)) for k in res.removed} == set(res_generic.removed)
     assert res.rounds == res_generic.rounds
+    # plain integer flats of any integer dtype name the same cells
+    for flats in (level.flats.tolist(), level.flats.astype(np.uint32), level.flats.astype(np.uint64)):
+        assert prune(flats, tmap).kept_flats.tolist() == res.kept_flats.tolist()
 
 
 def test_prune_restriction_semantics_on_transition_map_subset() -> None:
     sys_ = make_builtin("linmap2d", Q2)
     level = CoverLevel.full(Q2, 3)
     tmap = build_transition_discrete(level, sys_, M=1)
-    edges = {int(k.flat(2)): [int(t.flat(2)) for t in v] for k, v in tmap.items()}
+    edges = {int(k): v for k, v in tmap.to_json_dict()["edges"].items()}
     rng = np.random.default_rng(7)
     for _ in range(20):
         subset = [k for k in level.active if rng.random() < 0.6]
@@ -251,7 +254,7 @@ def test_monotone_refinement_union_shrinks() -> None:
     for (res_a, rep_a), (res_b, rep_b) in zip(levels, levels[1:]):
         kept_parents = {k.path for k in res_a.kept}
         for k in res_b.kept:
-            assert k.ancestor(rep_a.depth).path in kept_parents
+            assert k.path[: rep_a.depth] in kept_parents
 
 
 def test_sandwich_kept_keys_subset_of_global() -> None:

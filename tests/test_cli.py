@@ -309,6 +309,46 @@ def test_check_sandwich_detects_tampering(tmp_path: Path) -> None:
     assert any(l["uncovered_count"] > 0 for l in verdict["levels"])
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("check", ["--resolution", "0"]),
+    ("check", ["--resolution", "nan"]),
+    ("check", ["--horizon", "-2"]),
+    ("check", ["--horizon", "0.5"]),  # a map's horizon truncates to zero steps
+    ("check", ["--horizon", "inf"]),
+    ("check", ["--max-global-depth", "-1"]),
+    ("oracle", ["--resolution", "0"]),
+    ("oracle", ["--resolution", "-0.5"]),
+    ("oracle", ["--horizon", "-3", "--system", "henon", "--q", "-2,-2:2,2"]),
+    ("oracle", ["--horizon", "0"]),
+])
+def test_bad_oracle_flags_exit_2(tmp_path: Path, command: str, flags: list[str]) -> None:
+    # a horizon that tests no backward step would keep every grid point
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    out = tmp_path / "o.csv"
+    if command == "check":
+        argv = ["check", "--mode", "sandwich", *run_args(tmp_path, **{"--depth": "2"})[1:], *flags]
+    else:
+        argv = ["oracle", "--system", "halving1d", "--q", "-1:1", "--oracle-out", str(out), *flags]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_sandwich_that_checks_no_level_fails(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    base = run_args(tmp_path, **{"--depth": "2"})[1:]
+    boxes = tmp_path / "boxes.jsonl"
+    deepest = [line for line in boxes.read_text().splitlines() if json.loads(line)["depth"] == 2]
+    for text, max_depth in (("", "6"), ("\n".join(deepest) + "\n", "1")):
+        boxes.write_text(text)
+        verdict = tmp_path / "v.json"
+        argv = ["check", "--mode", "sandwich", *base, "--max-global-depth", max_depth, "--verdict", str(verdict)]
+        assert main(argv) == 1
+        assert json.loads(verdict.read_text()) | {"config_hash": None} == {
+            "config_hash": None, "levels": [], "mode": "sandwich", "pass": False}
+    # the same file passes once its depth is checked
+    assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 0
+
+
 def test_oracle_subcommand_writes_csv(tmp_path: Path) -> None:
     out = tmp_path / "pts.csv"
     rc = main(["oracle", "--system", "halving1d", "--q", "-1:1",

@@ -8,14 +8,12 @@ from boxattractor.geometry import (
     Box,
     BoxKey,
     CoverLevel,
-    coords_to_flats,
     flats_to_coords,
     point_box_distance,
     refine_cover,
     region_semidistance,
-    sample_centers,
     semidistance_estimate,
-    subdivide_box,
+    subbox_centers,
 )
 
 
@@ -26,8 +24,14 @@ def test_box_rejects_degenerate() -> None:
         Box([0.0], [np.inf])
 
 
+def children_of(root: Box) -> list[Box]:
+    """The boxes of the one-step refinement of `root`, in selector order."""
+    level = refine_cover(CoverLevel.full(root, 0), [0])
+    return [level.box_of_flat(int(f)) for f in level.flats]
+
+
 def test_subdivide_unit_square_selector_order() -> None:
-    kids = subdivide_box(Box([0.0, 0.0], [1.0, 1.0]))
+    kids = children_of(Box([0.0, 0.0], [1.0, 1.0]))
     expected = [
         ([0.0, 0.0], [0.5, 0.5]),
         ([0.5, 0.0], [1.0, 0.5]),
@@ -38,7 +42,7 @@ def test_subdivide_unit_square_selector_order() -> None:
 
 
 def test_subdivide_interval_midpoint() -> None:
-    kids = subdivide_box(Box([-1.0], [1.0]))
+    kids = children_of(Box([-1.0], [1.0]))
     assert [(k.lo.tolist(), k.hi.tolist()) for k in kids] == [([-1.0], [0.0]), ([0.0], [1.0])]
 
 
@@ -49,8 +53,8 @@ def test_two_subdivisions_match_flat_index_scheme() -> None:
     level2 = CoverLevel.full(root, 2)
     assert level2.size == 16
     by_recursion = {}
-    for i, child in enumerate(subdivide_box(root)):
-        for s, grand in enumerate(subdivide_box(child)):
+    for i, child in enumerate(children_of(root)):
+        for s, grand in enumerate(children_of(child)):
             by_recursion[i * 4 + s] = grand
     for flat in range(16):
         assert by_recursion[flat] == level2.box_of_flat(flat)
@@ -62,21 +66,18 @@ def test_two_subdivisions_match_flat_index_scheme() -> None:
         assert key.box(root) == level2.box_of_flat(flat)
 
 
-def test_sample_centers_examples() -> None:
-    g = sample_centers(Box([0.0], [1.0]), 2)
-    assert g.centers.ravel().tolist() == [0.25, 0.75]
-    assert g.subdiameter == pytest.approx(0.5)
+def test_subbox_centers_examples() -> None:
+    # M = 0 is refused by build_transition (tests/test_transition.py)
+    def centers(lo, hi, M):
+        return subbox_centers(np.array(lo), np.array(hi), M)
 
-    g = sample_centers(Box([0.0, 0.0], [1.0, 1.0]), 1)
-    assert g.centers.tolist() == [[0.5, 0.5]]
-    assert g.subdiameter == pytest.approx(1.0)
-
-    g = sample_centers(Box([-1.0], [1.0]), 4)
-    assert g.centers.ravel().tolist() == [-0.75, -0.25, 0.25, 0.75]
-    assert g.subdiameter == pytest.approx(0.5)
-
-    with pytest.raises(ValueError):
-        sample_centers(Box([0.0], [1.0]), 0)
+    assert centers([0.0], [1.0], 2).ravel().tolist() == [0.25, 0.75]
+    assert centers([0.0, 0.0], [1.0, 1.0], 1).tolist() == [[0.5, 0.5]]
+    assert centers([-1.0], [1.0], 4).ravel().tolist() == [-0.75, -0.25, 0.25, 0.75]
+    # axis 0 varies fastest, and a batch of boxes gives one set per box
+    assert centers([0.0, 0.0], [1.0, 1.0], 2).tolist() == [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+    both = centers([[0.0], [2.0]], [[1.0], [4.0]], 2)
+    assert both.shape == (2, 2, 1) and both.ravel().tolist() == [0.25, 0.75, 2.5, 3.5]
 
 
 def test_point_box_distance_examples() -> None:
@@ -139,29 +140,46 @@ def test_sorted_flats_are_copied_and_unsorted_flats_still_sorted() -> None:
         level.flats_of(np.array([15, 1]))  # 1 is not active
 
 
+def test_flats_of_reads_any_integer_array_like() -> None:
+    root = Box([-1.0, -1.0], [1.0, 1.0])
+    level = CoverLevel(root, 2, [0, 3, 6, 9, 12, 15])
+    for cells in ([9, 3, 9], (3, 9), np.array([9, 3], dtype=np.uint32), np.array([3, 9], dtype=np.uint64),
+                  np.array([9, 3], dtype=np.int8), [np.int64(3), 9], {9: [], 3: []}.keys(),
+                  [level.key_of_flat(9), level.key_of_flat(3)]):
+        assert level.flats_of(cells).tolist() == [3, 9]
+        assert level.flats_of(cells).dtype == np.int64
+    assert level.flats_of([]).size == 0 and level.flats_of(np.array([], dtype=np.uint8)).size == 0
+    # refine_cover and prune read their cells through flats_of
+    assert refine_cover(level, np.array([15], dtype=np.uint16)).flats.tolist() == [60, 61, 62, 63]
+    for bad in ([3.0, 9.0], np.array([True, False]), ["3"], [3, level.key_of_flat(9)]):
+        with pytest.raises(TypeError):
+            level.flats_of(bad)
+    with pytest.raises(ValueError):
+        level.flats_of(np.array([1], dtype=np.uint64))  # 1 is not active
+    with pytest.raises(ValueError):
+        level.flats_of(np.array([2**63], dtype=np.uint64))  # beyond any depth
+
+
 def test_nesting_and_partition_invariants() -> None:
     root = Box([-1.0, 0.5], [3.0, 2.5])
     level = CoverLevel.full(root, 3)
     parent = CoverLevel.full(root, 2)
     for key in level.active:
-        anc = key.ancestor(2)
+        anc = BoxKey(2, key.path[:2])
         assert anc.box(root).contains_box(key.box(root))
     assert parent.rho == pytest.approx(root.diameter / 4)
     assert level.rho == pytest.approx(root.diameter / 8)
     # children tile their parent exactly: volumes add up
     for b in (root, parent.box_of_flat(5)):
-        kids = subdivide_box(b)
+        kids = children_of(b)
         vol = sum(float(np.prod(k.hi - k.lo)) for k in kids)
         assert vol == pytest.approx(float(np.prod(b.hi - b.lo)))
 
 
 def test_json_roundtrips() -> None:
-    b = Box([-1.5, 0.25], [2.0, 1.0])
-    assert Box.from_json(b.to_json()) == b
-    assert b.to_json() == {"lo": [-1.5, 0.25], "hi": [2.0, 1.0]}
     k = BoxKey(3, (0, 2, 1))
-    assert BoxKey.from_json(k.to_json()) == k
     assert k.to_json() == {"depth": 3, "path": [0, 2, 1]}
+    assert BoxKey.from_flat(k.flat(2), 3, 2) == k
     with pytest.raises(ValueError):
         BoxKey.from_flat(-1, 2, 2)
     with pytest.raises(ValueError):
@@ -173,8 +191,14 @@ def test_flat_coord_roundtrip() -> None:
     for depth, dim in [(0, 1), (3, 1), (4, 2), (3, 3)]:
         flats = rng.integers(0, 1 << (depth * dim), size=50)
         coords = flats_to_coords(flats, depth, dim)
-        assert np.array_equal(coords_to_flats(coords, depth, dim), flats)
         assert np.all(coords >= 0) and np.all(coords < (1 << depth))
+        # the coordinates index the boundaries of the recursively built box
+        root = Box([-1.0] * dim, [1.0] * dim)
+        B = CoverLevel.full(root, depth).boundaries
+        for f, c in zip(flats, coords):
+            b = BoxKey.from_flat(int(f), depth, dim).box(root)
+            assert [B[k][c[k]] for k in range(dim)] == b.lo.tolist()
+            assert [B[k][c[k] + 1] for k in range(dim)] == b.hi.tolist()
 
 
 def test_dyadic_boundaries_match_recursive_bounds() -> None:
@@ -209,16 +233,24 @@ def _lookup_cases() -> list[tuple[CoverLevel, np.ndarray, list[float]]]:
     return cases
 
 
-def test_cells_near_point_matches_bruteforce() -> None:
+def test_cell_windows_match_bruteforce() -> None:
+    # the exactness contract of cell_windows: the windows of a point hold a
+    # cell iff point_box_distance(p, cell) <= r; window_runs lists the
+    # active ones among them
     for level, pts, radii in _lookup_cases():
         grid = CoverLevel.full(level.root, level.depth)
         boxes = [grid.box_of_flat(int(f)) for f in grid.flats]
         active = np.zeros(grid.size, dtype=bool)
         active[level.flats] = True
+        coords = flats_to_coords(grid.flats, grid.depth, grid.dim)
         for p, r in zip(pts, radii):
             near = np.array([point_box_distance(p, b) <= r for b in boxes])
-            assert level.cells_near_point(p, r).tolist() == np.nonzero(near)[0].tolist()
-            assert level.active_near_point(p, r).tolist() == np.nonzero(near[level.flats])[0].tolist()
+            lo, hi = level.cell_windows(p[None, :], r)
+            inside = np.all((coords >= lo[0]) & (coords <= hi[0]), axis=1)
+            assert np.nonzero(inside)[0].tolist() == np.nonzero(near)[0].tolist()
+            point, count, cells = level.window_runs(lo, hi)
+            assert set(point.tolist()) <= {0} and count.sum() == cells.size
+            assert sorted(cells.tolist()) == np.nonzero(near[level.flats])[0].tolist()
         want = [any(b.contains_point(p) for b, a in zip(boxes, active) if a) for p in pts]
         assert level.contains_points(pts).tolist() == want
 

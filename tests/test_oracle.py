@@ -98,7 +98,8 @@ def test_verify_sandwich_pass_and_mutation() -> None:
 
     # deleting the kept box that covers the reference point breaks check (1)
     level = CoverLevel(Q1, 4, [k.flat(1) for k in sub_result.kept])
-    covering = {int(level.flats[i]) for p in ref.points for i in level.active_near_point(p, 0.0)}
+    _, _, cells = level.window_runs(*level.cell_windows(ref.points, 0.0))
+    covering = set(level.flats[cells].tolist())
     mutated = [k for k in sub_result.kept if k.flat(1) not in covering]
     verdict = verify_sandwich(Q1, 4, mutated, g_result.kept, ref)
     assert not verdict.passed and verdict.uncovered_points

@@ -37,8 +37,12 @@ Q2 = Box([-1.0, -1.0], [1.0, 1.0])
 
 
 def edges_as_flats(tmap: TransitionMap) -> dict[int, list[int]]:
-    d = tmap.level.dim
-    return {int(k.flat(d)): [int(t.flat(d)) for t in v] for k, v in tmap.items()}
+    return {int(k): v for k, v in tmap.to_json_dict()["edges"].items()}
+
+
+def cells_at(level: CoverLevel, p) -> list[int]:
+    """Local indices of the active cells that hold the point p."""
+    return sorted(level.window_runs(*level.cell_windows(np.asarray(p, dtype=float)[None, :], 0.0))[2].tolist())
 
 
 def test_halving_depth1_hand_example() -> None:
@@ -93,7 +97,7 @@ def test_saddle_origin_cell_self_loop() -> None:
         level = CoverLevel.full(Q2, depth)
         tmap = build_transition_continuous(level, sys_, M=1, params=EulerParams(h=0.1))
         # the equilibrium at the origin pins its cell into its own edge set
-        origin_cells = level.active_near_point(np.zeros(2), 0.0)
+        origin_cells = cells_at(level, np.zeros(2))
         found = False
         for loc in origin_cells:
             if loc in tmap.targets_local(int(loc)):
@@ -288,7 +292,7 @@ def drop_edge_of_probe(tmap: TransitionMap, image) -> TransitionMap:
     level = tmap.level
     i = level.size // 2
     probe = level.box_los[i] + 0.8 * (level.box_his[i] - level.box_los[i])
-    victim = int(level.active_near_point(image(probe[None, :])[0], 0.0)[0])
+    victim = cells_at(level, image(probe[None, :])[0])[0]
     keep = tmap.targets_local(i)
     assert victim in keep
     trimmed = keep[keep != victim]
@@ -487,18 +491,6 @@ def test_lookup_matches_pair_scan(dim: int, depth: int, M: int, chunk: int, data
         tmap = _build_map(level, images, radius, meta)
     assert tmap.targets.dtype == np.int32
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
-
-
-def test_targets_of_by_key() -> None:
-    sys_ = make_builtin("halving1d", Q1)
-    level = CoverLevel.full(Q1, 1)
-    tmap = build_transition_discrete(level, sys_, M=1)
-    key = level.active[0]
-    assert [t.flat(1) for t in tmap.targets_of(key)] == [0, 1]
-    from boxattractor.geometry import BoxKey
-
-    with pytest.raises(KeyError):
-        tmap.targets_of(BoxKey(2, (0, 0)))
 
 
 def test_thread_count_does_not_change_serialization() -> None:
