@@ -23,7 +23,6 @@ from .geometry import (
     point_box_distance,
     refine_cover,
     region_semidistance,
-    semidistance_estimate,
 )
 from .integrator import (
     EulerParams,
@@ -103,6 +102,5 @@ __all__ = [
     "run_diagnostics",
     "run_global",
     "run_subdivision",
-    "semidistance_estimate",
     "verify_sandwich",
 ]

@@ -164,7 +164,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--diagnostics", action="store_true", default=None)
     p.add_argument("--samples", type=int, help="diagnostic samples per box")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                   help="system parameter, e.g. henon.a=1.4 (repeatable)")
+                   help="system parameter, e.g. henon.a=1.4 or a=1.4; a prefix must name --system (repeatable)")
     p.add_argument("--out", help="kept-box JSONL path")
     p.add_argument("--stats", help="stats JSON path")
     p.add_argument("--checkpoint-dir", dest="checkpoint_dir", help="directory for per-level checkpoints")
@@ -186,19 +186,21 @@ def _load_config(args: argparse.Namespace, for_run: bool = True) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    if "system" not in merged:
+        raise ConfigError("--system is required")
     params = dict(data.get("params", {}))
     for item in getattr(args, "param", []) or []:
         if "=" not in item:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         key, val = item.split("=", 1)
-        key = key.split(".")[-1]
+        prefix, _, key = key.rpartition(".")
+        if prefix and prefix != merged["system"]:
+            raise ConfigError(f"--param {item!r} names system {prefix!r}, not {merged['system']!r}")
         try:
             params[key] = float(val)
         except ValueError:
             params[key] = val
     merged["params"] = params
-    if "system" not in merged:
-        raise ConfigError("--system is required")
     if "q" not in merged:
         raise ConfigError("--q is required")
     q = merged["q"]
@@ -246,8 +248,8 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> tuple[int, np.ndarray]:
-    """Depth and kept flat indices of a checkpoint written for `cfg_hash`."""
+def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> CoverLevel:
+    """The kept cells of a checkpoint written for `cfg_hash`, as a level."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             ck = json.load(fp)
@@ -255,14 +257,14 @@ def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> tuple[int, np.ndar
         if not isinstance(ck["kept"], list):
             raise TypeError("kept must be a list")
         depth = _json_int(ck["depth"], "depth")
-        kept = np.asarray([_json_int(k, "a kept index") for k in ck["kept"]], dtype=np.int64)
+        kept = [_json_int(k, "a kept index") for k in ck["kept"]]
         if matches:
-            CoverLevel(root, depth, kept)  # rejects a depth or an index out of range
+            level = CoverLevel(root, depth, kept)  # rejects a depth or an index out of range
     except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc!r}") from None
     if not matches:
         raise ConfigError(f"config hash mismatch in {path.name}")
-    return depth, kept
+    return level
 
 
 # -- run -------------------------------------------------------------------------
@@ -276,8 +278,8 @@ def cmd_run(cfg: RunConfig) -> int:
     ckpt_base = _checkpoint_path(cfg, 0).parent
     ckpt_base.mkdir(parents=True, exist_ok=True)
 
-    resume = _read_checkpoint(Path(cfg.resume), cfg_hash, cfg.q) if cfg.resume else None
-    committed, records = _earlier_levels(cfg, resume[0]) if resume else (0, [])
+    start = _read_checkpoint(Path(cfg.resume), cfg_hash, cfg.q) if cfg.resume else None
+    committed, records = _earlier_levels(cfg, start.depth) if start else (0, [])
 
     status = 0
     boxes_fp = open(out_path, "r+b" if committed else "wb")
@@ -315,7 +317,7 @@ def cmd_run(cfg: RunConfig) -> int:
             samples=cfg.samples,
             seed=cfg.seed,
             box_budget=cfg.box_budget,
-            resume=resume,
+            resume=(start.depth, start.flats) if start else None,
             on_level=on_level,
         )
     except KeyboardInterrupt:
@@ -373,30 +375,31 @@ def _earlier_levels(cfg: RunConfig, depth0: int) -> tuple[int, list[dict]]:
 # -- check -----------------------------------------------------------------------
 
 
-def _load_checkpoints(cfg: RunConfig) -> dict[int, np.ndarray]:
+def _load_checkpoints(cfg: RunConfig) -> dict[int, CoverLevel]:
     base = _checkpoint_path(cfg, 0).parent
     cfg_hash = cfg.config_hash()
-    out: dict[int, np.ndarray] = {}
+    out: dict[int, CoverLevel] = {}
     for path in sorted(base.glob("checkpoint_d*.json")):
-        depth, kept = _read_checkpoint(path, cfg_hash, cfg.q)
-        out[depth] = kept
+        level = _read_checkpoint(path, cfg_hash, cfg.q)
+        out[level.depth] = level
     if not out:
         raise ConfigError(f"no checkpoints found under {base}")
     return out
 
-def _replay_levels(cfg: RunConfig, checkpoints: dict[int, np.ndarray]):
-    """Rebuild (level, transition map, kept) per checkpointed depth."""
+
+def _replay_levels(cfg: RunConfig, checkpoints: dict[int, CoverLevel]):
+    """Rebuild (level, transition map, kept) for each checkpointed depth that
+    is 0 or whose parent depth is checkpointed too."""
     system, schedule = cfg.system_and_schedule()
-    for depth in sorted(checkpoints):
+    for depth, kept in sorted(checkpoints.items()):
         if depth == 0:
             level = CoverLevel.full(cfg.q, 0)
         elif depth - 1 in checkpoints:
-            prev = CoverLevel(cfg.q, depth - 1, checkpoints[depth - 1])
-            level = refine_cover(prev, prev.flats)
+            level = refine_cover(checkpoints[depth - 1], checkpoints[depth - 1].flats)
         else:
             continue
         tmap = build_transition(level, system, cfg.M, schedule.params_at(depth) if schedule else None)
-        yield depth, level, tmap, checkpoints[depth], system
+        yield level, tmap, kept, system
 
 
 def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
@@ -409,11 +412,11 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
     ok = True
 
     if mode == "containment":
-        for depth, level, tmap, kept, system in _replay_levels(cfg, checkpoints):
-            consistent = np.array_equal(prune(level.flats, tmap).kept_flats, np.sort(kept))
+        for level, tmap, kept, system in _replay_levels(cfg, checkpoints):
+            consistent = np.array_equal(prune(level.flats, tmap).kept_flats, kept.flats)
             rep = check_containment_condition(tmap, system, samples=cfg.samples, seed=cfg.seed)
             entry = {
-                "depth": depth,
+                "depth": level.depth,
                 "violations": len(rep.containment_violations),
                 "witnesses": [list(map(float, p)) for _, p in rep.containment_violations[:5]],
                 "kept_matches_checkpoint": bool(consistent),
@@ -422,11 +425,11 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
             ok &= consistent and not rep.containment_violations
     elif mode == "gaps":
         seq: list[tuple[int, float]] = []
-        for depth, level, tmap, kept, system in _replay_levels(cfg, checkpoints):
+        for level, tmap, _, system in _replay_levels(cfg, checkpoints):
             rep = measure_overapprox_gap(tmap, system, samples=cfg.samples)
             gap = rep.overapprox_gap if tmap.meta.kind == "discrete" else rep.neighbor_gap + rep.defect_gap
-            verdict["levels"].append({"depth": depth, **rep.to_json_dict()})
-            seq.append((depth, gap))
+            verdict["levels"].append({"depth": level.depth, **rep.to_json_dict()})
+            seq.append((level.depth, gap))
         # coarse levels are degenerate (a single cell maps into itself), so
         # monotonicity is judged from depth 2 on, with a 5% allowance for the
         # sampled suprema
@@ -438,23 +441,25 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
         system, schedule = cfg.system_and_schedule()
         boxes = _read_boxes(cfg.out, cfg.q)
         reference = _reference(system, cfg.q, resolution, horizon)
-        for depth in sorted(boxes):
+        # the boxes file is tied to the run's configuration through the
+        # checkpoints, which carry its hash: each checked depth must hold
+        # exactly the cells of that depth's checkpoint
+        for depth, level in sorted(boxes.items()):
             if depth > max_global_depth:
                 continue
             euler = schedule.params_at(depth) if schedule else None
             g_result, _ = run_global(
                 system, cfg.q, depth, M=cfg.M, euler=euler, box_budget=cfg.box_budget,
             )
-            level = CoverLevel(cfg.q, depth, boxes[depth])
-            sub_keys = level.active
-            v = verify_sandwich(cfg.q, depth, sub_keys, g_result.kept, reference)
-            verdict["levels"].append({"depth": depth, **v.to_json_dict()})
-            ok &= v.passed
-        if not verdict["levels"]:  # a verdict that checked nothing does not pass
-            _log(f"[check] the boxes file has no level of depth at most {max_global_depth}")
-            ok = False
+            v = verify_sandwich(level, g_result.kept_flats, reference)
+            matches = depth in checkpoints and np.array_equal(level.flats, checkpoints[depth].flats)
+            verdict["levels"].append({"depth": depth, **v.to_json_dict(), "kept_matches_checkpoint": matches})
+            ok &= v.passed and matches
     else:
         raise ConfigError(f"unknown check mode {mode!r}")
+    if not verdict["levels"]:  # a verdict that checked nothing does not pass
+        _log(f"[check] no level to check in {mode} mode")
+        ok = False
 
     verdict["pass"] = bool(ok)
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
@@ -466,8 +471,8 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
     return 0 if ok else 1
 
 
-def _read_boxes(path: str, root: Box) -> dict[int, np.ndarray]:
-    """Flat indices per depth of a boxes file over `root`."""
+def _read_boxes(path: str, root: Box) -> dict[int, CoverLevel]:
+    """The kept cells per depth of a boxes file over `root`, as levels."""
     out: dict[int, list[int]] = {}
     try:
         with open(path, "r", encoding="utf-8") as fp:
@@ -477,12 +482,10 @@ def _read_boxes(path: str, root: Box) -> dict[int, np.ndarray]:
                     continue
                 rec = json.loads(line)
                 out.setdefault(_json_int(rec["depth"], "depth"), []).append(_json_int(rec["index"], "index"))
-        boxes = {d: np.asarray(v, dtype=np.int64) for d, v in out.items()}
-        for d, flats in boxes.items():
-            CoverLevel(root, d, flats)  # rejects a depth or an index out of range
+        # CoverLevel rejects a depth or an index out of range
+        return {d: CoverLevel(root, d, flats) for d, flats in out.items()}
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read boxes file: {exc}") from None
-    return boxes
 
 
 # -- prune-graph -------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -59,10 +58,6 @@ class Box:
     def diameter(self) -> float:
         """Infinity-norm diameter, i.e. the longest side."""
         return float(np.max(self.hi - self.lo))
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
 
     def contains_point(self, p) -> bool:
         p = _as_vector(p)
@@ -169,9 +164,6 @@ class BoxKey:
                     hi[k] = mid[k]
         return Box(lo, hi)
 
-    def to_json(self) -> dict:
-        return {"depth": self.depth, "path": list(self.path)}
-
 
 class CoverLevel:
     """The active dyadic cells of one subdivision depth over a root box.
@@ -258,9 +250,6 @@ class CoverLevel:
         lo = np.array([self.boundaries[k][c[k]] for k in range(self.dim)])
         hi = np.array([self.boundaries[k][c[k] + 1] for k in range(self.dim)])
         return Box(lo, hi)
-
-    def key_of_flat(self, flat: int) -> BoxKey:
-        return BoxKey.from_flat(int(flat), self.depth, self.dim)
 
     def flats_of(self, cells) -> np.ndarray:
         """Sorted unique flat indices of active cells, given as an integer
@@ -398,37 +387,6 @@ def grid_points(lo: np.ndarray, hi: np.ndarray, per_axis: int) -> np.ndarray:
     axes = np.linspace(lo, hi, per_axis, axis=-1)  # (..., d, per_axis)
     idx = (np.arange(per_axis**d)[:, None] // per_axis ** np.arange(d - 1, -1, -1)) % per_axis
     return axes[..., np.arange(d), idx]
-
-
-def semidistance_estimate(
-    source: Sequence[Box], target: Sequence[Box], samples_per_axis: int = 8
-) -> tuple[float, float]:
-    """Sampled lower bound and certified upper bound on dist(source, target).
-
-    The lower bound maximises the distance-to-target over grid samples of the
-    source boxes; since that distance function is 1-Lipschitz, adding the
-    sample spacing yields a certified upper bound.
-    """
-    source = list(source)
-    target = list(target)
-    if not source or not target:
-        raise ValueError("source and target must be nonempty")
-    if samples_per_axis < 1:
-        raise ValueError("samples_per_axis must be >= 1")
-    tlo = np.stack([b.lo for b in target])
-    thi = np.stack([b.hi for b in target])
-    lower = 0.0
-    spacing = 0.0
-    for b in source:
-        pts = grid_points(b.lo, b.hi, samples_per_axis)
-        gap = np.maximum(tlo[None, :, :] - pts[:, None, :], pts[:, None, :] - thi[None, :, :])
-        dist = np.min(np.max(np.maximum(gap, 0.0), axis=2), axis=1)
-        lower = max(lower, float(np.max(dist)))
-        if samples_per_axis >= 2:
-            spacing = max(spacing, b.diameter / (samples_per_axis - 1))
-        else:
-            spacing = max(spacing, b.diameter)
-    return lower, lower + spacing
 
 
 def region_semidistance(los: np.ndarray, his: np.ndarray, region_lo, region_hi) -> float:

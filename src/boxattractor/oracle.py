@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .geometry import Box, BoxKey, CoverLevel
+from .geometry import Box, CoverLevel
 from .integrator import rk4_backward
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
 
@@ -141,42 +141,29 @@ def reach_cycle_set(edges: Mapping) -> set:
 @dataclass(frozen=True)
 class SandwichVerdict:
     passed: bool
-    uncovered_points: tuple
-    extra_keys: tuple
+    uncovered_points: np.ndarray  # (U, d) reference points outside the kept cells
+    extra_flats: np.ndarray  # sorted int64 kept cells that the global scheme removes
 
     def to_json_dict(self) -> dict:
         return {
             "pass": self.passed,
-            "uncovered_points": [list(map(float, p)) for p in self.uncovered_points[:5]],
+            "uncovered_points": self.uncovered_points[:5].tolist(),
             "uncovered_count": len(self.uncovered_points),
-            "extra_keys": [k.to_json() for k in self.extra_keys[:5]],
-            "extra_count": len(self.extra_keys),
+            "extra_flats": self.extra_flats[:5].tolist(),
+            "extra_count": int(self.extra_flats.size),
         }
 
 
-def verify_sandwich(
-    root: Box,
-    depth: int,
-    subdivision_kept: Sequence[BoxKey],
-    global_kept: Sequence[BoxKey],
-    reference: ReferenceAttractor,
-) -> SandwichVerdict:
-    """Check both halves of the sandwich at one depth.
-
-    (1) every reference point lies in some kept subdivision cell, and
-    (2) the subdivision's kept keys are a subset of the global scheme's.
+def verify_sandwich(level: CoverLevel, global_flats, reference: ReferenceAttractor) -> SandwichVerdict:
+    """Check both halves of the sandwich at the depth of `level`, the
+    subdivision's kept cells: (1) every reference point lies in some kept
+    cell, and (2) the kept cells are a subset of `global_flats`, the global
+    scheme's kept flat indices at the same depth.
     """
-    for k in itertools.chain(subdivision_kept, global_kept):
-        if k.depth != depth:
-            raise ValueError(f"key {k} does not match depth {depth}")
-    sub_level = CoverLevel(root, depth, [k.flat(root.dim) for k in subdivision_kept])
-    uncovered: tuple = ()
-    if reference.points.size:
-        covered = sub_level.contains_points(reference.points)
-        uncovered = tuple(map(tuple, reference.points[~covered]))
-    global_flats = set(int(k.flat(root.dim)) for k in global_kept)
-    extra = tuple(k for k in subdivision_kept if int(k.flat(root.dim)) not in global_flats)
-    return SandwichVerdict(passed=not uncovered and not extra, uncovered_points=uncovered, extra_keys=extra)
+    points = reference.points
+    uncovered = points[~level.contains_points(points)] if points.size else points
+    extra = np.setdiff1d(level.flats, global_flats)
+    return SandwichVerdict(passed=not len(uncovered) and not extra.size, uncovered_points=uncovered, extra_flats=extra)
 
 
 def export_points_csv(ref: ReferenceAttractor, path) -> None:

@@ -133,7 +133,7 @@ def _require_inside(Q: Box, region: Box, name: str) -> None:
         raise ValueError(f"{name}: Q must lie inside the validity region {region!r}")
 
 
-def _make_halving1d(Q: Box, **_) -> DiscreteSystemSpec:
+def _make_halving1d(Q: Box) -> DiscreteSystemSpec:
     # f(x) = x/2, f^{-1}(x) = 2x; L = 2 everywhere.
     return DiscreteSystemSpec(
         inverse_eval=lambda p: 2.0 * np.asarray(p, dtype=np.float64),
@@ -145,7 +145,7 @@ def _make_halving1d(Q: Box, **_) -> DiscreteSystemSpec:
     )
 
 
-def _make_linmap2d(Q: Box, **_) -> DiscreteSystemSpec:
+def _make_linmap2d(Q: Box) -> DiscreteSystemSpec:
     # f(x, y) = (x/2, 2y), f^{-1}(x, y) = (2x, y/2); L = 2 everywhere.
     def inv(p):
         p = np.asarray(p, dtype=np.float64)
@@ -162,10 +162,12 @@ def _make_linmap2d(Q: Box, **_) -> DiscreteSystemSpec:
     )
 
 
-def _make_henon(Q: Box, a: float = 1.4, b: float = 0.3, **_) -> DiscreteSystemSpec:
+def _make_henon(Q: Box, a: float = 1.4, b: float = 0.3) -> DiscreteSystemSpec:
     # f(x, y) = (1 - a x^2 + y, b x); f^{-1}(x, y) = (y/b, x - 1 + a (y/b)^2).
     # On |y| <= ymax the Jacobian row sums of f^{-1} give
     # L = max(1/b, 1 + 2 a ymax / b^2).
+    if not (np.isfinite(a) and np.isfinite(b) and b != 0):
+        raise ValueError(f"henon needs finite a and b with b != 0, got a={a!r}, b={b!r}")
     _require_dim(Q, 2, "henon")
     region = Box([-2.0, -2.0], [2.0, 2.0])
     _require_inside(Q, region, "henon")
@@ -188,7 +190,7 @@ def _make_henon(Q: Box, a: float = 1.4, b: float = 0.3, **_) -> DiscreteSystemSp
     )
 
 
-def _make_cubic1d(Q: Box, **_) -> ContinuousSystemSpec:
+def _make_cubic1d(Q: Box) -> ContinuousSystemSpec:
     # g(x) = x - x^3 on [-2, 2]: sup|g| = 6 at the endpoints,
     # sup|g'| = |1 - 3x^2| = 11 at the endpoints.
     _require_dim(Q, 1, "cubic1d")
@@ -204,7 +206,7 @@ def _make_cubic1d(Q: Box, **_) -> ContinuousSystemSpec:
     )
 
 
-def _make_saddle2d(Q: Box, **_) -> ContinuousSystemSpec:
+def _make_saddle2d(Q: Box) -> ContinuousSystemSpec:
     # g(x, y) = (x, -y) on [-2, 2]^2: P = 2, L = 1.
     _require_dim(Q, 2, "saddle2d")
     region = Box([-2.0, -2.0], [2.0, 2.0])
@@ -232,7 +234,8 @@ def make_builtin(name: str, Q: Box, **params) -> SystemSpec:
     """Instantiate a built-in system for the study region Q.
 
     Raises ValueError when Q exceeds the built-in's validity region or has
-    the wrong dimension.
+    the wrong dimension, or a parameter value is out of range, and TypeError
+    for a parameter the system does not have.
     """
     try:
         factory = _FACTORIES[name]

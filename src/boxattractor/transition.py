@@ -36,7 +36,6 @@ import numpy as np
 
 from .geometry import (
     Box,
-    BoxKey,
     CoverLevel,
     box_corners,
     expand_ranges,
@@ -105,9 +104,10 @@ class TransitionMap:
 
 @dataclass
 class GapReport:
-    """Measured slack of the overapproximation, plus containment witnesses."""
+    """Measured slack of the overapproximation, plus containment witnesses:
+    (flat index of the sample's cell, sample point) pairs."""
 
-    containment_violations: list[tuple[BoxKey, np.ndarray]] = field(default_factory=list)
+    containment_violations: list[tuple[int, np.ndarray]] = field(default_factory=list)
     overapprox_gap: float = 0.0
     neighbor_gap: float = 0.0
     defect_gap: float = 0.0
@@ -296,8 +296,7 @@ def check_containment_condition(
         else:
             in_region = active > 0
         for s in np.nonzero(in_region & ~covered)[0]:
-            key = level.key_of_flat(int(level.flats[b0 + s // samples]))
-            report.containment_violations.append((key, pts[s].copy()))
+            report.containment_violations.append((int(level.flats[b0 + s // samples]), pts[s].copy()))
     return report
 
 

@@ -5,11 +5,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boxattractor.cli as cli
 from boxattractor.cli import ConfigError, main, parse_q
 from boxattractor.geometry import Box, CoverLevel
+from boxattractor.oracle import reference_attractor_points
 from boxattractor.systems import make_builtin
 from boxattractor.transition import build_transition_discrete
 
@@ -347,6 +349,73 @@ def test_sandwich_that_checks_no_level_fails(tmp_path: Path) -> None:
             "config_hash": None, "levels": [], "mode": "sandwich", "pass": False}
     # the same file passes once its depth is checked
     assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 0
+
+
+def test_sandwich_ties_boxes_to_checkpoints(tmp_path: Path) -> None:
+    flags = {"--system": "henon", "--q": "-2,-2:2,2", "--depth": "4"}
+    assert main(run_args(tmp_path, **flags)) == 0
+    base = run_args(tmp_path, **flags)[1:]
+    check = ["check", "--mode", "sandwich", *base, "--resolution", "0.02", "--horizon", "4"]
+    assert main([*check, "--verdict", str(tmp_path / "v.json")]) == 0
+    verdict = json.loads((tmp_path / "v.json").read_text())
+    assert [l["depth"] for l in verdict["levels"]] == [0, 1, 2, 3, 4]
+    assert all(l["kept_matches_checkpoint"] and l["extra_flats"] == [] for l in verdict["levels"])
+    assert not any("extra_keys" in l for l in verdict["levels"])
+
+    # drop one deepest record whose box holds no reference point: both halves
+    # of the sandwich still hold, but the file no longer is the run's output
+    Q = parse_q("-2,-2:2,2")
+    ref = reference_attractor_points(make_builtin("henon", Q), Q, 0.02, 4).points
+    boxes = tmp_path / "boxes.jsonl"
+    good = boxes.read_text()
+    lines = good.splitlines(keepends=True)
+    drop = next(i for i, line in enumerate(lines) if (rec := json.loads(line))["depth"] == 4
+                and not np.any(np.all((ref >= rec["lo"]) & (ref <= rec["hi"]), axis=1)))
+    boxes.write_text("".join(lines[:drop] + lines[drop + 1 :]))
+    assert main([*check, "--verdict", str(tmp_path / "v_bad.json")]) == 1
+    verdict = json.loads((tmp_path / "v_bad.json").read_text())
+    *shallow, deepest = verdict["levels"]
+    assert not verdict["pass"] and deepest["depth"] == 4
+    assert deepest["pass"] and deepest["uncovered_count"] == 0 and not deepest["kept_matches_checkpoint"]
+    assert all(l["kept_matches_checkpoint"] for l in shallow)
+
+    # a depth without its checkpoint fails too
+    boxes.write_text(good)
+    (tmp_path / "ckpt" / "checkpoint_d4.json").unlink()
+    assert main([*check, "--verdict", str(tmp_path / "v_missing.json")]) == 1
+    verdict = json.loads((tmp_path / "v_missing.json").read_text())
+    assert [l["kept_matches_checkpoint"] for l in verdict["levels"]] == [True] * 4 + [False]
+
+
+@pytest.mark.parametrize("mode", ["containment", "gaps", "sandwich"])
+def test_verdict_that_checks_no_level_fails(tmp_path: Path, mode: str) -> None:
+    # without the checkpoints of depths 0-2 no level can be replayed, and the
+    # boxes file keeps only depth 3, beyond --max-global-depth
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    base = run_args(tmp_path, **{"--depth": "3"})[1:]
+    for d in range(3):
+        (tmp_path / "ckpt" / f"checkpoint_d{d}.json").unlink()
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_text("".join(l for l in boxes.read_text().splitlines(keepends=True) if json.loads(l)["depth"] == 3))
+    verdict = tmp_path / "v.json"
+    assert main(["check", "--mode", mode, *base, "--max-global-depth", "2", "--verdict", str(verdict)]) == 1
+    result = json.loads(verdict.read_text())
+    assert result["levels"] == [] and result["pass"] is False
+
+
+@pytest.mark.parametrize("system, param", [
+    ("henon", "henon.aa=1.0"),  # no such parameter
+    ("henon", "saddle2d.a=1.0"),  # the prefix names another system
+    ("saddle2d", "saddle2d.bogus=7"),
+    ("saddle2d", "a=1.0"),  # saddle2d has no parameters
+    ("henon", "henon.b=0"),
+    ("henon", "b=nan"),
+    ("henon", "henon.a=inf"),
+])
+def test_bad_params_exit_2(tmp_path: Path, system: str, param: str) -> None:
+    flags = {"--system": system, "--q": "-1,-1:1,1", "--depth": "2", "--h0": "0.2", "--param": param}
+    assert main(run_args(tmp_path, **flags)) == 2
+    assert not (tmp_path / "boxes.jsonl").exists()
 
 
 def test_oracle_subcommand_writes_csv(tmp_path: Path) -> None:

@@ -12,7 +12,6 @@ from boxattractor.geometry import (
     point_box_distance,
     refine_cover,
     region_semidistance,
-    semidistance_estimate,
     subbox_centers,
 )
 
@@ -145,13 +144,13 @@ def test_flats_of_reads_any_integer_array_like() -> None:
     level = CoverLevel(root, 2, [0, 3, 6, 9, 12, 15])
     for cells in ([9, 3, 9], (3, 9), np.array([9, 3], dtype=np.uint32), np.array([3, 9], dtype=np.uint64),
                   np.array([9, 3], dtype=np.int8), [np.int64(3), 9], {9: [], 3: []}.keys(),
-                  [level.key_of_flat(9), level.key_of_flat(3)]):
+                  [BoxKey.from_flat(9, 2, 2), BoxKey.from_flat(3, 2, 2)]):
         assert level.flats_of(cells).tolist() == [3, 9]
         assert level.flats_of(cells).dtype == np.int64
     assert level.flats_of([]).size == 0 and level.flats_of(np.array([], dtype=np.uint8)).size == 0
     # refine_cover and prune read their cells through flats_of
     assert refine_cover(level, np.array([15], dtype=np.uint16)).flats.tolist() == [60, 61, 62, 63]
-    for bad in ([3.0, 9.0], np.array([True, False]), ["3"], [3, level.key_of_flat(9)]):
+    for bad in ([3.0, 9.0], np.array([True, False]), ["3"], [3, BoxKey.from_flat(9, 2, 2)]):
         with pytest.raises(TypeError):
             level.flats_of(bad)
     with pytest.raises(ValueError):
@@ -178,7 +177,6 @@ def test_nesting_and_partition_invariants() -> None:
 
 def test_json_roundtrips() -> None:
     k = BoxKey(3, (0, 2, 1))
-    assert k.to_json() == {"depth": 3, "path": [0, 2, 1]}
     assert BoxKey.from_flat(k.flat(2), 3, 2) == k
     with pytest.raises(ValueError):
         BoxKey.from_flat(-1, 2, 2)
@@ -260,50 +258,6 @@ def test_contains_points_boundary_inclusive() -> None:
     level = CoverLevel(root, 1, [1])  # only [0, 1] active
     res = level.contains_points([[0.0], [-0.5], [0.5], [1.0], [1.5]])
     assert res.tolist() == [True, False, True, True, False]
-
-
-def test_semidistance_estimate_examples() -> None:
-    lower, upper = semidistance_estimate([Box([0.0], [1.0])], [Box([2.0], [3.0])], samples_per_axis=3)
-    assert lower == pytest.approx(2.0)
-    assert upper == pytest.approx(2.5)
-
-    src = [Box([0.0, 0.0], [1.0, 1.0])]
-    lower, upper = semidistance_estimate(src, src, samples_per_axis=5)
-    assert lower == 0.0
-    assert upper == pytest.approx(0.25)
-
-    lower, upper = semidistance_estimate(
-        [Box([0.0, 0.0], [1.0, 1.0])], [Box([0.0, 2.0], [1.0, 3.0])], samples_per_axis=5
-    )
-    # brute-force dense sampling confirms the supremum sits at y = 0
-    dense = 0.0
-    for x in np.linspace(0, 1, 101):
-        for y in np.linspace(0, 1, 101):
-            dense = max(dense, max(2.0 - y, 0.0))
-    assert lower == pytest.approx(dense)
-    assert lower <= dense <= upper
-
-    with pytest.raises(ValueError):
-        semidistance_estimate([], src)
-
-
-def test_semidistance_bounds_on_closed_form_1d() -> None:
-    # configurations whose semidistance is computable in closed form:
-    # disjoint:      dist([0,1], [2,3])            = 2
-    # contained:     dist([0,1], [-1,2])           = 0
-    # overlapping:   dist([0,2], [1,5])            = 1   (at x = 0)
-    # two targets:   dist([0,1], {[-2,-1],[3,4]})  = 2   (at x = 1)
-    cases = [
-        ([Box([0.0], [1.0])], [Box([2.0], [3.0])], 2.0),
-        ([Box([0.0], [1.0])], [Box([-1.0], [2.0])], 0.0),
-        ([Box([0.0], [2.0])], [Box([1.0], [5.0])], 1.0),
-        ([Box([0.0], [1.0])], [Box([-2.0], [-1.0]), Box([3.0], [4.0])], 2.0),
-    ]
-    for src, tgt, truth in cases:
-        for s in (2, 4, 9):
-            lower, upper = semidistance_estimate(src, tgt, samples_per_axis=s)
-            assert lower <= truth + 1e-12
-            assert truth <= upper + 1e-12
 
 
 def test_region_semidistance_exact() -> None:

@@ -1,10 +1,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from boxattractor.attractor import run_global, run_subdivision
-from boxattractor.geometry import Box, BoxKey, CoverLevel
+from boxattractor.geometry import Box, CoverLevel
 from boxattractor.oracle import (
     ReferenceAttractor,
     backward_containment_mask,
@@ -93,22 +92,28 @@ def test_verify_sandwich_pass_and_mutation() -> None:
     sub_result, report = levels[-1]
     g_result, _ = run_global(sys_, Q1, depth=4, M=1)
     ref = reference_attractor_points(sys_, Q1, resolution=0.01, horizon=30)
-    verdict = verify_sandwich(Q1, 4, sub_result.kept, g_result.kept, ref)
+    level = CoverLevel(Q1, 4, sub_result.kept_flats)
+    verdict = verify_sandwich(level, g_result.kept_flats, ref)
     assert verdict.passed
+    assert verdict.uncovered_points.shape == (0, 1) and verdict.extra_flats.size == 0
 
     # deleting the kept box that covers the reference point breaks check (1)
-    level = CoverLevel(Q1, 4, [k.flat(1) for k in sub_result.kept])
     _, _, cells = level.window_runs(*level.cell_windows(ref.points, 0.0))
-    covering = set(level.flats[cells].tolist())
-    mutated = [k for k in sub_result.kept if k.flat(1) not in covering]
-    verdict = verify_sandwich(Q1, 4, mutated, g_result.kept, ref)
-    assert not verdict.passed and verdict.uncovered_points
+    mutated = CoverLevel(Q1, 4, np.setdiff1d(level.flats, level.flats[cells]))
+    verdict = verify_sandwich(mutated, g_result.kept_flats, ref)
+    assert not verdict.passed and len(verdict.uncovered_points)
+    assert verdict.uncovered_points.shape[1] == 1
+    assert not mutated.contains_points(verdict.uncovered_points).any()
 
-    # a subdivision key outside the global kept set breaks check (2)
-    alien = [k for k in g_result.removed][:1]
-    if alien:
-        verdict = verify_sandwich(Q1, 4, sub_result.kept + tuple(alien), g_result.kept, ref)
-        assert not verdict.passed and verdict.extra_keys
+    # a subdivision cell outside the global kept set breaks check (2)
+    alien = g_result.removed_flats[-2:]
+    assert alien.size
+    widened = CoverLevel(Q1, 4, np.concatenate([level.flats, alien]))
+    verdict = verify_sandwich(widened, g_result.kept_flats, ref)
+    assert not verdict.passed and verdict.extra_flats.tolist() == sorted(alien.tolist())
+    assert verdict.extra_flats.dtype == np.int64
+    assert verdict.to_json_dict()["extra_flats"] == sorted(alien.tolist())
+    assert verdict.to_json_dict()["extra_count"] == alien.size
 
 
 def test_verify_sandwich_vacuous_reference() -> None:
@@ -117,14 +122,8 @@ def test_verify_sandwich_vacuous_reference() -> None:
     sub_result, _ = levels[-1]
     g_result, _ = run_global(sys_, Q1, depth=2, M=1)
     empty = ReferenceAttractor(points=np.empty((0, 1)), resolution=0.1, horizon=1.0)
-    verdict = verify_sandwich(Q1, 2, sub_result.kept, g_result.kept, empty)
+    verdict = verify_sandwich(CoverLevel(Q1, 2, sub_result.kept_flats), g_result.kept_flats, empty)
     assert verdict.passed
-
-
-def test_verify_sandwich_rejects_depth_mismatch() -> None:
-    empty = ReferenceAttractor(points=np.empty((0, 1)), resolution=0.1, horizon=1.0)
-    with pytest.raises(ValueError):
-        verify_sandwich(Q1, 3, (BoxKey(2, (0, 1)),), (), empty)
 
 
 def test_export_points_csv(tmp_path) -> None:

@@ -309,12 +309,14 @@ def test_corrupted_map_reports_violation() -> None:
     mutated = drop_edge_of_probe(tmap, lambda p: eval_inverse(sys_, p))
     rep = check_containment_condition(mutated, sys_, samples=400, seed=0)
     assert len(rep.containment_violations) >= 1
-    key, witness = rep.containment_violations[0]
+    flat, witness = rep.containment_violations[0]
+    # the witness is a sample of its own active cell
+    loc = int(level.locate([flat])[0])
+    assert loc >= 0 and level.box_of_flat(flat).contains_point(witness)
     # brute-force confirmation that the witness is genuine: its image lies in
     # the covered region but not in the mutated successor union
     wimg = eval_inverse(sys_, witness[None, :])[0]
     assert level.contains_points(wimg[None, :])[0]
-    loc = int(level.locate(np.array([key.flat(1)]))[0])
     phi_boxes = [level.box_of_flat(int(level.flats[t])) for t in mutated.targets_local(loc)]
     assert all(not b.contains_point(wimg) for b in phi_boxes)
 
@@ -330,11 +332,11 @@ def test_corrupted_flow_map_reports_violation() -> None:
     # brute-force confirmation that every witness is genuine: its image lies
     # in Q, so the whole slack ball is covered, yet no mutated successor of
     # its cell comes within the slack
-    for key, witness in rep.containment_violations:
-        assert level.box_of_flat(key.flat(2)).contains_point(witness)
+    for flat, witness in rep.containment_violations:
+        loc = int(level.locate([flat])[0])
+        assert loc >= 0 and level.box_of_flat(flat).contains_point(witness)
         wimg = reference_backward_flow(sys_, witness, h, tol)
         assert Q2.contains_point(wimg)
-        loc = int(level.locate(np.array([key.flat(2)]))[0])
         phi_boxes = [level.box_of_flat(int(level.flats[t])) for t in mutated.targets_local(loc)]
         assert all(point_box_distance(wimg, b) > 10 * tol for b in phi_boxes)
 
@@ -349,7 +351,7 @@ def test_containment_witnesses_do_not_depend_on_chunking(name: str, Q: Box, para
     reports = [check_containment_condition(mutated, sys_, samples=60, seed=5)]
     with patch.object(transition, "_CHUNK_POINTS", 7), patch.object(transition, "_CHECK_POINTS", 7):
         reports.append(check_containment_condition(mutated, sys_, samples=60, seed=5))
-    default, small = ([(key, p.tobytes()) for key, p in r.containment_violations] for r in reports)
+    default, small = ([(flat, p.tobytes()) for flat, p in r.containment_violations] for r in reports)
     assert default and default == small
 
 
