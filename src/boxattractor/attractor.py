@@ -7,13 +7,13 @@ iterate of the map; it is realised as reverse-adjacency counter decrement
 removal worklist) processed in batched generations on a CSR graph, so the
 result and the round count do not depend on the order of the nodes.
 
-The reverse adjacency comes from one sort: every edge is packed into the key
-target * n + source (int32 while n * n fits in int32, int64 otherwise),
-built in place in one copy of the int32 targets, the sorted keys hold each
-target's predecessors as one contiguous run, and searchsorted of the keys
-t * n gives the run bounds. Sources are decoded (key % n) only for the runs
-a removal round gathers, and the next frontier is drawn from the nodes the
-round decremented, so the whole prune costs O(edges), not O(n) per round.
+The reverse adjacency is the form a TransitionMap stores: predecessor rows
+and out-degrees, built by the map builder with one sort per level, so the
+prune sorts no edges. A plain graph is transposed once by the same helper,
+as one sort of packed target * n + source keys (int32 while n * n fits in
+int32, int64 otherwise). A removal round gathers the predecessor rows of
+its frontier only, and the next frontier is drawn from the nodes the round
+decremented, so the whole prune costs O(edges), not O(n) per round.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .geometry import Box, BoxKey, CoverLevel, expand_ranges, refine_cover
 from .integrator import EulerParams, EulerSchedule
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
-from .transition import GapReport, TransitionMap, build_transition, check_margin, run_diagnostics
+from .transition import GapReport, TransitionMap, _transpose, build_transition, check_margin, run_diagnostics
 
 DEFAULT_BOX_BUDGET = 1 << 22
 
@@ -111,41 +111,24 @@ class LevelReport:
         return out
 
 
-_BLOCK_EDGES = 1 << 20  # edges per row block when the transpose keys get their sources
+def _prune_csr(n: int, pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray) -> tuple[np.ndarray, int]:
+    """Counter-decrement worklist on predecessor rows; returns (alive mask, rounds).
 
-
-def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
-    """Counter-decrement worklist on a CSR graph; returns (alive mask, rounds).
-
-    The transpose is one sort: each edge is packed as the key
-    target * n + source, int32 while n * n fits in int32 and int64 otherwise.
-    The keys are built in place from one copy of the targets, the sources
-    added one row block at a time, and the sorted keys list every target's
-    predecessors as one run, whose bounds are the searchsorted positions of
-    the keys t * n. A removal round decodes the sources (key % n) of only the
-    runs it gathers, and only the nodes it decrements can join the next
-    frontier, so a round costs O(its predecessors), not O(n).
+    Every node starts with its out-degree. A round removes its frontier,
+    gathers the frontier's predecessor rows and decrements each predecessor
+    once per removed successor; only the nodes it decrements can join the
+    next frontier, so a round costs O(its predecessors), not O(n).
     """
-    counts = np.diff(indptr).astype(np.int64)
-    kind = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    keys = targets.astype(kind)
-    keys *= n
-    step = max(1, _BLOCK_EDGES * n // max(keys.size, 1))
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        keys[indptr[r0] : indptr[r1]] += np.repeat(np.arange(r0, r1, dtype=kind), counts[r0:r1])
-    keys.sort()
-    rev_starts = np.searchsorted(keys, (np.arange(n + 1) * n).astype(kind))
-    rev_counts = np.diff(rev_starts)
+    counts = out_degree.astype(np.int64)
+    lengths = np.diff(pred_indptr)
+    position = np.int32 if sources.size <= np.iinfo(np.int32).max else np.int64
     alive = np.ones(n, dtype=bool)
     frontier = np.flatnonzero(counts == 0)
     rounds = 0
     while frontier.size:
         rounds += 1
         alive[frontier] = False
-        # edges are distinct pairs, so keys.size <= n * n and kind holds every position
-        preds = keys[expand_ranges(rev_starts[frontier], rev_counts[frontier], kind)]
-        preds %= n
+        preds = sources[expand_ranges(pred_indptr[frontier], lengths[frontier], position)]
         touched, lost = np.unique(preds, return_counts=True)
         counts[touched] -= lost
         frontier = touched[alive[touched] & (counts[touched] <= 0)]
@@ -153,37 +136,40 @@ def _prune_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
 
 
 def _selfloop_frac(tmap: TransitionMap) -> float:
-    """Share of sources that are their own successor: one vectorised
-    bisection over every row, since each row's targets are sorted."""
+    """Share of cells that are their own successor: one vectorised
+    bisection over every predecessor row, since each row is sorted."""
     n = tmap.size
     if n == 0:
         return 0.0
-    lo, hi = tmap.indptr[:-1].copy(), tmap.indptr[1:].copy()
+    indptr, sources = tmap.pred_indptr, tmap.sources
+    lo, hi = indptr[:-1].copy(), indptr[1:].copy()
     open_ = np.flatnonzero(lo < hi)
     while open_.size:
         mid = (lo[open_] + hi[open_]) // 2
-        below = tmap.targets[mid] < open_
+        below = sources[mid] < open_
         lo[open_[below]] = mid[below] + 1
         hi[open_[~below]] = mid[~below]
         open_ = open_[lo[open_] < hi[open_]]
-    found = lo < tmap.indptr[1:]
-    found[found] = tmap.targets[lo[found]] == np.flatnonzero(found)
+    found = lo < indptr[1:]
+    found[found] = sources[lo[found]] == np.flatnonzero(found)
     return float(np.mean(found))
 
 
-def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of a transition map restricted to the sorted local indices loc."""
+def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predecessor rows and out-degrees of a transition map restricted to
+    the sorted local indices loc; the relabelling keeps each row sorted."""
     if loc.size == tmap.size:
-        return tmap.indptr, tmap.targets
-    relabel = np.full(tmap.size, -1, dtype=tmap.targets.dtype)
+        return tmap.pred_indptr, tmap.sources, tmap.out_degree
+    relabel = np.full(tmap.size, -1, dtype=tmap.sources.dtype)
     relabel[loc] = np.arange(loc.size)
-    lengths = np.diff(tmap.indptr)[loc]
-    edges = expand_ranges(tmap.indptr[loc], lengths)
-    sources = np.repeat(np.arange(loc.size), lengths)
-    targets = relabel[tmap.targets[edges]]
-    inside = targets >= 0
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(sources[inside], minlength=loc.size))])
-    return indptr, targets[inside]
+    lengths = np.diff(tmap.pred_indptr)[loc]
+    edges = expand_ranges(tmap.pred_indptr[loc], lengths)
+    targets = np.repeat(np.arange(loc.size), lengths)
+    sources = relabel[tmap.sources[edges]]
+    inside = sources >= 0
+    sources = sources[inside]
+    pred_indptr = np.concatenate([[0], np.cumsum(np.bincount(targets[inside], minlength=loc.size))])
+    return pred_indptr, sources, np.bincount(sources, minlength=loc.size)
 
 
 def prune(indices, transition) -> PruneResult:
@@ -193,21 +179,20 @@ def prune(indices, transition) -> PruneResult:
     integer array of flat indices on its level, or a plain mapping from node
     to an iterable of successors. Edges leaving `indices` are dropped
     (restriction semantics), and indices missing from the mapping count as
-    having no successors. Every graph is relabelled to CSR over its sorted
-    nodes and pruned by one kernel.
+    having no successors. Every graph becomes predecessor rows over its
+    sorted nodes and is pruned by one kernel.
     """
     if isinstance(transition, TransitionMap):
         level = transition.level
         flats = level.flats_of(indices)
-        indptr, targets = _restrict_csr(transition, level.locate(flats))
-        alive, rounds = _prune_csr(flats.size, indptr, targets)
+        alive, rounds = _prune_csr(flats.size, *_restrict_csr(transition, level.locate(flats)))
         return PruneResult(flats[alive], flats[~alive], rounds, depth=level.depth, dim=level.dim)
     nodes = tuple(sorted(set(indices)))
     position = {v: i for i, v in enumerate(nodes)}
     succ = [{position[j] for j in transition.get(v, ()) if j in position} for v in nodes]
     indptr = np.concatenate([[0], np.cumsum([len(s) for s in succ], dtype=np.int64)])
     targets = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.int64, count=int(indptr[-1]))
-    alive, rounds = _prune_csr(len(nodes), indptr, targets)
+    alive, rounds = _prune_csr(len(nodes), *_transpose(indptr, targets, len(nodes)), np.diff(indptr))
     ids = np.arange(len(nodes))
     return PruneResult(ids[alive], ids[~alive], rounds, nodes=nodes)
 

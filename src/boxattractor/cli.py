@@ -295,8 +295,13 @@ def cmd_run(cfg: RunConfig) -> int:
         _write_atomic(_checkpoint_path(cfg, level.depth), ck + "\n")
         committed = boxes_fp.tell()
         records.append(report.to_json_dict())
+        # a flow's cell keeps its self-loop while the drift h|g| of one of its
+        # sample centres stays within r plus that centre's distance to the
+        # face the drift crosses, at most rho (1 - 1/(2M)): the cells with |g|
+        # above thr lose it, and thr = (r + rho/2)/h at M = 1
+        thr = f" thr={(report.r + report.rho * (1 - 0.5 / cfg.M)) / report.h:.6g}" if schedule else ""
         _log(
-            f"[run] depth={report.depth} rho={report.rho:.6g} h={report.h:.6g} r={report.r:.6g} "
+            f"[run] depth={report.depth} rho={report.rho:.6g} h={report.h:.6g} r={report.r:.6g}{thr} "
             f"boxes_in={report.boxes_in} kept={report.boxes_kept} edges={report.edges} "
             f"rounds={report.rounds} selfloop={report.selfloop_frac:.4f} "
             f"rss_mb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} "
@@ -472,16 +477,20 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
 
 
 def _read_boxes(path: str, root: Box) -> dict[int, CoverLevel]:
-    """The kept cells per depth of a boxes file over `root`, as levels."""
+    """The kept cells per depth of a boxes file over `root`, as levels. The
+    nonempty lines are parsed in one go as the items of a JSON array, which
+    must then hold exactly one object per line."""
     out: dict[int, list[int]] = {}
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                out.setdefault(_json_int(rec["depth"], "depth"), []).append(_json_int(rec["index"], "index"))
+            lines = [line for line in (raw.strip() for raw in fp.read().split("\n")) if line]
+        records = json.loads("[" + ",".join(lines) + "]")
+        if len(records) != len(lines):
+            raise ValueError(f"{len(lines)} nonempty lines hold {len(records)} records")
+        for rec in records:
+            if type(rec) is not dict:
+                raise TypeError(f"a box record must be an object, got {rec!r}")
+            out.setdefault(_json_int(rec["depth"], "depth"), []).append(_json_int(rec["index"], "index"))
         # CoverLevel rejects a depth or an index out of range
         return {d: CoverLevel(root, d, flats) for d, flats in out.items()}
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:

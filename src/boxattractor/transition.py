@@ -16,13 +16,19 @@ and the radius differ; build_transition picks both by the system kind.
 
 All image points of a chunk of sources go through one batch neighbour
 lookup, CoverLevel.window_runs, which returns the active cells within r of
-each point as runs of the level's sorted lexicographic keys. The runs give
-packed int32 keys source * size + target directly; one sort of them per
-chunk, deduplicated when M > 1, gives CSR rows sorted by flat index, so the
-output is canonical. The targets stay int32 (4 bytes per edge) from the
-lookup to the prune. The diagnostics run on the same kind of
-chunked arrays, with one image call per chunk of cells or per level, and
-one pass of cell windows per chunk of the containment check.
+each point as runs of the level's sorted lexicographic keys. The map is
+stored as predecessor rows, the form the prune reads: the runs are packed
+in place into int32 keys target * size + source, and after the last chunk
+one sort of all of them (deduplicated when M > 1) lists every target's
+predecessors as one sorted run. Keys are int32 while size * size fits in
+int32; above that the chunks keep their int32 targets, which are packed
+into int64 keys only after their concatenation. Sources stay int32 (4
+bytes per edge) while the level has fewer than 2^31 cells. The successor
+rows, sorted by flat index so that the JSON serialisation is canonical,
+are one transpose away and are built only when something reads them: the
+diagnostics, which run on the same kind of chunked arrays, with one image
+call per chunk of cells or per level, and one pass of cell windows per
+chunk of the containment check.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,20 +71,49 @@ class TransitionMeta:
 
 
 class TransitionMap:
-    """Multivalued index map on a cover level, stored in CSR form.
+    """Multivalued index map on a cover level, stored as predecessor rows.
 
-    Successor sets are sorted by flat index, so iteration order and the JSON
-    serialisation are canonical. `targets` holds int32 local indices while
-    the level has fewer than 2^31 cells; `indptr` is int64.
+    Row t of `pred_indptr` (int64) and `sources` lists the sources with t
+    among their successors, sorted; `out_degree` (int64) counts each
+    source's successors. Indices are local into level.flats, int32 while
+    the level has fewer than 2^31 cells. The successor view, `indptr` and
+    `targets` with every row sorted by flat index, is built by one
+    transpose on first use; `targets_local`, `to_json_dict` and `dumps` read
+    it, so iteration order and the JSON serialisation are canonical. The
+    constructor takes successor rows, keeps them as that view and
+    transposes them; the map builder emits the predecessor rows directly
+    (`from_predecessors`).
     """
 
     def __init__(self, level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, meta: TransitionMeta):
         if indptr.size != level.size + 1:
             raise ValueError("indptr must have one entry per source plus one")
         self.level = level
-        self.indptr = indptr
-        self.targets = targets  # local indices into level.flats
+        self.pred_indptr, self.sources = _transpose(indptr, targets, level.size)
+        self.out_degree = np.diff(indptr).astype(np.int64, copy=False)
         self.meta = meta
+        self._successors = (indptr, targets)
+
+    @classmethod
+    def from_predecessors(
+        cls, level: CoverLevel, pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray, meta: TransitionMeta
+    ) -> TransitionMap:
+        tmap = cls.__new__(cls)
+        tmap.level, tmap.meta = level, meta
+        tmap.pred_indptr, tmap.sources, tmap.out_degree = pred_indptr, sources, out_degree
+        return tmap
+
+    @cached_property
+    def _successors(self) -> tuple[np.ndarray, np.ndarray]:
+        return _transpose(self.pred_indptr, self.sources, self.size)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._successors[0]
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self._successors[1]  # local indices into level.flats
 
     @property
     def size(self) -> int:
@@ -86,7 +121,7 @@ class TransitionMap:
 
     @property
     def edge_count(self) -> int:
-        return int(self.targets.size)
+        return int(self.sources.size)
 
     def targets_local(self, i: int) -> np.ndarray:
         return self.targets[self.indptr[i] : self.indptr[i + 1]]
@@ -125,34 +160,100 @@ class GapReport:
 
 
 _CHUNK_POINTS = 1 << 10  # image points per batch neighbour lookup
+_BLOCK_EDGES = 1 << 16  # keys per block of the passes that work in place, whose temporaries stay small
+_INT32_KEYS = np.iinfo(np.int32).max  # the largest packed key kept in int32
+
+
+def _key_dtype(n: int) -> type:
+    """int32 while the packed keys of n nodes, below n * n, fit in it."""
+    return np.int32 if n * n <= _INT32_KEYS else np.int64
+
+
+def _packed_keys(indptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The keys value * n + row of the CSR rows of n nodes, as one new array,
+    int32 while n * n fits in int32 and int64 otherwise; the rows are added
+    one block of rows at a time."""
+    kind = _key_dtype(n)
+    keys = values.astype(kind)
+    keys *= n
+    lengths = np.diff(indptr)
+    step = max(1, _BLOCK_EDGES * n // max(keys.size, 1))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        keys[indptr[r0] : indptr[r1]] += np.repeat(np.arange(r0, r1, dtype=kind), lengths[r0:r1])
+    return keys
+
+
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of sorted keys, moved to the front in place one
+    block at a time, so no second key array is made: a view of that front."""
+    w = min(keys.size, 1)
+    for b0 in range(1, keys.size, _BLOCK_EDGES):
+        block = keys[b0 : b0 + _BLOCK_EDGES]
+        fresh = block[np.diff(block, prepend=keys[w - 1]) != 0]  # keys[w - 1] is the last kept value
+        keys[w : w + fresh.size] = fresh
+        w += fresh.size
+    return keys[:w]
+
+
+def _rows_of_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the sorted keys row * n + value: the searchsorted
+    positions of the keys r * n bound the rows, and the values are decoded
+    in place, then narrowed to int32 while n fits. A view of a larger array
+    is copied, so that array can be freed."""
+    indptr = np.searchsorted(keys, (np.arange(n + 1) * n).astype(keys.dtype))
+    for b0 in range(0, keys.size, _BLOCK_EDGES):
+        block = keys[b0 : b0 + _BLOCK_EDGES]
+        block -= block // n * n  # key % n: numpy divides by a scalar several times faster
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    return indptr, keys.astype(index, copy=keys.base is not None)
+
+
+def _transpose(indptr: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the reversed relation on n nodes, each row sorted: one
+    sort of the packed keys value * n + row."""
+    keys = _packed_keys(indptr, values, n)
+    keys.sort()
+    return _rows_of_keys(keys, n)
 
 
 def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: TransitionMeta) -> TransitionMap:
-    """CSR successors of every source from its (V, M^d, d) image points: per
-    chunk of sources, the lookup's row runs give packed int32 keys
-    source * size + target directly, whose sorted (and, for M > 1,
-    deduplicated) values are the chunk's CSR rows; the targets stay int32."""
+    """Predecessor rows of every cell from the sources' (V, M^d, d) image
+    points, with one sort per level. Per chunk of sources, the lookup's runs
+    of local targets are packed in place into int32 keys
+    target * size + source; when size * size exceeds int32, the chunks keep
+    their int32 targets, and only their concatenation is packed into int64
+    keys, so the edge arrays peak at about 12 bytes per edge, and at about 8
+    with int32 keys. One sort of all keys then lists every target's
+    predecessors as one sorted run. The run counts give the out-degrees for
+    M = 1; for M > 1 repeated keys are dropped after the sort and the
+    out-degrees counted from the sources."""
     n, per = images.shape[:2]
     size = level.size
+    wide = _key_dtype(size) is np.int64
     pts = images.reshape(-1, level.dim)
-    step = max(1, min(_CHUNK_POINTS // per, np.iinfo(np.int32).max // max(size, 1)))
-    counts = np.zeros(n, dtype=np.int64)
+    step = max(1, _CHUNK_POINTS // per)
+    counts = np.zeros(n, dtype=np.int64)  # entries per source, repeats included
     parts = []
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
-        point, count, keys = level.window_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
-        first = (np.arange(s1 - s0 + 1) * size).astype(np.int32)  # first key of each source
-        keys += np.repeat(first[point // per], count)
-        if per > 1:
-            keys = np.unique(keys)
-        else:
-            keys.sort()
-        counts[s0:s1] = np.diff(np.searchsorted(keys, first))
-        keys -= np.repeat(first[:-1], counts[s0:s1])
-        parts.append(keys)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    targets = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
-    return TransitionMap(level, indptr, targets, meta)
+        point, count, cells = level.window_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
+        source = point // per
+        counts[s0:s1] = np.bincount(source, weights=count, minlength=s1 - s0)
+        if not wide:
+            cells *= size
+            cells += np.repeat((source + s0).astype(np.int32), count)
+        parts.append(cells)
+    keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+    del parts
+    if wide:
+        keys = _packed_keys(np.concatenate([[0], np.cumsum(counts)]), keys, size)
+    keys.sort()
+    if per > 1:
+        keys = _drop_repeats(keys)
+    pred_indptr, sources = _rows_of_keys(keys, size)
+    out_degree = counts if per == 1 else np.bincount(sources, minlength=size)
+    return TransitionMap.from_predecessors(level, pred_indptr, sources, out_degree, meta)
 
 
 def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import boxattractor.attractor as attractor
+import boxattractor.transition as transition
 
 from boxattractor.attractor import (
     BoxBudgetError,
@@ -439,9 +443,11 @@ def test_exact_box_map_keeps_all_of_q_at_shallow_depths() -> None:
 
 
 def test_henon_level_peak_bytes_per_edge() -> None:
-    # int32 targets from the lookup to the prune: the traced peak of building
+    # int32 edges from the lookup to the prune: the traced peak of building
     # a henon map at depth 7 (3.2 M edges) and of pruning it, per edge, with
-    # the map alive during the prune. int64 targets read 15.0 and 16.0 here.
+    # the map alive during the prune. int64 targets read 15.0 and 16.0 here,
+    # and a prune that sorted its own transpose 10.8; reading the builder's
+    # predecessor rows it reads 6.8.
     Q = Box([-2.0, -2.0], [2.0, 2.0])
     sys_ = make_builtin("henon", Q)
     result, _ = run_subdivision(sys_, Q, 6)[-1]
@@ -455,6 +461,25 @@ def test_henon_level_peak_bytes_per_edge() -> None:
         prune_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tmap.targets.dtype == np.int32 and tmap.edge_count > 3_000_000
+    assert tmap.sources.dtype == np.int32 and tmap.edge_count > 3_000_000
     assert build_peak / tmap.edge_count <= 10
-    assert prune_peak / tmap.edge_count <= 13
+    assert prune_peak / tmap.edge_count <= 7.8
+
+
+def test_run_without_diagnostics_never_builds_the_successor_view() -> None:
+    # the prune and the report read the predecessor rows as the builder
+    # emits them; only the diagnostics transpose them to successor rows
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    real = transition._transpose
+    Q = Box([-2.0, -2.0], [2.0, 2.0])
+    sys_ = make_builtin("henon", Q)
+    with patch.object(transition, "_transpose", counting), patch.object(attractor, "_transpose", counting):
+        levels = run_subdivision(sys_, Q, 6)
+        assert calls == [] and levels[-1][1].edges > 0
+        run_subdivision(sys_, Q, 2, diagnostics=True, samples=5)
+    assert calls == [1, 4, 16]  # one successor view per diagnosed level

@@ -92,6 +92,25 @@ def test_prune_trace_goes_to_stderr_not_stats(tmp_path: Path, capsys) -> None:
     assert all(re.search(r" prune_ms=[0-9.]+ diag_ms=[0-9.]+$", line) for line in lines)
 
 
+@pytest.mark.parametrize("M", [1, 2])
+def test_run_line_shows_the_flow_threshold(tmp_path: Path, capsys, M: int) -> None:
+    # thr = (r + rho (1 - 1/(2M)))/h, (r + rho/2)/h at M = 1, on a flow's
+    # [run] line only; the stats records gain no key
+    flow = {"--system": "saddle2d", "--q": "-1,-1:1,1", "--h0": "0.2", "--depth": "3", "--samples-per-axis": str(M)}
+    assert main(run_args(tmp_path, **flow)) == 0
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    keys = ["boxes_in", "boxes_kept", "depth", "edges", "gaps", "h", "r", "rho"]
+    assert [sorted(s) for s in stats] == [keys] * 4
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[run] depth=")]
+    thr = [float(re.search(r" thr=(\S+) ", line).group(1)) for line in lines]
+    want = [(s["r"] + s["rho"] * (1 - 0.5 / M)) / s["h"] for s in stats]
+    assert thr == [float(f"{t:.6g}") for t in want]
+    if M == 1:
+        assert thr == [float(f"{(s['r'] + s['rho'] / 2) / s['h']:.6g}") for s in stats]
+    assert main(run_args(tmp_path, **{"--system": "henon", "--q": "-2,-2:2,2", "--depth": "2"})) == 0
+    assert not any(" thr=" in line for line in capsys.readouterr().err.splitlines())
+
+
 def test_run_diagnostics_lands_in_stats(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "4", "--diagnostics": None})) == 0
     stats = json.loads((tmp_path / "stats.json").read_text())
@@ -535,6 +554,21 @@ def test_check_malformed_boxes_exit_2(tmp_path: Path) -> None:
     for bad in ('{"depth": 1, "index": "x"}', "[1,2]", "7", '{"depth": 1}'):
         boxes.write_text(good + bad + "\n")
         assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    '{"depth": 1, "index": 0} {"depth": 1, "index": 1}',  # two records on one line
+    '{"depth": 1, "index": 0}, {"depth": 1, "index": 1}',
+    '{"depth": 1,\n"index": 0}',  # one record split across two lines
+    '{"depth": 1, "index"\n: 0}',
+])
+def test_check_boxes_one_record_per_line_exit_2(tmp_path: Path, bad: str) -> None:
+    # the lines are parsed together, as one array; each must still hold one record
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    base = run_args(tmp_path, **{"--depth": "2"})[1:]
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_text(boxes.read_text() + bad + "\n")
+    assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 2
 
 
 def test_resume_checkpoint_without_depth_exit_2(tmp_path: Path) -> None:

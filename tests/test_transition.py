@@ -465,34 +465,72 @@ def test_gap_matches_brute_force(name: str, Q: Box, depth: int, M: int, h: float
             assert (rep.overapprox_gap, rep.neighbor_gap, rep.defect_gap) == brute_force_gaps(m, sys_, samples)
 
 
-@given(
-    dim=st.integers(1, 3),
-    depth=st.integers(1, 3),
-    M=st.sampled_from([1, 2]),
-    chunk=st.sampled_from([1, 3, 1 << 10]),
-    data=st.data(),
-)
-@settings(max_examples=150, deadline=None)
-def test_lookup_matches_pair_scan(dim: int, depth: int, M: int, chunk: int, data) -> None:
-    # random sparse active sets; images inside Q, outside Q and exactly on
-    # cell faces; radii from 0 to several cell widths
+@st.composite
+def lookup_cases(draw) -> tuple[CoverLevel, np.ndarray, float, int]:
+    """Random sparse active sets; images inside Q, outside Q and exactly on
+    cell faces; radii from 0 to several cell widths: (level, images, radius, M)."""
+    dim, depth, M = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
     root = Box([-1.0] * dim, [1.0] * dim)
     cells = 1 << (depth * dim)
-    flats = data.draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=min(cells, 20), unique=True))
+    flats = draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=min(cells, 20), unique=True))
     level = CoverLevel(root, depth, flats)
     width = 2.0 / level.cells_per_axis
-    radius = data.draw(st.sampled_from([0.0, 0.5 * width, width, 3 * width]) | st.floats(0.0, 4 * width))
+    radius = draw(st.sampled_from([0.0, 0.5 * width, width, 3 * width]) | st.floats(0.0, 4 * width))
     face = st.sampled_from(level.boundaries[0].tolist())
     coord = face | st.floats(-1.0, 1.0) | st.floats(-1.0 - 5 * width, 1.0 + 5 * width)
     n_images = level.size * M**dim
     images = np.array(
-        data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n_images, max_size=n_images))
+        draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=n_images, max_size=n_images))
     ).reshape(level.size, M**dim, dim)
+    return level, images, radius, M
+
+
+@given(case=lookup_cases(), chunk=st.sampled_from([1, 3, 1 << 10]))
+@settings(max_examples=150, deadline=None)
+def test_lookup_matches_pair_scan(case, chunk: int) -> None:
+    level, images, radius, M = case
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
     with patch.object(transition, "_CHUNK_POINTS", chunk):
         tmap = _build_map(level, images, radius, meta)
     assert tmap.targets.dtype == np.int32
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
+
+
+@given(
+    case=lookup_cases(),
+    chunk=st.sampled_from([1, 3, 1 << 10]),
+    wide=st.booleans(),
+    block=st.sampled_from([1, 2, 1 << 16]),
+)
+@settings(max_examples=150, deadline=None)
+def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: bool, block: int) -> None:
+    # wide=True lowers the int32 packing bound so that small levels take the
+    # int64 key path of the builder and of the successor view's transpose;
+    # small blocks split the in-place key passes as large levels do
+    level, images, radius, M = case
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    scan = transition_pair_scan(level, images, radius)
+    bound = 0 if wide else np.iinfo(np.int32).max
+    with (
+        patch.object(transition, "_CHUNK_POINTS", chunk),
+        patch.object(transition, "_INT32_KEYS", bound),
+        patch.object(transition, "_BLOCK_EDGES", block),
+    ):
+        tmap = _build_map(level, images, radius, meta)
+        successors = edges_as_flats(tmap)
+    flats = level.flats.tolist()
+    preds = {f: [s for s in flats if f in scan[s]] for f in flats}
+    rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
+    assert tmap.pred_indptr.dtype == np.int64 and tmap.pred_indptr[0] == 0
+    assert tmap.sources.dtype == np.int32 and tmap.out_degree.dtype == np.int64
+    assert {flats[t]: level.flats[row].tolist() for t, row in enumerate(rows)} == preds
+    assert tmap.out_degree.tolist() == [len(scan[s]) for s in flats]
+    assert tmap.edge_count == sum(map(len, scan.values()))
+    assert successors == scan
+    # the constructor transposes successor rows back into the same form
+    again = TransitionMap(level, tmap.indptr, tmap.targets, meta)
+    assert np.array_equal(again.pred_indptr, tmap.pred_indptr) and np.array_equal(again.sources, tmap.sources)
+    assert np.array_equal(again.out_degree, tmap.out_degree)
 
 
 def test_thread_count_does_not_change_serialization() -> None:
