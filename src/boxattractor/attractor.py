@@ -13,7 +13,9 @@ prune sorts no edges. A plain graph is transposed once by the same helper,
 as one sort of packed target * n + source keys (int32 while n * n fits in
 int32, int64 otherwise). A removal round gathers the predecessor rows of
 its frontier only, and the next frontier is drawn from the nodes the round
-decremented, so the whole prune costs O(edges), not O(n) per round.
+decremented, so the whole prune costs O(edges), not O(n) per round. The
+level report's self-loop share is one TransitionMap.has_edges query on
+the same rows, so a run without diagnostics never builds successor rows.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Box, BoxKey, CoverLevel, expand_ranges, refine_cover
+from .geometry import Box, BoxKey, CoverLevel, expand_ranges, index_dtype, refine_cover
 from .integrator import EulerParams, EulerSchedule
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
 from .transition import GapReport, TransitionMap, _transpose, build_transition, check_margin, run_diagnostics
 
+# Cells allowed in one level. A run whose next level would hold more stops
+# with BoxBudgetError (the CLI's exit 3, artifacts of the finished levels
+# flushed) before that level's map can outgrow memory.
 DEFAULT_BOX_BUDGET = 1 << 22
 
 
@@ -121,7 +126,7 @@ def _prune_csr(n: int, pred_indptr: np.ndarray, sources: np.ndarray, out_degree:
     """
     counts = out_degree.astype(np.int64)
     lengths = np.diff(pred_indptr)
-    position = np.int32 if sources.size <= np.iinfo(np.int32).max else np.int64
+    position = index_dtype(sources.size)
     alive = np.ones(n, dtype=bool)
     frontier = np.flatnonzero(counts == 0)
     rounds = 0
@@ -136,23 +141,11 @@ def _prune_csr(n: int, pred_indptr: np.ndarray, sources: np.ndarray, out_degree:
 
 
 def _selfloop_frac(tmap: TransitionMap) -> float:
-    """Share of cells that are their own successor: one vectorised
-    bisection over every predecessor row, since each row is sorted."""
-    n = tmap.size
-    if n == 0:
+    """Share of cells that are their own successor."""
+    if tmap.size == 0:
         return 0.0
-    indptr, sources = tmap.pred_indptr, tmap.sources
-    lo, hi = indptr[:-1].copy(), indptr[1:].copy()
-    open_ = np.flatnonzero(lo < hi)
-    while open_.size:
-        mid = (lo[open_] + hi[open_]) // 2
-        below = sources[mid] < open_
-        lo[open_[below]] = mid[below] + 1
-        hi[open_[~below]] = mid[~below]
-        open_ = open_[lo[open_] < hi[open_]]
-    found = lo < indptr[1:]
-    found[found] = sources[lo[found]] == np.flatnonzero(found)
-    return float(np.mean(found))
+    cells = np.arange(tmap.size, dtype=tmap.sources.dtype)
+    return float(np.mean(tmap.has_edges(cells, cells)))
 
 
 def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

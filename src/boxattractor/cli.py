@@ -160,7 +160,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--h-decay", type=float, dest="alpha", help="step decay exponent alpha in (0,1)")
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int, help="accepted and ignored; runs are single-threaded")
-    p.add_argument("--box-budget", type=int, dest="box_budget")
+    p.add_argument("--box-budget", type=int, dest="box_budget",
+                   help="most cells of one level; a run that would exceed it stops with exit 3 and flushed artifacts")
     p.add_argument("--diagnostics", action="store_true", default=None)
     p.add_argument("--samples", type=int, help="diagnostic samples per box")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",

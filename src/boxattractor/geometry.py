@@ -243,7 +243,7 @@ class CoverLevel:
         level has fewer than 2^31 cells)."""
         keys = self.coords @ self.cells_per_axis ** np.arange(self.dim - 1, -1, -1)
         order = np.argsort(keys)
-        return keys[order], order.astype(np.int32 if self.size <= np.iinfo(np.int32).max else np.int64)
+        return keys[order], order.astype(index_dtype(self.size))
 
     def box_of_flat(self, flat: int) -> Box:
         c = flats_to_coords(np.array([flat]), self.depth, self.dim)[0]
@@ -353,6 +353,11 @@ def _sorted_unique(flats: np.ndarray) -> np.ndarray:
     if np.all(flats[1:] > flats[:-1]):
         return flats.copy()
     return np.unique(flats)
+
+
+def index_dtype(n: int) -> type:
+    """int32 while the indices below n fit in it, int64 otherwise."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 def expand_ranges(start: np.ndarray, count: np.ndarray, dtype=np.int64) -> np.ndarray:

@@ -17,18 +17,17 @@ and the radius differ; build_transition picks both by the system kind.
 All image points of a chunk of sources go through one batch neighbour
 lookup, CoverLevel.window_runs, which returns the active cells within r of
 each point as runs of the level's sorted lexicographic keys. The map is
-stored as predecessor rows, the form the prune reads: the runs are packed
-in place into int32 keys target * size + source, and after the last chunk
-one sort of all of them (deduplicated when M > 1) lists every target's
-predecessors as one sorted run. Keys are int32 while size * size fits in
-int32; above that the chunks keep their int32 targets, which are packed
-into int64 keys only after their concatenation. Sources stay int32 (4
-bytes per edge) while the level has fewer than 2^31 cells. The successor
-rows, sorted by flat index so that the JSON serialisation is canonical,
-are one transpose away and are built only when something reads them: the
-diagnostics, which run on the same kind of chunked arrays, with one image
-call per chunk of cells or per level, and one pass of cell windows per
-chunk of the containment check.
+stored as predecessor rows, the form the prune reads: after the last chunk
+the int32 targets of all runs are concatenated, widened to int64 only when
+size * size exceeds int32, packed in place into keys target * size +
+source, and sorted once (deduplicated when M > 1), which lists every
+target's predecessors as one sorted run. Sources stay int32 (4 bytes per
+edge) while the level has fewer than 2^31 cells. Edge queries bisect these
+rows: the self-loop share and the containment check, which maps one chunk
+of sampled cells per image call and tests each image's nearby cells with
+one pass of cell windows. The successor rows, sorted by flat index so that
+the JSON serialisation is canonical, are one transpose away and are built
+only when something reads them: the gap measurement and the serialisation.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .geometry import (
     box_corners,
     expand_ranges,
     grid_points,
+    index_dtype,
     point_box_distance,
     subbox_centers,
 )
@@ -76,32 +76,23 @@ class TransitionMap:
     Row t of `pred_indptr` (int64) and `sources` lists the sources with t
     among their successors, sorted; `out_degree` (int64) counts each
     source's successors. Indices are local into level.flats, int32 while
-    the level has fewer than 2^31 cells. The successor view, `indptr` and
-    `targets` with every row sorted by flat index, is built by one
-    transpose on first use; `targets_local`, `to_json_dict` and `dumps` read
-    it, so iteration order and the JSON serialisation are canonical. The
-    constructor takes successor rows, keeps them as that view and
-    transposes them; the map builder emits the predecessor rows directly
-    (`from_predecessors`).
+    the level has fewer than 2^31 cells. `has_edges` answers edge queries
+    on these rows. The successor view, `indptr` and `targets` with every
+    row sorted by flat index, is built by one transpose on first use;
+    `targets_local`, `to_json_dict` and `dumps` read it, so iteration order
+    and the JSON serialisation are canonical.
     """
 
-    def __init__(self, level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, meta: TransitionMeta):
-        if indptr.size != level.size + 1:
-            raise ValueError("indptr must have one entry per source plus one")
+    def __init__(
+        self, level: CoverLevel, pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray, meta: TransitionMeta
+    ):
+        if pred_indptr.shape != (level.size + 1,) or out_degree.shape != (level.size,):
+            raise ValueError("pred_indptr needs one entry per cell plus one, out_degree one per cell")
+        if pred_indptr[-1] != sources.size:
+            raise ValueError("pred_indptr must end at the number of sources")
         self.level = level
-        self.pred_indptr, self.sources = _transpose(indptr, targets, level.size)
-        self.out_degree = np.diff(indptr).astype(np.int64, copy=False)
+        self.pred_indptr, self.sources, self.out_degree = pred_indptr, sources, out_degree
         self.meta = meta
-        self._successors = (indptr, targets)
-
-    @classmethod
-    def from_predecessors(
-        cls, level: CoverLevel, pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray, meta: TransitionMeta
-    ) -> TransitionMap:
-        tmap = cls.__new__(cls)
-        tmap.level, tmap.meta = level, meta
-        tmap.pred_indptr, tmap.sources, tmap.out_degree = pred_indptr, sources, out_degree
-        return tmap
 
     @cached_property
     def _successors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +113,21 @@ class TransitionMap:
     @property
     def edge_count(self) -> int:
         return int(self.sources.size)
+
+    def has_edges(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        """Whether src[k] -> tgt[k] is an edge, per k: one vectorised
+        bisection of each sorted predecessor row tgt[k] for src[k]."""
+        lo, hi = self.pred_indptr[tgt], self.pred_indptr[1:][tgt]
+        open_ = np.flatnonzero(lo < hi)
+        while open_.size:
+            mid = (lo[open_] + hi[open_]) // 2
+            below = self.sources[mid] < src[open_]
+            lo[open_[below]] = mid[below] + 1
+            hi[open_[~below]] = mid[~below]
+            open_ = open_[lo[open_] < hi[open_]]
+        found = lo < self.pred_indptr[1:][tgt]  # the row ends, gathered again rather than held through the loop
+        found[found] = self.sources[lo[found]] == src[found]
+        return found
 
     def targets_local(self, i: int) -> np.ndarray:
         return self.targets[self.indptr[i] : self.indptr[i + 1]]
@@ -169,19 +175,16 @@ def _key_dtype(n: int) -> type:
     return np.int32 if n * n <= _INT32_KEYS else np.int64
 
 
-def _packed_keys(indptr: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """The keys value * n + row of the CSR rows of n nodes, as one new array,
-    int32 while n * n fits in int32 and int64 otherwise; the rows are added
-    one block of rows at a time."""
-    kind = _key_dtype(n)
-    keys = values.astype(kind)
+def _pack_rows(keys: np.ndarray, indptr: np.ndarray, n: int) -> None:
+    """Turn the values of the CSR rows of n nodes into the keys
+    value * n + row, in place; the rows are added one block of rows at a
+    time, so the temporaries stay small."""
     keys *= n
     lengths = np.diff(indptr)
     step = max(1, _BLOCK_EDGES * n // max(keys.size, 1))
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
-        keys[indptr[r0] : indptr[r1]] += np.repeat(np.arange(r0, r1, dtype=kind), lengths[r0:r1])
-    return keys
+        keys[indptr[r0] : indptr[r1]] += np.repeat(np.arange(r0, r1, dtype=keys.dtype), lengths[r0:r1])
 
 
 def _drop_repeats(keys: np.ndarray) -> np.ndarray:
@@ -205,32 +208,31 @@ def _rows_of_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     for b0 in range(0, keys.size, _BLOCK_EDGES):
         block = keys[b0 : b0 + _BLOCK_EDGES]
         block -= block // n * n  # key % n: numpy divides by a scalar several times faster
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    return indptr, keys.astype(index, copy=keys.base is not None)
+    return indptr, keys.astype(index_dtype(n), copy=keys.base is not None)
 
 
 def _transpose(indptr: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR rows of the reversed relation on n nodes, each row sorted: one
-    sort of the packed keys value * n + row."""
-    keys = _packed_keys(indptr, values, n)
+    sort of the packed keys value * n + row (int32 while n * n fits in
+    int32, int64 otherwise)."""
+    keys = values.astype(_key_dtype(n))
+    _pack_rows(keys, indptr, n)
     keys.sort()
     return _rows_of_keys(keys, n)
 
 
 def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: TransitionMeta) -> TransitionMap:
     """Predecessor rows of every cell from the sources' (V, M^d, d) image
-    points, with one sort per level. Per chunk of sources, the lookup's runs
-    of local targets are packed in place into int32 keys
-    target * size + source; when size * size exceeds int32, the chunks keep
-    their int32 targets, and only their concatenation is packed into int64
-    keys, so the edge arrays peak at about 12 bytes per edge, and at about 8
-    with int32 keys. One sort of all keys then lists every target's
-    predecessors as one sorted run. The run counts give the out-degrees for
-    M = 1; for M > 1 repeated keys are dropped after the sort and the
-    out-degrees counted from the sources."""
+    points, with one sort per level. The chunks' int32 lookup targets are
+    concatenated, widened to int64 only when size * size exceeds int32, and
+    packed in place into keys target * size + source, so the edge arrays
+    peak at about 8 bytes per edge with int32 keys and 12 with int64 keys.
+    One sort of all keys then lists every target's predecessors as one
+    sorted run. The run counts give the out-degrees for M = 1; for M > 1
+    repeated keys are dropped after the sort and the out-degrees counted
+    from the sources."""
     n, per = images.shape[:2]
     size = level.size
-    wide = _key_dtype(size) is np.int64
     pts = images.reshape(-1, level.dim)
     step = max(1, _CHUNK_POINTS // per)
     counts = np.zeros(n, dtype=np.int64)  # entries per source, repeats included
@@ -238,22 +240,18 @@ def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: Trans
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
         point, count, cells = level.window_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
-        source = point // per
-        counts[s0:s1] = np.bincount(source, weights=count, minlength=s1 - s0)
-        if not wide:
-            cells *= size
-            cells += np.repeat((source + s0).astype(np.int32), count)
+        counts[s0:s1] = np.bincount(point // per, weights=count, minlength=s1 - s0)
         parts.append(cells)
     keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
     del parts
-    if wide:
-        keys = _packed_keys(np.concatenate([[0], np.cumsum(counts)]), keys, size)
+    keys = keys.astype(_key_dtype(size), copy=False)
+    _pack_rows(keys, np.concatenate([[0], np.cumsum(counts)]), size)
     keys.sort()
     if per > 1:
         keys = _drop_repeats(keys)
     pred_indptr, sources = _rows_of_keys(keys, size)
     out_degree = counts if per == 1 else np.bincount(sources, minlength=size)
-    return TransitionMap.from_predecessors(level, pred_indptr, sources, out_degree, meta)
+    return TransitionMap(level, pred_indptr, sources, out_degree, meta)
 
 
 def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:
@@ -380,14 +378,12 @@ def check_containment_condition(
         else:
             images = eval_inverse(sys, pts)
         # an image is covered when an active cell within the slack of it is a
-        # successor of its box, found as a packed (box, cell) key among the edges
+        # successor of its box
         wlo, whi = level.cell_windows(images, slack)
         point, count, near = level.window_runs(wlo, whi)
         point = np.repeat(point, count)
-        rows = np.repeat(np.arange(b1 - b0), np.diff(tmap.indptr[b0 : b1 + 1]))
-        edges = rows * n + tmap.targets[tmap.indptr[b0] : tmap.indptr[b1]]
         covered = np.zeros(images.shape[0], dtype=bool)
-        covered[point[np.isin((point // samples) * n + near, edges)]] = True
+        covered[point[tmap.has_edges(b0 + point // samples, near)]] = True
         # images outside the covered region need no successor; for flows the
         # whole slack ball around the image must be covered
         active = np.bincount(point, minlength=images.shape[0])

@@ -21,7 +21,7 @@ from boxattractor.geometry import Box, CoverLevel, refine_cover, region_semidist
 from boxattractor.integrator import EulerParams, EulerSchedule, reference_backward_flow
 from boxattractor.oracle import reach_cycle_set, reference_attractor_points
 from boxattractor.systems import make_builtin
-from boxattractor.transition import build_transition, build_transition_discrete
+from boxattractor.transition import build_transition, build_transition_discrete, check_containment_condition
 
 Q1 = Box([-1.0], [1.0])
 Q2 = Box([-1.0, -1.0], [1.0, 1.0])
@@ -467,8 +467,9 @@ def test_henon_level_peak_bytes_per_edge() -> None:
 
 
 def test_run_without_diagnostics_never_builds_the_successor_view() -> None:
-    # the prune and the report read the predecessor rows as the builder
-    # emits them; only the diagnostics transpose them to successor rows
+    # the prune, the report and the containment check read the predecessor
+    # rows as the builder emits them; only the gap measurement transposes
+    # them to successor rows
     calls = []
 
     def counting(*args):
@@ -481,5 +482,8 @@ def test_run_without_diagnostics_never_builds_the_successor_view() -> None:
     with patch.object(transition, "_transpose", counting), patch.object(attractor, "_transpose", counting):
         levels = run_subdivision(sys_, Q, 6)
         assert calls == [] and levels[-1][1].edges > 0
+        level = CoverLevel.full(Q, 3)
+        check_containment_condition(build_transition(level, sys_), sys_, samples=5)
+        assert calls == []
         run_subdivision(sys_, Q, 2, diagnostics=True, samples=5)
-    assert calls == [1, 4, 16]  # one successor view per diagnosed level
+    assert calls == [1, 4, 16]  # one successor view per diagnosed level, for the gaps

@@ -40,6 +40,11 @@ def edges_as_flats(tmap: TransitionMap) -> dict[int, list[int]]:
     return {int(k): v for k, v in tmap.to_json_dict()["edges"].items()}
 
 
+def from_successors(level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, meta: TransitionMeta) -> TransitionMap:
+    """The map with the given successor rows (indptr, local targets)."""
+    return TransitionMap(level, *transition._transpose(indptr, targets, level.size), np.diff(indptr), meta)
+
+
 def cells_at(level: CoverLevel, p) -> list[int]:
     """Local indices of the active cells that hold the point p."""
     return sorted(level.window_runs(*level.cell_windows(np.asarray(p, dtype=float)[None, :], 0.0))[2].tolist())
@@ -299,7 +304,7 @@ def drop_edge_of_probe(tmap: TransitionMap, image) -> TransitionMap:
     mutated_targets = np.concatenate([tmap.targets[: tmap.indptr[i]], trimmed, tmap.targets[tmap.indptr[i + 1] :]])
     indptr = tmap.indptr.copy()
     indptr[i + 1 :] -= keep.size - trimmed.size
-    return TransitionMap(level, indptr, mutated_targets, tmap.meta)
+    return from_successors(level, indptr, mutated_targets, tmap.meta)
 
 
 def test_corrupted_map_reports_violation() -> None:
@@ -459,7 +464,7 @@ def test_gap_matches_brute_force(name: str, Q: Box, depth: int, M: int, h: float
         for i in range(level.size):
             counts = np.zeros(level.size, dtype=np.int64)
             counts[i] = tmap.targets_local(i).size
-            maps.append(TransitionMap(level, np.concatenate([[0], np.cumsum(counts)]), tmap.targets_local(i), tmap.meta))
+            maps.append(from_successors(level, np.concatenate([[0], np.cumsum(counts)]), tmap.targets_local(i), tmap.meta))
         for m in maps:
             rep = measure_overapprox_gap(m, sys_, samples=samples)
             assert (rep.overapprox_gap, rep.neighbor_gap, rep.defect_gap) == brute_force_gaps(m, sys_, samples)
@@ -518,6 +523,7 @@ def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: b
     ):
         tmap = _build_map(level, images, radius, meta)
         successors = edges_as_flats(tmap)
+        again = from_successors(level, tmap.indptr, tmap.targets, meta)
     flats = level.flats.tolist()
     preds = {f: [s for s in flats if f in scan[s]] for f in flats}
     rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
@@ -527,10 +533,26 @@ def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: b
     assert tmap.out_degree.tolist() == [len(scan[s]) for s in flats]
     assert tmap.edge_count == sum(map(len, scan.values()))
     assert successors == scan
-    # the constructor transposes successor rows back into the same form
-    again = TransitionMap(level, tmap.indptr, tmap.targets, meta)
+    # every pair of cells, edge or not, empty rows included
+    src, tgt = (a.ravel().astype(np.int32) for a in np.meshgrid(np.arange(level.size), np.arange(level.size)))
+    member = [flats[t] in scan[flats[s]] for s, t in zip(src.tolist(), tgt.tolist())]
+    assert tmap.has_edges(src, tgt).tolist() == member
+    # transposing the successor view gives back the same predecessor rows
     assert np.array_equal(again.pred_indptr, tmap.pred_indptr) and np.array_equal(again.sources, tmap.sources)
     assert np.array_equal(again.out_degree, tmap.out_degree)
+
+
+@pytest.mark.parametrize(
+    "name, extra", [("pred_indptr", 1), ("pred_indptr", -1), ("out_degree", 1), ("out_degree", -1), ("sources", -1)]
+)
+def test_constructor_rejects_rows_of_the_wrong_length(name: str, extra: int) -> None:
+    level = CoverLevel.full(Q1, 2)
+    tmap = build_transition_discrete(level, make_builtin("halving1d", Q1), M=1)
+    rows = {"pred_indptr": tmap.pred_indptr, "sources": tmap.sources, "out_degree": tmap.out_degree}
+    TransitionMap(level, **rows, meta=tmap.meta)  # the right lengths pass
+    rows[name] = np.concatenate([rows[name], rows[name][-1:]]) if extra > 0 else rows[name][:-1]
+    with pytest.raises(ValueError, match="pred_indptr"):
+        TransitionMap(level, **rows, meta=tmap.meta)
 
 
 def test_thread_count_does_not_change_serialization() -> None:
