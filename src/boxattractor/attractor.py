@@ -116,10 +116,13 @@ class LevelReport:
         return out
 
 
-def _prune_csr(n: int, pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray) -> tuple[np.ndarray, int]:
-    """Counter-decrement worklist on predecessor rows; returns (alive mask, rounds).
+def _prune_csr(pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray,
+               alive: np.ndarray) -> tuple[np.ndarray, int]:
+    """Counter-decrement worklist on predecessor rows, restricted to the
+    nodes of the `alive` mask; returns (alive mask, rounds).
 
-    Every node starts with its out-degree. A round removes its frontier,
+    Every node starts with its out-degree. The nodes outside the mask are
+    removed first, which counts as no round. A round removes its frontier,
     gathers the frontier's predecessor rows and decrements each predecessor
     once per removed successor; only the nodes it decrements can join the
     next frontier, so a round costs O(its predecessors), not O(n).
@@ -127,15 +130,21 @@ def _prune_csr(n: int, pred_indptr: np.ndarray, sources: np.ndarray, out_degree:
     counts = out_degree.astype(np.int64)
     lengths = np.diff(pred_indptr)
     position = index_dtype(sources.size)
-    alive = np.ones(n, dtype=bool)
-    frontier = np.flatnonzero(counts == 0)
+    alive = alive.copy()
+
+    def remove(nodes: np.ndarray) -> np.ndarray:
+        alive[nodes] = False
+        touched, lost = np.unique(sources[expand_ranges(pred_indptr[nodes], lengths[nodes], position)],
+                                  return_counts=True)
+        counts[touched] -= lost
+        return touched
+
+    remove(np.flatnonzero(~alive))
+    frontier = np.flatnonzero(alive & (counts == 0))
     rounds = 0
     while frontier.size:
         rounds += 1
-        alive[frontier] = False
-        preds = sources[expand_ranges(pred_indptr[frontier], lengths[frontier], position)]
-        touched, lost = np.unique(preds, return_counts=True)
-        counts[touched] -= lost
+        touched = remove(frontier)
         frontier = touched[alive[touched] & (counts[touched] <= 0)]
     return alive, rounds
 
@@ -148,23 +157,6 @@ def _selfloop_frac(tmap: TransitionMap) -> float:
     return float(np.mean(tmap.has_edges(cells, cells)))
 
 
-def _restrict_csr(tmap: TransitionMap, loc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predecessor rows and out-degrees of a transition map restricted to
-    the sorted local indices loc; the relabelling keeps each row sorted."""
-    if loc.size == tmap.size:
-        return tmap.pred_indptr, tmap.sources, tmap.out_degree
-    relabel = np.full(tmap.size, -1, dtype=tmap.sources.dtype)
-    relabel[loc] = np.arange(loc.size)
-    lengths = np.diff(tmap.pred_indptr)[loc]
-    edges = expand_ranges(tmap.pred_indptr[loc], lengths)
-    targets = np.repeat(np.arange(loc.size), lengths)
-    sources = relabel[tmap.sources[edges]]
-    inside = sources >= 0
-    sources = sources[inside]
-    pred_indptr = np.concatenate([[0], np.cumsum(np.bincount(targets[inside], minlength=loc.size))])
-    return pred_indptr, sources, np.bincount(sources, minlength=loc.size)
-
-
 def prune(indices, transition) -> PruneResult:
     """Remove every index whose image chain dies out; keep the rest.
 
@@ -172,20 +164,22 @@ def prune(indices, transition) -> PruneResult:
     integer array of flat indices on its level, or a plain mapping from node
     to an iterable of successors. Edges leaving `indices` are dropped
     (restriction semantics), and indices missing from the mapping count as
-    having no successors. Every graph becomes predecessor rows over its
-    sorted nodes and is pruned by one kernel.
+    having no successors. One kernel prunes every graph: a TransitionMap on
+    its own predecessor rows, with the cells outside `indices` removed
+    first, and a mapping on predecessor rows over its sorted nodes.
     """
     if isinstance(transition, TransitionMap):
         level = transition.level
-        flats = level.flats_of(indices)
-        alive, rounds = _prune_csr(flats.size, *_restrict_csr(transition, level.locate(flats)))
-        return PruneResult(flats[alive], flats[~alive], rounds, depth=level.depth, dim=level.dim)
+        given = np.zeros(level.size, dtype=bool)
+        given[level.locate(level.flats_of(indices))] = True
+        alive, rounds = _prune_csr(transition.pred_indptr, transition.sources, transition.out_degree, given)
+        return PruneResult(level.flats[alive], level.flats[given & ~alive], rounds, depth=level.depth, dim=level.dim)
     nodes = tuple(sorted(set(indices)))
     position = {v: i for i, v in enumerate(nodes)}
     succ = [{position[j] for j in transition.get(v, ()) if j in position} for v in nodes]
     indptr = np.concatenate([[0], np.cumsum([len(s) for s in succ], dtype=np.int64)])
     targets = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.int64, count=int(indptr[-1]))
-    alive, rounds = _prune_csr(len(nodes), *_transpose(indptr, targets, len(nodes)), np.diff(indptr))
+    alive, rounds = _prune_csr(*_transpose(indptr, targets, len(nodes)), np.diff(indptr), np.ones(len(nodes), bool))
     ids = np.arange(len(nodes))
     return PruneResult(ids[alive], ids[~alive], rounds, nodes=nodes)
 

@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import resource
 import sys as _sys
 from dataclasses import dataclass, field
@@ -242,28 +243,24 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _json_int(value, what: str) -> int:
-    """`value` if it is a JSON integer; floats, strings and booleans are refused."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
+def _checkpoint_text(level: CoverLevel, kept: np.ndarray, cfg_hash: str) -> str:
+    """The checkpoint of the kept flat indices of a level's depth."""
+    ck = {"depth": level.depth, "kept": kept.tolist(), "config_hash": cfg_hash}
+    return json.dumps(ck, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> CoverLevel:
-    """The kept cells of a checkpoint written for `cfg_hash`, as a level."""
+    """The kept cells of a checkpoint written for `cfg_hash`, as a level; the
+    file must be the text that _checkpoint_text writes for them."""
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            ck = json.load(fp)
-        matches = ck.get("config_hash") == cfg_hash
-        if not isinstance(ck["kept"], list):
-            raise TypeError("kept must be a list")
-        depth = _json_int(ck["depth"], "depth")
-        kept = [_json_int(k, "a kept index") for k in ck["kept"]]
-        if matches:
-            level = CoverLevel(root, depth, kept)  # rejects a depth or an index out of range
-    except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        text = Path(path).read_bytes().decode("utf-8")
+        ck = json.loads(text)
+        level = CoverLevel(root, int(ck["depth"]), np.asarray(ck["kept"], dtype=np.int64))  # rejects values out of range
+        if text != _checkpoint_text(level, level.flats, ck["config_hash"]):
+            raise ValueError("not the text of a checkpoint")
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc!r}") from None
-    if not matches:
+    if ck["config_hash"] != cfg_hash:
         raise ConfigError(f"config hash mismatch in {path.name}")
     return level
 
@@ -280,7 +277,7 @@ def cmd_run(cfg: RunConfig) -> int:
     ckpt_base.mkdir(parents=True, exist_ok=True)
 
     start = _read_checkpoint(Path(cfg.resume), cfg_hash, cfg.q) if cfg.resume else None
-    committed, records = _earlier_levels(cfg, start.depth) if start else (0, [])
+    committed, records = _earlier_levels(cfg, start) if start else (0, [])
 
     status = 0
     boxes_fp = open(out_path, "r+b" if committed else "wb")
@@ -291,9 +288,7 @@ def cmd_run(cfg: RunConfig) -> int:
         nonlocal committed
         boxes_fp.writelines(_box_lines(level, result.kept_flats))
         boxes_fp.flush()
-        ck = json.dumps({"depth": level.depth, "kept": result.kept_flats.tolist(), "config_hash": cfg_hash},
-                        sort_keys=True, separators=(",", ":"))
-        _write_atomic(_checkpoint_path(cfg, level.depth), ck + "\n")
+        _write_atomic(_checkpoint_path(cfg, level.depth), _checkpoint_text(level, result.kept_flats, cfg_hash))
         committed = boxes_fp.tell()
         records.append(report.to_json_dict())
         # a flow's cell keeps its self-loop while the drift h|g| of one of its
@@ -358,23 +353,26 @@ def _box_lines(level: CoverLevel, kept: np.ndarray, chunk: int = 4096):
         yield "".join(reduce(np.char.add, parts).tolist()).encode("utf-8")
 
 
-def _earlier_levels(cfg: RunConfig, depth0: int) -> tuple[int, list[dict]]:
-    """What a run resumed at depth0 keeps of an earlier run's output files:
-    the length of the leading box lines of depths <= depth0, and the stats
-    records of those depths."""
+def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]:
+    """What a run resumed from the checkpoint level `start` keeps of an
+    earlier run's output files: the length of the box runs up to start's
+    depth, whose run must hold start's cells, and the stats records of those
+    depths. The runs past it are never read, so a cut last line does no harm."""
     keep, records = 0, []
+    for level, end in _read_boxes(cfg.out, cfg.q) if Path(cfg.out).exists() else ():
+        if level.depth > start.depth:
+            break
+        keep = end
+        if level.depth == start.depth:
+            if not np.array_equal(level.flats, start.flats):
+                raise ConfigError(f"the depth-{start.depth} boxes of {cfg.out} differ from the resume checkpoint")
+            break
     try:
-        if Path(cfg.out).exists():
-            with open(cfg.out, "rb") as fp:
-                for line in fp:
-                    if json.loads(line)["depth"] > depth0:
-                        break
-                    keep += len(line)
         if Path(cfg.stats).exists():
             stats = json.loads(Path(cfg.stats).read_text(encoding="utf-8"))
-            records = [r for r in stats if r["depth"] <= depth0]
+            records = [r for r in stats if r["depth"] <= start.depth]
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot extend the earlier run's artifacts: {exc!r}") from None
+        raise ConfigError(f"cannot extend the earlier run's stats: {exc!r}") from None
     return keep, records
 
 
@@ -445,7 +443,7 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
         ok &= non_increasing
     elif mode == "sandwich":
         system, schedule = cfg.system_and_schedule()
-        boxes = _read_boxes(cfg.out, cfg.q)
+        boxes = {level.depth: level for level, _ in _read_boxes(cfg.out, cfg.q)}
         reference = _reference(system, cfg.q, resolution, horizon)
         # the boxes file is tied to the run's configuration through the
         # checkpoints, which carry its hash: each checked depth must hold
@@ -477,24 +475,31 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
     return 0 if ok else 1
 
 
-def _read_boxes(path: str, root: Box) -> dict[int, CoverLevel]:
-    """The kept cells per depth of a boxes file over `root`, as levels. The
-    nonempty lines are parsed in one go as the items of a JSON array, which
-    must then hold exactly one object per line."""
-    out: dict[int, list[int]] = {}
+def _read_boxes(path: str, root: Box):
+    """Each run of one depth in a boxes file over `root`, in file order, as
+    (level, offset of the run's end). Only each record's depth and index are
+    read; a run must be the bytes _box_lines writes for its level, and the
+    file runs of ascending depth and nothing else. A run is checked only
+    when it is taken."""
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            lines = [line for line in (raw.strip() for raw in fp.read().split("\n")) if line]
-        records = json.loads("[" + ",".join(lines) + "]")
-        if len(records) != len(lines):
-            raise ValueError(f"{len(lines)} nonempty lines hold {len(records)} records")
-        for rec in records:
-            if type(rec) is not dict:
-                raise TypeError(f"a box record must be an object, got {rec!r}")
-            out.setdefault(_json_int(rec["depth"], "depth"), []).append(_json_int(rec["index"], "index"))
-        # CoverLevel rejects a depth or an index out of range
-        return {d: CoverLevel(root, d, flats) for d, flats in out.items()}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        data = Path(path).read_bytes()
+        found = re.findall(rb'^\{"depth":(\d+),"hi":\[[^\]\n]*\],"index":(\d+),', data, re.MULTILINE)
+        depths, flats = np.array(found, dtype="S").reshape(-1, 2).astype(np.int64).T
+        steps = np.diff(depths, prepend=-1)
+        if np.any(steps < 0):
+            raise ValueError("the records are not in ascending depth order")
+        starts = np.flatnonzero(steps).tolist()
+        offset = 0
+        for a, b in zip(starts, starts[1:] + [depths.size]):
+            level = CoverLevel(root, int(depths[a]), flats[a:b])  # rejects values out of range
+            run = b"".join(_box_lines(level, level.flats))
+            if not data.startswith(run, offset):
+                raise ValueError(f"the depth-{level.depth} records are not the ones run writes")
+            offset += len(run)
+            yield level, offset
+        if offset != len(data):
+            raise ValueError(f"bytes {offset}.. of the file hold no box run")
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read boxes file: {exc}") from None
 
 

@@ -225,6 +225,42 @@ def test_resume_into_same_files_matches_fresh_run(tmp_path: Path) -> None:
         assert (tmp_path / name).read_bytes() == (fresh_dir / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("cut", [-20, -3], ids=["before-index", "after-index"])
+def test_resume_over_a_cut_last_line_matches_fresh_run(tmp_path: Path, cut: int) -> None:
+    # a run killed while it writes depth 4 leaves a cut line after the
+    # records of depth 3, its last checkpoint; resuming there never reads it
+    fresh_dir = tmp_path / "fresh"
+    fresh_dir.mkdir()
+    assert main(run_args(fresh_dir, **{"--depth": "5"})) == 0
+    first, second = [line for line in (fresh_dir / "boxes.jsonl").read_bytes().splitlines(keepends=True)
+                     if line.startswith(b'{"depth":4,')][:2]
+
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_bytes(boxes.read_bytes() + first + second[:cut])
+    resume = str(tmp_path / "ckpt" / "checkpoint_d3.json")
+    assert main(run_args(tmp_path, **{"--depth": "5", "--resume": resume})) == 0
+    for name in ("boxes.jsonl", "stats.json", *(f"ckpt/checkpoint_d{d}.json" for d in range(6))):
+        assert (tmp_path / name).read_bytes() == (fresh_dir / name).read_bytes(), name
+
+
+def test_resume_into_foreign_boxes_exit_2(tmp_path: Path) -> None:
+    # the boxes file of a run with henon.a=1.0 holds other depth-2 cells
+    # than the resume checkpoint, so the run must not keep its levels
+    henon = {"--system": "henon", "--q": "-2,-2:2,2", "--depth": "3"}
+    other = tmp_path / "other"
+    other.mkdir()
+    assert main(run_args(tmp_path, **henon, **{"--param": "henon.a=1.0"})) == 0
+    assert main(run_args(other, **henon)) == 0
+    ckpt = other / "ckpt" / "checkpoint_d2.json"
+    kept = [json.loads(p.read_text())["kept"] for p in (ckpt, tmp_path / "ckpt" / "checkpoint_d2.json")]
+    assert kept[0] != kept[1]
+    foreign = (tmp_path / "boxes.jsonl").read_bytes()
+    argv = run_args(tmp_path, **{**henon, "--depth": "4", "--checkpoint-dir": str(other / "ckpt"), "--resume": str(ckpt)})
+    assert main(argv) == 2
+    assert (tmp_path / "boxes.jsonl").read_bytes() == foreign
+
+
 def test_resume_hash_mismatch_exit_2(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
     rc = main(run_args(
@@ -551,8 +587,16 @@ def test_check_malformed_boxes_exit_2(tmp_path: Path) -> None:
     base = run_args(tmp_path, **{"--depth": "2"})[1:]
     boxes = tmp_path / "boxes.jsonl"
     good = boxes.read_text()
+    lines = good.splitlines(keepends=True)
+    # the writer's records but for one changed bound, a repeated record, or
+    # two records of one depth swapped: the cells alone would pass at depth 2
+    edited = [good.replace('"lo":[-0.5]', '"lo":[-0.25]', 1), "".join(lines[:2] + lines[1:]),
+              "".join(lines[:3] + [lines[4], lines[3]] + lines[5:])]
+    assert good not in edited
     for bad in ('{"depth": 1, "index": "x"}', "[1,2]", "7", '{"depth": 1}'):
-        boxes.write_text(good + bad + "\n")
+        edited.append(good + bad + "\n")
+    for text in edited:
+        boxes.write_text(text)
         assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 2
 
 
@@ -563,7 +607,7 @@ def test_check_malformed_boxes_exit_2(tmp_path: Path) -> None:
     '{"depth": 1, "index"\n: 0}',
 ])
 def test_check_boxes_one_record_per_line_exit_2(tmp_path: Path, bad: str) -> None:
-    # the lines are parsed together, as one array; each must still hold one record
+    # each line must be one record in the bytes the writer gives it
     assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
     base = run_args(tmp_path, **{"--depth": "2"})[1:]
     boxes = tmp_path / "boxes.jsonl"
@@ -619,12 +663,16 @@ def test_check_boxes_non_integer_exit_2(tmp_path: Path, field: str, value) -> No
 @pytest.mark.parametrize("entry", [
     {"depth": 2.0}, {"depth": True, "kept": [0, 1]}, {"depth": "2"},
     {"kept": [1.0]}, {"kept": [True]}, {"kept": ["1"]},
+    {"kept": [3, 2, 1, 0]}, {"kept": [0, 1, 1, 2, 3]},
 ])
 def test_checkpoint_non_integer_exit_2(tmp_path: Path, entry: dict) -> None:
-    # each checkpoint would be a valid one if its values were read as int(value)
+    # each checkpoint, written in the writer's spacing, would be a valid one
+    # if its values were read as int(value) and its cells sorted and deduplicated
     assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
     ckpt = tmp_path / "ckpt" / "checkpoint_d2.json"
-    ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), **entry}))
+    data = json.loads(ckpt.read_text())
+    assert data["kept"] == [0, 1, 2, 3]
+    ckpt.write_text(json.dumps({**data, **entry}, sort_keys=True, separators=(",", ":")) + "\n")
     assert main(run_args(tmp_path, **{"--depth": "5", "--resume": str(ckpt)})) == 2
     base = run_args(tmp_path, **{"--depth": "3"})[1:]
     assert main(["check", "--mode", "containment", *base]) == 2
