@@ -341,39 +341,49 @@ def cmd_run(cfg: RunConfig) -> int:
 def _box_lines(level: CoverLevel, kept: np.ndarray, chunk: int = 4096):
     """The boxes JSONL records of the kept flat indices, chunk by chunk, as
     the bytes json.dumps(sort_keys=True, separators=(",", ":")) writes:
-    json writes floats with float.__repr__, so each boundary's repr is made
-    once per level and the lines are joined from them with numpy."""
-    reprs = [np.array([repr(x) for x in b.tolist()]) for b in level.boundaries]
-    for c0 in range(0, kept.size, chunk):
-        flats = kept[c0 : c0 + chunk]
-        coords = flats_to_coords(flats, level.depth, level.dim)
+    json writes floats with float.__repr__, so the repr of each boundary the
+    cells touch is made once per level and the lines are joined with numpy."""
+    # coordinates chunk by chunk: one whole-level array made saddle depth-8 runs about 4% slower
+    flats = [kept[c0 : c0 + chunk] for c0 in range(0, kept.size, chunk)]
+    coords = [flats_to_coords(f, level.depth, level.dim) for f in flats]
+    touched = [np.zeros(b.size, dtype=bool) for b in level.boundaries]
+    for c in coords:
+        for k, t in enumerate(touched):
+            t[c[:, k]] = t[c[:, k] + 1] = True
+    # each touched boundary's repr, at its rank among the touched ones
+    reprs = [np.array([repr(x) for x in b[t].tolist()]) for b, t in zip(level.boundaries, touched)]
+    ranks = [np.cumsum(t) - 1 for t in touched]
+    for f, c in zip(flats, coords):
         # upper (e = 1) and lower (e = 0) corner reprs, axis by axis, with "," between them
-        hi, lo = ([s for k in range(level.dim) for s in (",", reprs[k][coords[:, k] + e])][1:] for e in (1, 0))
-        parts = ['{"depth":%d,"hi":[' % level.depth, *hi, '],"index":', flats.astype(str), ',"lo":[', *lo, "]}\n"]
+        hi, lo = ([s for k in range(level.dim) for s in (",", reprs[k][ranks[k][c[:, k] + e]])][1:] for e in (1, 0))
+        parts = ['{"depth":%d,"hi":[' % level.depth, *hi, '],"index":', f.astype(str), ',"lo":[', *lo, "]}\n"]
         yield "".join(reduce(np.char.add, parts).tolist()).encode("utf-8")
 
 
 def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]:
-    """What a run resumed from the checkpoint level `start` keeps of an
-    earlier run's output files: the length of the box runs up to start's
-    depth, whose run must hold start's cells, and the stats records of those
-    depths. The runs past it are never read, so a cut last line does no harm."""
-    keep, records = 0, []
-    for level, end in _read_boxes(cfg.out, cfg.q) if Path(cfg.out).exists() else ():
-        if level.depth > start.depth:
-            break
-        keep = end
-        if level.depth == start.depth:
-            if not np.array_equal(level.flats, start.flats):
-                raise ConfigError(f"the depth-{start.depth} boxes of {cfg.out} differ from the resume checkpoint")
-            break
+    """What a run resumed from the checkpoint level `start` keeps of the
+    files at --out and --stats: the byte length of the boxes of depths 0 to
+    start's, and the stats records of those depths. The run's checkpoints of
+    the depths before start's, with start, are the record of those levels:
+    the boxes file must begin with the bytes _box_lines writes for them, and
+    the records must be a prefix of their (depth, boxes_kept). Nothing past
+    those bytes is read."""
+    if not Path(cfg.out).exists():
+        return 0, []
+    chain = [*(_read_checkpoint(_checkpoint_path(cfg, d), cfg.config_hash(), cfg.q) for d in range(start.depth)), start]
+    run = b"".join(line for level in chain for line in _box_lines(level, level.flats))
+    with open(cfg.out, "rb") as fp:
+        if [level.depth for level in chain] != list(range(start.depth + 1)) or fp.read(len(run)) != run:
+            raise ConfigError(f"{cfg.out} does not begin with the levels of the checkpoints up to depth {start.depth}")
     try:
-        if Path(cfg.stats).exists():
-            stats = json.loads(Path(cfg.stats).read_text(encoding="utf-8"))
-            records = [r for r in stats if r["depth"] <= start.depth]
+        stats = json.loads(Path(cfg.stats).read_text(encoding="utf-8")) if Path(cfg.stats).exists() else []
+        records = [r for r in stats if r["depth"] <= start.depth]
+        kept = [(r["depth"], r["boxes_kept"]) for r in records]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot extend the earlier run's stats: {exc!r}") from None
-    return keep, records
+    if kept != [(level.depth, level.flats.size) for level in chain][: len(kept)]:
+        raise ConfigError(f"the stats of {cfg.stats} differ from the checkpoints up to depth {start.depth}")
+    return len(run), records
 
 
 # -- check -----------------------------------------------------------------------
@@ -443,7 +453,7 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
         ok &= non_increasing
     elif mode == "sandwich":
         system, schedule = cfg.system_and_schedule()
-        boxes = {level.depth: level for level, _ in _read_boxes(cfg.out, cfg.q)}
+        boxes = _read_boxes(cfg.out, cfg.q)
         reference = _reference(system, cfg.q, resolution, horizon)
         # the boxes file is tied to the run's configuration through the
         # checkpoints, which carry its hash: each checked depth must hold
@@ -475,30 +485,20 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
     return 0 if ok else 1
 
 
-def _read_boxes(path: str, root: Box):
-    """Each run of one depth in a boxes file over `root`, in file order, as
-    (level, offset of the run's end). Only each record's depth and index are
-    read; a run must be the bytes _box_lines writes for its level, and the
-    file runs of ascending depth and nothing else. A run is checked only
-    when it is taken."""
+def _read_boxes(path: str, root: Box) -> dict[int, CoverLevel]:
+    """The levels of a boxes file over `root`, by depth. Only each record's
+    depth and index are read; the file must be the bytes _box_lines writes
+    for those levels in ascending depth."""
     try:
         data = Path(path).read_bytes()
         found = re.findall(rb'^\{"depth":(\d+),"hi":\[[^\]\n]*\],"index":(\d+),', data, re.MULTILINE)
         depths, flats = np.array(found, dtype="S").reshape(-1, 2).astype(np.int64).T
-        steps = np.diff(depths, prepend=-1)
-        if np.any(steps < 0):
-            raise ValueError("the records are not in ascending depth order")
-        starts = np.flatnonzero(steps).tolist()
-        offset = 0
-        for a, b in zip(starts, starts[1:] + [depths.size]):
-            level = CoverLevel(root, int(depths[a]), flats[a:b])  # rejects values out of range
-            run = b"".join(_box_lines(level, level.flats))
-            if not data.startswith(run, offset):
-                raise ValueError(f"the depth-{level.depth} records are not the ones run writes")
-            offset += len(run)
-            yield level, offset
-        if offset != len(data):
-            raise ValueError(f"bytes {offset}.. of the file hold no box run")
+        starts = np.flatnonzero(np.diff(depths, prepend=-1)).tolist()
+        levels = {int(depths[a]): CoverLevel(root, int(depths[a]), flats[a:b])  # rejects values out of range
+                  for a, b in zip(starts, starts[1:] + [depths.size])}
+        if b"".join(line for d in sorted(levels) for line in _box_lines(levels[d], levels[d].flats)) != data:
+            raise ValueError("the file holds other bytes than run writes for its records")
+        return levels
     except (OSError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read boxes file: {exc}") from None
 

@@ -261,6 +261,66 @@ def test_resume_into_foreign_boxes_exit_2(tmp_path: Path) -> None:
     assert (tmp_path / "boxes.jsonl").read_bytes() == foreign
 
 
+def files_of(run_dir: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+def test_resume_over_a_foreign_shallower_level_exit_2(tmp_path: Path) -> None:
+    # with henon.b=0.2 the depth-3 cells equal the default run's, the
+    # depth-2 ones do not: the run's checkpoints up to depth 2 tell them apart
+    henon = {"--system": "henon", "--q": "-2,-2:2,2"}
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(run_args(a, **henon, **{"--depth": "3", "--param": "henon.b=0.2"})) == 0
+    assert main(run_args(b, **henon, **{"--depth": "4"})) == 0
+    kept = {d: [json.loads((r / "ckpt" / f"checkpoint_d{d}.json").read_text())["kept"] for r in (a, b)]
+            for d in (2, 3)}
+    assert kept[2][0] != kept[2][1] and kept[3][0] == kept[3][1]
+    before = files_of(a)
+    resume = str(b / "ckpt" / "checkpoint_d3.json")
+    argv = run_args(a, **henon, **{"--depth": "5", "--checkpoint-dir": str(b / "ckpt"), "--resume": resume})
+    assert main(argv) == 2
+    assert files_of(a) == before
+
+
+def test_resume_over_a_missing_level_exit_2(tmp_path: Path) -> None:
+    # the boxes of a run to depth 2 lack the resume checkpoint's depth 3
+    henon = {"--system": "henon", "--q": "-2,-2:2,2"}
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(run_args(a, **henon, **{"--depth": "2"})) == 0
+    assert main(run_args(b, **henon, **{"--depth": "4"})) == 0
+    before = files_of(a)
+    assert main(run_args(a, **henon, **{"--depth": "5", "--resume": str(b / "ckpt" / "checkpoint_d3.json")})) == 2
+    assert files_of(a) == before
+
+
+def test_resume_over_stats_other_than_the_checkpoints_exit_2(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    stats = tmp_path / "stats.json"
+    records = json.loads(stats.read_text())
+    records[1]["boxes_kept"] += 1
+    stats.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+    before = files_of(tmp_path)
+    assert main(run_args(tmp_path, **{"--depth": "5", "--resume": str(tmp_path / "ckpt" / "checkpoint_d3.json")})) == 2
+    assert files_of(tmp_path) == before
+
+
+def test_box_lines_repr_only_the_touched_boundaries(monkeypatch) -> None:
+    # a depth-16 level has 65,537 boundaries; three cells touch at most six
+    calls = {"n": 0}
+
+    def counting(x):
+        calls["n"] += 1
+        return float.__repr__(x)
+
+    level = CoverLevel(Box([-1.0], [1.0]), 16, np.array([0, 5, 32768]))
+    monkeypatch.setattr(cli, "repr", counting, raising=False)
+    lines = b"".join(cli._box_lines(level, level.flats)).decode().splitlines()
+    assert 0 < calls["n"] <= 2 * level.flats.size
+    records = zip(level.flats.tolist(), level.box_los[:, 0].tolist(), level.box_his[:, 0].tolist())
+    assert lines == [json.dumps({"depth": 16, "hi": [hi], "index": i, "lo": [lo]}, sort_keys=True, separators=(",", ":"))
+                     for i, lo, hi in records]
+
+
 def test_resume_hash_mismatch_exit_2(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
     rc = main(run_args(
