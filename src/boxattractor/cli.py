@@ -273,6 +273,7 @@ def cmd_run(cfg: RunConfig) -> int:
     cfg_hash = cfg.config_hash()
     out_path = Path(cfg.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    Path(cfg.stats).parent.mkdir(parents=True, exist_ok=True)
     ckpt_base = _checkpoint_path(cfg, 0).parent
     ckpt_base.mkdir(parents=True, exist_ok=True)
 
@@ -284,13 +285,21 @@ def cmd_run(cfg: RunConfig) -> int:
     boxes_fp.seek(committed)  # the end of the last level whose checkpoint is written
     boxes_fp.truncate()
 
+    def write_stats() -> None:
+        _write_atomic(Path(cfg.stats), json.dumps(records, indent=2, sort_keys=True) + "\n")
+
+    write_stats()  # the records of the kept levels, as the boxes file now ends
+
     def on_level(level: CoverLevel, result: PruneResult, report: LevelReport) -> None:
         nonlocal committed
+        # boxes, checkpoint, then the stats record: a level is committed once
+        # its checkpoint is written, and its record follows at once
         boxes_fp.writelines(_box_lines(level, result.kept_flats))
         boxes_fp.flush()
         _write_atomic(_checkpoint_path(cfg, level.depth), _checkpoint_text(level, result.kept_flats, cfg_hash))
         committed = boxes_fp.tell()
         records.append(report.to_json_dict())
+        write_stats()
         # a flow's cell keeps its self-loop while the drift h|g| of one of its
         # sample centres stays within r plus that centre's distance to the
         # face the drift crosses, at most rho (1 - 1/(2M)): the cells with |g|
@@ -334,7 +343,6 @@ def cmd_run(cfg: RunConfig) -> int:
         # a level interrupted before its checkpoint was written is dropped
         boxes_fp.truncate(committed)
         boxes_fp.close()
-        _write_atomic(Path(cfg.stats), json.dumps(records, indent=2, sort_keys=True) + "\n")
     return status
 
 
@@ -342,7 +350,8 @@ def _box_lines(level: CoverLevel, kept: np.ndarray, chunk: int = 4096):
     """The boxes JSONL records of the kept flat indices, chunk by chunk, as
     the bytes json.dumps(sort_keys=True, separators=(",", ":")) writes:
     json writes floats with float.__repr__, so the repr of each boundary the
-    cells touch is made once per level and the lines are joined with numpy."""
+    cells touch is made once per level and the lines are joined with numpy
+    on bytes arrays, one byte per character."""
     # coordinates chunk by chunk: one whole-level array made saddle depth-8 runs about 4% slower
     flats = [kept[c0 : c0 + chunk] for c0 in range(0, kept.size, chunk)]
     coords = [flats_to_coords(f, level.depth, level.dim) for f in flats]
@@ -351,13 +360,13 @@ def _box_lines(level: CoverLevel, kept: np.ndarray, chunk: int = 4096):
         for k, t in enumerate(touched):
             t[c[:, k]] = t[c[:, k] + 1] = True
     # each touched boundary's repr, at its rank among the touched ones
-    reprs = [np.array([repr(x) for x in b[t].tolist()]) for b, t in zip(level.boundaries, touched)]
+    reprs = [np.array([repr(x).encode() for x in b[t].tolist()], dtype="S") for b, t in zip(level.boundaries, touched)]
     ranks = [np.cumsum(t) - 1 for t in touched]
     for f, c in zip(flats, coords):
         # upper (e = 1) and lower (e = 0) corner reprs, axis by axis, with "," between them
-        hi, lo = ([s for k in range(level.dim) for s in (",", reprs[k][ranks[k][c[:, k] + e]])][1:] for e in (1, 0))
-        parts = ['{"depth":%d,"hi":[' % level.depth, *hi, '],"index":', f.astype(str), ',"lo":[', *lo, "]}\n"]
-        yield "".join(reduce(np.char.add, parts).tolist()).encode("utf-8")
+        hi, lo = ([s for k in range(level.dim) for s in (b",", reprs[k][ranks[k][c[:, k] + e]])][1:] for e in (1, 0))
+        parts = [b'{"depth":%d,"hi":[' % level.depth, *hi, b'],"index":', f.astype("S"), b',"lo":[', *lo, b"]}\n"]
+        yield b"".join(reduce(np.char.add, parts).tolist())
 
 
 def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]:
@@ -366,8 +375,8 @@ def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]
     start's, and the stats records of those depths. The run's checkpoints of
     the depths before start's, with start, are the record of those levels:
     the boxes file must begin with the bytes _box_lines writes for them, and
-    the records must be a prefix of their (depth, boxes_kept). Nothing past
-    those bytes is read."""
+    the stats records of those depths must be their (depth, boxes_kept),
+    with no depth missing. Nothing past those bytes is read."""
     if not Path(cfg.out).exists():
         return 0, []
     chain = [*(_read_checkpoint(_checkpoint_path(cfg, d), cfg.config_hash(), cfg.q) for d in range(start.depth)), start]
@@ -376,13 +385,13 @@ def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]
         if [level.depth for level in chain] != list(range(start.depth + 1)) or fp.read(len(run)) != run:
             raise ConfigError(f"{cfg.out} does not begin with the levels of the checkpoints up to depth {start.depth}")
     try:
-        stats = json.loads(Path(cfg.stats).read_text(encoding="utf-8")) if Path(cfg.stats).exists() else []
+        stats = json.loads(Path(cfg.stats).read_text(encoding="utf-8"))
         records = [r for r in stats if r["depth"] <= start.depth]
         kept = [(r["depth"], r["boxes_kept"]) for r in records]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot extend the earlier run's stats: {exc!r}") from None
-    if kept != [(level.depth, level.flats.size) for level in chain][: len(kept)]:
-        raise ConfigError(f"the stats of {cfg.stats} differ from the checkpoints up to depth {start.depth}")
+    if kept != [(level.depth, level.flats.size) for level in chain]:
+        raise ConfigError(f"the stats of {cfg.stats} are not those of the checkpoints up to depth {start.depth}")
     return len(run), records
 
 

@@ -1,6 +1,7 @@
 """Backward-time Euler scheme, its rigorous enclosure radius, and a
-high-accuracy reference integrator, with a step count per point, used only
-by diagnostics and oracles.
+high-accuracy reference integrator, with a step count per point doubled
+from one RK4 step until it meets its tolerance, used only by diagnostics and
+oracles.
 
 The enclosure radius inflates a single Euler image of a sample center so it
 is guaranteed to cover the exact backward-flow image of the whole sampled
@@ -117,17 +118,20 @@ def rk4_backward(sys: ContinuousSystemSpec, x, h: float, steps: int) -> np.ndarr
 def reference_backward_flow(sys: ContinuousSystemSpec, x, h: float, tol: float = 1e-10) -> np.ndarray:
     """Numerical oracle for the exact backward flow phi(-h, .) of points (..., d).
 
-    Step-doubled RK4, per point: each point's substeps are doubled until its
-    own Richardson error estimate drops below tol relative to its own
-    solution scale, and then it is frozen. A point's image therefore does
-    not depend on the other points of the call. This is an accuracy oracle,
-    not a rigorous enclosure.
+    Step-doubled RK4, per point: every point starts from one RK4 step and
+    its substeps are doubled (the last fine run becomes the next coarse
+    one) until its own Richardson error estimate |fine - coarse|/15 drops
+    below tol relative to its own solution scale 1 + |fine|, and then it is
+    frozen. No minimum step count is imposed, so a point pays only the
+    steps its estimate asks for; the error against the exact flow sits near
+    tol. A point's image does not depend on the other points of the call.
+    This is an accuracy oracle, not a rigorous enclosure.
     """
     x = np.asarray(x, dtype=np.float64)
     if h == 0.0:
         return x.copy()
     pts = x.reshape(-1, x.shape[-1])
-    out, todo, steps = np.empty_like(pts), np.arange(pts.shape[0]), 4
+    out, todo, steps = np.empty_like(pts), np.arange(pts.shape[0]), 1
     coarse = rk4_backward(sys, pts, h, steps)
     while todo.size:
         if steps > (1 << 22):

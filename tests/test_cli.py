@@ -304,6 +304,55 @@ def test_resume_over_stats_other_than_the_checkpoints_exit_2(tmp_path: Path) -> 
     assert files_of(tmp_path) == before
 
 
+def test_resume_over_stats_that_lack_a_depth_exit_2(tmp_path: Path) -> None:
+    # boxes and checkpoints that reach into depth 5 over stats that end at
+    # depth 3, as a run to depth 6 over a depth-3 run's files leaves when it
+    # is killed inside depth 5 and its stats were not written after depth 3:
+    # a resume from depth 4 would leave depth 4 without its record
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    stats = tmp_path / "stats.json"
+    shallow = stats.read_bytes()
+    assert main(run_args(tmp_path, **{"--depth": "6"})) == 0
+    stats.write_bytes(shallow)
+    boxes = tmp_path / "boxes.jsonl"
+    data = boxes.read_bytes()
+    boxes.write_bytes(data[: data.index(b'{"depth":5,') + 20])
+    before = files_of(tmp_path)
+    assert main(run_args(tmp_path, **{"--depth": "6", "--resume": str(tmp_path / "ckpt" / "checkpoint_d4.json")})) == 2
+    assert files_of(tmp_path) == before
+
+
+@pytest.mark.parametrize("resume", [None, 1], ids=["fresh", "resumed"])
+def test_stats_on_disk_after_each_level(tmp_path: Path, monkeypatch, resume) -> None:
+    # the stats file holds the record of every level whose checkpoint is
+    # written, as soon as it is written, so a killed run loses none
+    argv = run_args(tmp_path, **{"--depth": "5"})
+    if resume is not None:
+        assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+        argv = run_args(tmp_path, **{"--depth": "5", "--resume": str(tmp_path / "ckpt" / f"checkpoint_d{resume}.json")})
+    real = cli.run_subdivision
+    seen = []
+
+    def watching(*args, on_level, **kwargs):
+        def cb(level, res, rep):
+            on_level(level, res, rep)
+            seen.append([s["depth"] for s in json.loads((tmp_path / "stats.json").read_text())])
+
+        return real(*args, **kwargs, on_level=cb)
+
+    monkeypatch.setattr(cli, "run_subdivision", watching)
+    assert main(argv) == 0
+    first = 0 if resume is None else resume + 1
+    assert seen == [list(range(d + 1)) for d in range(first, 6)]
+
+
+def test_run_makes_the_directory_of_each_artifact(tmp_path: Path) -> None:
+    argv = run_args(tmp_path, **{"--depth": "2", "--out": str(tmp_path / "b" / "boxes.jsonl"),
+                                 "--stats": str(tmp_path / "s" / "stats.json")})
+    assert main(argv) == 0
+    assert [s["depth"] for s in json.loads((tmp_path / "s" / "stats.json").read_text())] == [0, 1, 2]
+
+
 def test_box_lines_repr_only_the_touched_boundaries(monkeypatch) -> None:
     # a depth-16 level has 65,537 boundaries; three cells touch at most six
     calls = {"n": 0}

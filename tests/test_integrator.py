@@ -102,6 +102,44 @@ def test_reference_backward_flow_per_point(h: float) -> None:
     assert batch[:1].tobytes() == alone.tobytes()
 
 
+def counting_saddle(calls: dict) -> ContinuousSystemSpec:
+    """g(x, y) = (x, -y), vectorised; calls["points"] counts the points it evaluates."""
+
+    def field(p):
+        p = np.asarray(p, dtype=np.float64)
+        calls["points"] += p.size // p.shape[-1]
+        return np.stack([p[..., 0], -p[..., 1]], axis=-1)
+
+    return ContinuousSystemSpec(
+        field_eval=field,
+        bound_P=2.0,
+        lipschitz_L=1.0,
+        validity_region=Box([-2.0, -2.0], [2.0, 2.0]),
+        name="counting-saddle",
+        vectorized=True,
+    )
+
+
+def test_reference_backward_flow_starts_from_one_step() -> None:
+    # at h = 0.025 one and two RK4 steps already meet tol: 3 steps of 4
+    # field evaluations per point, where a start at 4 steps pays 12 steps
+    calls = {"points": 0}
+    pts = np.random.default_rng(11).uniform(-1.0, 1.0, (1000, 2))
+    reference_backward_flow(counting_saddle(calls), pts, 0.025, tol=1e-10)
+    assert calls["points"] == 12 * len(pts)
+
+
+@pytest.mark.parametrize("h", [0.2 * 2.0 ** (-n / 2) for n in range(13)] + [0.5])
+def test_reference_backward_flow_error_near_tol(h: float) -> None:
+    # the saddle's backward flow is (x e^{-h}, y e^{h}); each point stops at
+    # its own estimate, so its error against the exact flow stays near tol
+    saddle = make_builtin("saddle2d", Box([-1.0, -1.0], [1.0, 1.0]))
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (2000, 2))
+    exact = pts * np.array([math.exp(-h), math.exp(h)])
+    err = np.max(np.abs(reference_backward_flow(saddle, pts, h, 1e-10) - exact), axis=1)
+    assert np.all(err <= 2e-10 * (1.0 + np.max(np.abs(exact), axis=1)))
+
+
 def test_rk4_fourth_order_on_linear_system() -> None:
     sys_ = linear_decay()
     h = 0.5
