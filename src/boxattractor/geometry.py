@@ -312,13 +312,12 @@ class CoverLevel:
             los[:, k], his[:, k] = lo, hi
         return los, his
 
-    def window_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The active cells of the windows lo[i]..hi[i] as runs, one per row
-        of a window's first d-1 axes, ordered by window and row: the window
-        index and the cell count of each run, and the local indices of the
-        cells, run after run, each run in coordinate order (int32 while the
-        level has fewer than 2^31 cells). Each row takes two binary searches
-        in the sorted lexicographic keys.
+    def row_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The active cells of the windows lo[i]..hi[i] as runs of the sorted
+        lexicographic keys, one per row of a window's first d-1 axes, ordered
+        by window and row: the window index, the position of the run's first
+        key and the run's cell count. Each row takes two binary searches in
+        those keys.
         """
         width = hi - lo + 1
         rows = np.where(width.min(axis=1) > 0, np.prod(width[:, :-1], axis=1), 0)
@@ -332,16 +331,30 @@ class CoverLevel:
             prefix += (lo[point, k] + j % w) * stride
             j //= w
             stride *= n
-        keys, order = self._lex
+        keys = self._lex[0]
         start = np.searchsorted(keys, prefix * n + lo[point, -1], side="left")
         count = np.searchsorted(keys, prefix * n + hi[point, -1], side="right") - start
-        return point, count, order[expand_ranges(start, count, order.dtype)]
+        return point, start, count
+
+    def run_cells(self, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """The local indices of the cells of the runs of :meth:`row_runs`
+        given by their start and count, run after run, each run in coordinate
+        order (int32 while the level has fewer than 2^31 cells)."""
+        order = self._lex[1]
+        return order[expand_ranges(start, count, order.dtype)]
+
+    def window_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The runs of :meth:`row_runs` as the window index and the cell count
+        of each run, and their cells as :meth:`run_cells` gives them.
+        """
+        point, start, count = self.row_runs(lo, hi)
+        return point, count, self.run_cells(start, count)
 
     def contains_points(self, points) -> np.ndarray:
         """Membership of points in the union of active (closed) cells."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.zeros(pts.shape[0], dtype=bool)
-        point, count, _ = self.window_runs(*self.cell_windows(pts, 0.0))
+        point, _, count = self.row_runs(*self.cell_windows(pts, 0.0))
         out[point[count > 0]] = True
         return out
 

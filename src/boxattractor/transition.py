@@ -15,19 +15,23 @@ therefore preserves every containment guarantee. Only the image function
 and the radius differ; build_transition picks both by the system kind.
 
 All image points of a chunk of sources go through one batch neighbour
-lookup, CoverLevel.window_runs, which returns the active cells within r of
-each point as runs of the level's sorted lexicographic keys. The map is
-stored as predecessor rows, the form the prune reads: after the last chunk
-the int32 targets of all runs are concatenated, widened to int64 only when
-size * size exceeds int32, packed in place into keys target * size +
-source, and sorted once (deduplicated when M > 1), which lists every
-target's predecessors as one sorted run. Sources stay int32 (4 bytes per
-edge) while the level has fewer than 2^31 cells. Edge queries bisect these
-rows: the self-loop share and the containment check, which maps one chunk
-of sampled cells per image call and tests each image's nearby cells with
-one pass of cell windows. The successor rows, sorted by flat index so that
-the JSON serialisation is canonical, are one transpose away and are built
-only when something reads them: the gap measurement and the serialisation.
+lookup, CoverLevel.row_runs, which returns the active cells within r of
+each point as runs of the level's sorted lexicographic keys; the lookup
+pass keeps only each run's start and count, and the images are freed after
+it. The map is stored as predecessor rows, the form the prune reads: the
+fill pass writes the runs' cells into one keys array of exactly one entry
+per edge, int64 only when size * size exceeds int32, a block of runs at a
+time; the keys are packed in place into target * size + source and sorted
+once (deduplicated when M > 1), which lists every target's predecessors as
+one sorted run. So the build peaks at about 4 bytes per edge with int32
+keys, 8 with int64 keys, plus 8 bytes per run (henon depth 8: 4.5 bytes
+per edge). Sources stay int32 (4 bytes per edge) while the level has fewer
+than 2^31 cells. Edge queries bisect these rows: the self-loop share and
+the containment check, which maps one chunk of sampled cells per image
+call and tests each image's nearby cells with one pass of cell windows.
+The successor rows, sorted by flat index so that the JSON serialisation is
+canonical, are one transpose away and are built only when something reads
+them: the gap measurement and the serialisation.
 """
 
 from __future__ import annotations
@@ -166,7 +170,7 @@ class GapReport:
 
 
 _CHUNK_POINTS = 1 << 10  # image points per batch neighbour lookup
-_BLOCK_EDGES = 1 << 16  # keys per block of the passes that work in place, whose temporaries stay small
+_BLOCK_EDGES = 1 << 16  # keys per block of the fill and the in-place key passes, whose temporaries stay small
 _INT32_KEYS = np.iinfo(np.int32).max  # the largest packed key kept in int32
 
 
@@ -221,36 +225,55 @@ def _transpose(indptr: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarr
     return _rows_of_keys(keys, n)
 
 
-def _build_map(level: CoverLevel, images: np.ndarray, radius: float, meta: TransitionMeta) -> TransitionMap:
-    """Predecessor rows of every cell from the sources' (V, M^d, d) image
-    points, with one sort per level. The chunks' int32 lookup targets are
-    concatenated, widened to int64 only when size * size exceeds int32, and
-    packed in place into keys target * size + source, so the edge arrays
-    peak at about 8 bytes per edge with int32 keys and 12 with int64 keys.
-    One sort of all keys then lists every target's predecessors as one
-    sorted run. The run counts give the out-degrees for M = 1; for M > 1
-    repeated keys are dropped after the sort and the out-degrees counted
-    from the sources."""
+def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lookup pass over the sources' (V, M^d, d) image points, one batch
+    lookup per chunk of sources: the entries of each source (int64, repeats
+    included), and the start in the level's lexicographic keys and the cell
+    count of every non-empty run, source after source, in the level's index
+    dtype (8 bytes per run while it is int32)."""
     n, per = images.shape[:2]
-    size = level.size
     pts = images.reshape(-1, level.dim)
     step = max(1, _CHUNK_POINTS // per)
-    counts = np.zeros(n, dtype=np.int64)  # entries per source, repeats included
-    parts = []
+    dtype = index_dtype(level.size)
+    counts = np.zeros(n, dtype=np.int64)
+    starts, lengths = [np.empty(0, dtype)], [np.empty(0, dtype)]
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
-        point, count, cells = level.window_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
+        point, start, count = level.row_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
         counts[s0:s1] = np.bincount(point // per, weights=count, minlength=s1 - s0)
-        parts.append(cells)
-    keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
-    del parts
-    keys = keys.astype(_key_dtype(size), copy=False)
+        kept = count > 0
+        starts.append(start[kept].astype(dtype))
+        lengths.append(count[kept].astype(dtype))
+    return counts, np.concatenate(starts), np.concatenate(lengths)
+
+
+def _build_map(
+    level: CoverLevel, counts: np.ndarray, start: np.ndarray, count: np.ndarray, meta: TransitionMeta
+) -> TransitionMap:
+    """Predecessor rows of every cell from the lookup pass's runs, with one
+    sort per level. One keys array of exactly one entry per run cell, int32
+    while size * size fits in it and int64 otherwise, is filled with the
+    runs' local cell ids one block of runs (about _BLOCK_EDGES keys on
+    average) at a time, then packed in place into keys target * size +
+    source. So the build peaks at about 4 bytes per edge with int32 keys and
+    8 with int64 keys, plus 8 bytes per run. One sort of all keys then lists
+    every target's predecessors as one sorted run. The run counts give the
+    out-degrees for M = 1; for M > 1 repeated keys are dropped after the
+    sort and the out-degrees counted from the sources."""
+    size = level.size
+    keys = np.empty(int(counts.sum()), dtype=_key_dtype(size))
+    step = max(1, _BLOCK_EDGES * count.size // max(keys.size, 1))  # runs per block
+    at = 0
+    for r0 in range(0, count.size, step):
+        cells = level.run_cells(start[r0 : r0 + step], count[r0 : r0 + step])
+        keys[at : at + cells.size] = cells
+        at += cells.size
     _pack_rows(keys, np.concatenate([[0], np.cumsum(counts)]), size)
     keys.sort()
-    if per > 1:
+    if meta.M > 1:
         keys = _drop_repeats(keys)
     pred_indptr, sources = _rows_of_keys(keys, size)
-    out_degree = counts if per == 1 else np.bincount(sources, minlength=size)
+    out_degree = counts if meta.M == 1 else np.bincount(sources, minlength=size)
     return TransitionMap(level, pred_indptr, sources, out_degree, meta)
 
 
@@ -316,9 +339,11 @@ def build_transition(
         image = partial(eval_inverse, sys)
     centers = subbox_centers(level.box_los, level.box_his, M)
     images = image(centers) if level.size else centers
+    del centers
     radius = _round_outward(radius, lip, extent, images, steps)
-    meta = TransitionMeta(kind, M, radius, subdiameter, h=h, substeps=steps)
-    return _build_map(level, images, radius, meta)
+    counts, start, count = _lookup_runs(level, images, radius)
+    del images  # the fill reads only the runs
+    return _build_map(level, counts, start, count, TransitionMeta(kind, M, radius, subdiameter, h=h, substeps=steps))
 
 
 def build_transition_discrete(

@@ -253,6 +253,25 @@ def test_cell_windows_match_bruteforce() -> None:
         assert level.contains_points(pts).tolist() == want
 
 
+def test_contains_points_is_window_runs_membership() -> None:
+    # contains_points reads only the run counts of row_runs: a point is
+    # covered iff window_runs lists an active cell for it at r = 0, also on
+    # faces, edges and corners, which two cells share
+    rng = np.random.default_rng(5)
+    for dim, depth in ((1, 5), (2, 4), (3, 3)):
+        root = Box([-1.0] * dim, [1.0] * dim)
+        level = CoverLevel(root, depth, rng.choice(1 << (dim * depth), size=(1 << (dim * depth)) // 3, replace=False))
+        pts = rng.uniform(-1.2, 1.2, size=(400, dim))
+        faces = rng.random(pts.shape) < 0.6
+        face_axis = np.nonzero(faces)[1]
+        pts[faces] = np.array(level.boundaries)[face_axis, rng.integers(0, level.cells_per_axis + 1, face_axis.size)]
+        point, count, cells = level.window_runs(*level.cell_windows(pts, 0.0))
+        want = np.zeros(len(pts), dtype=bool)
+        want[np.repeat(point, count)] = True
+        assert level.contains_points(pts).tolist() == want.tolist()
+        assert 0 < want.sum() < len(pts) and cells.size == count.sum()
+
+
 def test_contains_points_boundary_inclusive() -> None:
     root = Box([-1.0], [1.0])
     level = CoverLevel(root, 1, [1])  # only [0, 1] active

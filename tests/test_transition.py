@@ -24,6 +24,7 @@ from boxattractor.transition import (
     TransitionMap,
     TransitionMeta,
     _build_map,
+    _lookup_runs,
     build_transition,
     build_transition_continuous,
     build_transition_discrete,
@@ -496,7 +497,7 @@ def test_lookup_matches_pair_scan(case, chunk: int) -> None:
     level, images, radius, M = case
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
     with patch.object(transition, "_CHUNK_POINTS", chunk):
-        tmap = _build_map(level, images, radius, meta)
+        tmap = _build_map(level, *_lookup_runs(level, images, radius), meta)
     assert tmap.targets.dtype == np.int32
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
 
@@ -521,7 +522,7 @@ def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: b
         patch.object(transition, "_INT32_KEYS", bound),
         patch.object(transition, "_BLOCK_EDGES", block),
     ):
-        tmap = _build_map(level, images, radius, meta)
+        tmap = _build_map(level, *_lookup_runs(level, images, radius), meta)
         successors = edges_as_flats(tmap)
         again = from_successors(level, tmap.indptr, tmap.targets, meta)
     flats = level.flats.tolist()
