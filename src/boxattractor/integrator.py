@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import across_axes
 from .systems import ContinuousSystemSpec, EvaluationError, eval_field
 
 
@@ -125,6 +126,7 @@ def reference_backward_flow(sys: ContinuousSystemSpec, x, h: float, tol: float =
     frozen. No minimum step count is imposed, so a point pays only the
     steps its estimate asks for; the error against the exact flow sits near
     tol. A point's image does not depend on the other points of the call.
+    The per-point norms are folded column by column (geometry.across_axes).
     This is an accuracy oracle, not a rigorous enclosure.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -137,8 +139,8 @@ def reference_backward_flow(sys: ContinuousSystemSpec, x, h: float, tol: float =
         if steps > (1 << 22):
             raise EvaluationError("reference integrator step size underflow")
         fine = rk4_backward(sys, pts[todo], h, 2 * steps)
-        scale = 1.0 + np.max(np.abs(fine), axis=1)
-        err = np.max(np.abs(fine - coarse), axis=1) / 15.0
+        scale = 1.0 + across_axes(np.maximum, np.abs(fine))
+        err = across_axes(np.maximum, np.abs(fine - coarse)) / 15.0
         done = err <= tol * scale
         out[todo[done]] = fine[done]
         todo, coarse, steps = todo[~done], fine[~done], 2 * steps

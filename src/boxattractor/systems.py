@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, across_axes
 
 
 class EvaluationError(RuntimeError):
@@ -109,7 +109,8 @@ def _clamped(field, region: Box):
     """field of the argument clamped to the region, the values of
     np.clip(p, lo, hi). The clamp runs axis by axis with scalar bounds on a
     copy: a (d,) bound broadcast over (N, d) points makes numpy run N inner
-    loops of length d, several times slower on a batch."""
+    loops of length d, several times slower on a batch. field receives that
+    copy and may write its values into it."""
     bounds = list(zip(region.lo, region.hi))
 
     def g(p):
@@ -149,7 +150,10 @@ def _make_linmap2d(Q: Box) -> DiscreteSystemSpec:
     # f(x, y) = (x/2, 2y), f^{-1}(x, y) = (2x, y/2); L = 2 everywhere.
     def inv(p):
         p = np.asarray(p, dtype=np.float64)
-        return np.stack([2.0 * p[..., 0], p[..., 1] / 2.0], axis=-1)
+        out = np.empty(p.shape[:-1] + (2,))
+        np.multiply(2.0, p[..., 0], out=out[..., 0])
+        np.divide(p[..., 1], 2.0, out=out[..., 1])
+        return out
 
     def fwd(p):
         p = np.asarray(p, dtype=np.float64)
@@ -176,8 +180,10 @@ def _make_henon(Q: Box, a: float = 1.4, b: float = 0.3) -> DiscreteSystemSpec:
 
     def inv(p):
         p = np.asarray(p, dtype=np.float64)
-        x = p[..., 1] / b
-        return np.stack([x, p[..., 0] - 1.0 + a * x * x], axis=-1)
+        out = np.empty(p.shape[:-1] + (2,))
+        x = np.divide(p[..., 1], b, out=out[..., 0])
+        out[..., 1] = p[..., 0] - 1.0 + a * x * x
+        return out
 
     def fwd(p):
         p = np.asarray(p, dtype=np.float64)
@@ -212,8 +218,9 @@ def _make_saddle2d(Q: Box) -> ContinuousSystemSpec:
     region = Box([-2.0, -2.0], [2.0, 2.0])
     _require_inside(Q, region, "saddle2d")
 
-    def field(p):
-        return np.stack([p[..., 0], -p[..., 1]], axis=-1)
+    def field(p):  # p is the clamp's own copy
+        np.negative(p[..., 1], out=p[..., 1])
+        return p
 
     return ContinuousSystemSpec(
         field_eval=_clamped(field, region), bound_P=2.0, lipschitz_L=1.0,
@@ -254,8 +261,8 @@ def _spot_check(evaluate, sys: SystemSpec, pairs: int, seed: int) -> tuple[float
     V = sys.validity_region
     x, z = V.lo + rng.random((2, pairs, V.dim)) * (V.hi - V.lo)
     fx, fz = evaluate(sys, x), evaluate(sys, z)
-    num = np.max(np.abs(fx - fz), axis=1)
-    den = np.max(np.abs(x - z), axis=1)
+    num = across_axes(np.maximum, np.abs(fx - fz))
+    den = across_axes(np.maximum, np.abs(x - z))
     ok = den > 0
     return float(np.max(np.abs(fx))), float(np.max(num[ok] / den[ok]))
 

@@ -31,7 +31,11 @@ the containment check, which maps one chunk of sampled cells per image
 call and tests each image's nearby cells with one pass of cell windows.
 The successor rows, sorted by flat index so that the JSON serialisation is
 canonical, are one transpose away and are built only when something reads
-them: the gap measurement and the serialisation.
+them: the gap measurement and the serialisation. The diagnostics' per-point
+arrays are (m, d) with d small, so their samples, region tests, window
+sizes, norms and defects are computed one axis at a time
+(geometry.across_axes) rather than reduced along d or broadcast with d
+innermost.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .geometry import (
     Box,
     CoverLevel,
+    across_axes,
     box_corners,
     expand_ranges,
     grid_points,
@@ -382,7 +387,8 @@ def check_containment_condition(
     flows, which picks the step count per point, so no image depends on its
     batch); images landing in the covered region must lie in their cell's
     successor union. Flows test membership within 10 * _CONTAINMENT_TOL:
-    diagnostic, not proof-strength.
+    diagnostic, not proof-strength. The samples, the region test and the
+    window sizes are computed column by column.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -397,7 +403,11 @@ def check_containment_condition(
     for b0 in range(0, n, step):
         b1 = min(b0 + step, n)
         unit = rng.random((b1 - b0, samples, d))
-        pts = (lo[b0:b1, None, :] + unit * (hi[b0:b1] - lo[b0:b1])[:, None, :]).reshape(-1, d)
+        pts = np.empty(unit.shape)
+        for k in range(d):
+            lo_k = lo[b0:b1, k, None]
+            pts[..., k] = lo_k + unit[..., k] * (hi[b0:b1, k, None] - lo_k)
+        pts = pts.reshape(-1, d)
         if continuous:
             images = reference_backward_flow(sys, pts, tmap.meta.h, _CONTAINMENT_TOL)
         else:
@@ -413,8 +423,9 @@ def check_containment_condition(
         # whole slack ball around the image must be covered
         active = np.bincount(point, minlength=images.shape[0])
         if continuous:
-            inside = np.all((images >= level.root.lo) & (images <= level.root.hi), axis=1)
-            in_region = inside & (active == np.prod(np.maximum(whi - wlo + 1, 0), axis=1))
+            in_region = active == across_axes(np.multiply, np.maximum(whi - wlo + 1, 0))
+            for k in range(d):
+                in_region &= (images[:, k] >= level.root.lo[k]) & (images[:, k] <= level.root.hi[k])
         else:
             in_region = active > 0
         for s in np.nonzero(in_region & ~covered)[0]:
@@ -433,6 +444,24 @@ def _strided_entries(indptr: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarr
     return rows, indptr[rows] + k * stride[rows]
 
 
+def _defect(
+    sys: ContinuousSystemSpec, h: float, src_lo: np.ndarray, src_hi: np.ndarray, tgt_lo: np.ndarray, tgt_hi: np.ndarray
+) -> float:
+    """Largest |(x - z)_k / h + g_k(z)| over the edges given as (E, d)
+    source and target corners, the axes k, the 2^d corners x of the target
+    and the 3^d grid points z of the source. A corner has x_k = lo_k or
+    hi_k, so each axis takes the maximum over these two values: the same
+    floats as the (E, 2^d, 3^d, d) broadcast, with no array of that size."""
+    zs = grid_points(src_lo, src_hi, 3)  # (E, 3^d, d)
+    gz = eval_field(sys, zs)
+    defect = 0.0
+    for k in range(src_lo.shape[-1]):
+        z, g = zs[:, :, k], gz[:, :, k]
+        for x in (tgt_lo[:, k], tgt_hi[:, k]):
+            defect = max(defect, float(np.max(np.abs((x[:, None] - z) / h + g))))
+    return defect
+
+
 def measure_overapprox_gap(
     tmap: TransitionMap,
     sys: DiscreteSystemSpec | ContinuousSystemSpec,
@@ -441,8 +470,9 @@ def measure_overapprox_gap(
     """Sampled maximisation of the gaps that drive upper convergence.
 
     Discrete maps fill overapprox_gap (distance from the successor union back
-    to the exact preimage); flows fill neighbor_gap (exact, separable
-    formula) and defect_gap (difference quotients against the field).
+    to the exact preimage, its maximum norm folded axis by axis); flows fill
+    neighbor_gap (exact, separable formula) and defect_gap (difference
+    quotients against the field, per axis at a target corner's two values).
     Sampling grids are deterministic, so repeated measurements agree.
     """
     if samples < 1:
@@ -463,7 +493,8 @@ def measure_overapprox_gap(
         gap = 0.0
         for c0 in range(0, pos.size, chunk):
             si, ti = rows[c0 : c0 + chunk], tmap.targets[pos[c0 : c0 + chunk]]
-            dists = np.max(np.abs(ends[ti][:, :, None, :] - w_img[si][:, None, :, :]), axis=3)
+            e, w = ends[ti], w_img[si]
+            dists = reduce(np.maximum, (np.abs(e[:, :, None, k] - w[:, None, :, k]) for k in range(d)))
             gap = max(gap, float(np.max(np.min(dists, axis=2))))
         report.overapprox_gap = gap
         return report
@@ -480,11 +511,7 @@ def measure_overapprox_gap(
     for c0 in range(0, edges.size, chunk):
         e = edges[c0 : c0 + chunk]
         si, ti = src_of_edge[e], tgt_of_edge[e]
-        x = box_corners(lo[ti], hi[ti])  # (E, 2^d, d), exact extremes in x
-        zs = grid_points(lo[si], hi[si], 3)  # (E, 3^d, d)
-        gz = eval_field(sys, zs)
-        val = np.abs((x[:, :, None, :] - zs[:, None, :, :]) / h + gz[:, None, :, :])
-        defect = max(defect, float(np.max(val)))
+        defect = max(defect, _defect(sys, h, lo[si], hi[si], lo[ti], hi[ti]))
     report.defect_gap = defect
     return report
 

@@ -8,6 +8,7 @@ from boxattractor.geometry import (
     Box,
     BoxKey,
     CoverLevel,
+    across_axes,
     flats_to_coords,
     point_box_distance,
     refine_cover,
@@ -270,6 +271,45 @@ def test_contains_points_is_window_runs_membership() -> None:
         want[np.repeat(point, count)] = True
         assert level.contains_points(pts).tolist() == want.tolist()
         assert 0 < want.sum() < len(pts) and cells.size == count.sum()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_across_axes_is_the_axis_reduction(d: int) -> None:
+    # the column fold gives the bits of ufunc.reduce along the last axis,
+    # for (m, d) and (..., d) arrays; `initial` is the value of no columns
+    rng = np.random.default_rng(d)
+    a = np.abs(rng.normal(size=(60, d)))
+    w = rng.integers(-1, 4, size=(60, d))
+    for ufunc in (np.maximum, np.minimum, np.multiply):
+        assert across_axes(ufunc, a).tobytes() == ufunc.reduce(a, axis=-1).tobytes()
+        assert across_axes(ufunc, a.reshape(3, 20, d)).tobytes() == ufunc.reduce(a.reshape(3, 20, d), axis=-1).tobytes()
+        assert np.array_equal(across_axes(ufunc, w), ufunc.reduce(w, axis=1))
+    # with no columns the result is the scalar `initial`, which broadcasts
+    # to np.prod's one per row
+    prod = np.broadcast_to(across_axes(np.multiply, w[:, :-1], initial=1), (60,))
+    assert np.array_equal(prod, np.prod(w[:, :-1], axis=1))
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 6), (2, 4), (3, 3)])
+def test_row_runs_match_bruteforce(dim: int, depth: int) -> None:
+    # one run per row of a window's first d-1 axes, np.prod of the empty
+    # product at d = 1, so one run per non-empty window, and none for an
+    # empty window; the runs hold exactly the window's active cells
+    rng = np.random.default_rng(dim)
+    root = Box([-1.0] * dim, [1.0] * dim)
+    level = CoverLevel(root, depth, rng.choice(1 << (dim * depth), size=(1 << (dim * depth)) // 3, replace=False))
+    n = level.cells_per_axis
+    lo = rng.integers(0, n, size=(200, dim))
+    hi = np.minimum(lo + rng.integers(-1, 4, size=(200, dim)), n - 1)  # some windows empty on an axis
+    point, start, count = level.row_runs(lo, hi)
+    width = hi - lo + 1
+    rows = np.where(width.min(axis=1) > 0, np.prod(width[:, :-1], axis=1), 0)  # the axis form of the run count
+    assert np.bincount(point, minlength=len(lo)).tolist() == rows.tolist()
+    cells = level.run_cells(start, count)
+    owner = np.repeat(point, count)
+    for i in range(len(lo)):
+        inside = np.all((level.coords >= lo[i]) & (level.coords <= hi[i]), axis=1)
+        assert sorted(cells[owner == i].tolist()) == np.nonzero(inside)[0].tolist()
 
 
 def test_contains_points_boundary_inclusive() -> None:

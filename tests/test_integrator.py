@@ -200,3 +200,46 @@ def test_euler_exact_flow_error_bound_grid() -> None:
                 err = abs(math.exp(h) * x - approx)
                 bound = P * h * (math.exp(L * h) - 1.0) / (2 * N)
                 assert err <= bound + 1e-12 * max(1.0, abs(x))
+
+
+def axis_form_reference_flow(sys_: ContinuousSystemSpec, x, h: float, tol: float) -> np.ndarray:
+    """reference_backward_flow with its row maxima taken by np.max(..., axis=1),
+    the form before the column fold: the oracle for the bits of the images."""
+    x = np.asarray(x, dtype=np.float64)
+    pts = x.reshape(-1, x.shape[-1])
+    out, todo, steps = np.empty_like(pts), np.arange(pts.shape[0]), 1
+    coarse = rk4_backward(sys_, pts, h, steps)
+    while todo.size:
+        fine = rk4_backward(sys_, pts[todo], h, 2 * steps)
+        scale = 1.0 + np.max(np.abs(fine), axis=1)
+        err = np.max(np.abs(fine - coarse), axis=1) / 15.0
+        done = err <= tol * scale
+        out[todo[done]] = fine[done]
+        todo, coarse, steps = todo[~done], fine[~done], 2 * steps
+    return out.reshape(x.shape)
+
+
+def twist3d() -> ContinuousSystemSpec:
+    """A nonlinear 3-D field, vectorised, with bounds valid on [-2, 2]^3."""
+
+    def field(p):
+        p = np.asarray(p, dtype=np.float64)
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        return np.stack([x - 0.5 * y * z, -y + 0.25 * x * x, 0.5 * z - 0.2 * x * y], axis=-1)
+
+    return ContinuousSystemSpec(
+        field_eval=field, bound_P=6.0, lipschitz_L=4.0, validity_region=Box([-2.0] * 3, [2.0] * 3),
+        name="twist3d", vectorized=True,
+    )
+
+
+@pytest.mark.parametrize("h", [0.025, 0.2, 0.5])
+def test_reference_backward_flow_matches_its_axis_form(h: float) -> None:
+    # d = 1, 2 and 3: the column fold stops every point at the same step
+    # count, so the images are bitwise those of the axis form
+    rng = np.random.default_rng(13)
+    for sys_ in (make_builtin("cubic1d", Box([-1.5], [1.5])), make_builtin("saddle2d", Box([-1.0, -1.0], [1.0, 1.0])), twist3d()):
+        pts = rng.uniform(-1.0, 1.0, size=(500, sys_.dim))
+        want = axis_form_reference_flow(sys_, pts, h, 1e-10)
+        assert reference_backward_flow(sys_, pts, h, 1e-10).tobytes() == want.tobytes()
+        assert reference_backward_flow(sys_, pts[0], h, 1e-10).tobytes() == want[0].tobytes()

@@ -11,6 +11,7 @@ from boxattractor.systems import (
     DiscreteSystemSpec,
     EvaluationError,
     _clamped,
+    _spot_check,
     eval_field,
     eval_inverse,
     make_builtin,
@@ -157,3 +158,59 @@ def test_builtin_clamp_matches_np_clip(name: str, Q: Box) -> None:
         eval_field(sys_, nan)
     with pytest.raises(EvaluationError):
         eval_field(sys_, nan[0])
+
+
+BUILTINS = [
+    ("halving1d", Q1), ("linmap2d", Q2), ("henon", Box([-2.0, -2.0], [2.0, 2.0])),
+    ("cubic1d", Box([-1.5], [1.5])), ("saddle2d", Q2),
+]
+
+
+@pytest.mark.parametrize("name,Q", BUILTINS)
+def test_builtin_evaluators_leave_their_input_alone(name: str, Q: Box) -> None:
+    # every built-in evaluator returns a new array and never writes into
+    # the caller's: the saddle field negates y in place on the clamp's own
+    # copy, and the inverses fill a new output array column by column
+    sys_ = make_builtin(name, Q)
+    evaluate = eval_field if isinstance(sys_, ContinuousSystemSpec) else eval_inverse
+    rng = np.random.default_rng(2)
+    batch = rng.uniform(-1.0, 1.0, size=(40, sys_.dim))
+    for x in (batch, batch.reshape(4, 10, sys_.dim), batch[0]):
+        before = x.copy()
+        x.setflags(write=False)  # a write into the caller's array would raise
+        y = evaluate(sys_, x)
+        x.setflags(write=True)
+        assert x.tobytes() == before.tobytes()
+        assert y.shape == x.shape and not np.shares_memory(x, y)
+        assert y.tobytes() == evaluate(sys_, before).tobytes()
+
+
+OLD_INVERSES = {  # the np.stack forms the inverses had before writing their columns into one array
+    "linmap2d": lambda p: np.stack([2.0 * p[..., 0], p[..., 1] / 2.0], axis=-1),
+    "henon": lambda p: np.stack([p[..., 1] / 0.3, p[..., 0] - 1.0 + 1.4 * (p[..., 1] / 0.3) * (p[..., 1] / 0.3)], axis=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_INVERSES))
+def test_inverses_match_their_stack_forms(name: str) -> None:
+    sys_ = make_builtin(name, Box([-2.0, -2.0], [2.0, 2.0]))
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(300, 2))
+    pts[:4] = [[0.0, -0.0], [-0.0, 0.0], [2.0, -2.0], [1e-300, -1e-300]]
+    for x in (pts, pts.reshape(3, 100, 2), pts[0], pts[1], pts[-1]):
+        assert eval_inverse(sys_, x).tobytes() == OLD_INVERSES[name](x).tobytes()
+
+
+@pytest.mark.parametrize("name,Q", BUILTINS)
+def test_spot_check_matches_its_axis_form(name: str, Q: Box) -> None:
+    # the row maxima of the spot check, folded column by column, against
+    # np.max(..., axis=1) on the same random pairs
+    sys_ = make_builtin(name, Q)
+    evaluate = eval_field if isinstance(sys_, ContinuousSystemSpec) else eval_inverse
+    rng = np.random.default_rng(9)
+    V = sys_.validity_region
+    x, z = V.lo + rng.random((2, 500, V.dim)) * (V.hi - V.lo)
+    fx, fz = evaluate(sys_, x), evaluate(sys_, z)
+    num, den = np.max(np.abs(fx - fz), axis=1), np.max(np.abs(x - z), axis=1)
+    want = (float(np.max(np.abs(fx))), float(np.max(num[den > 0] / den[den > 0])))
+    got = _spot_check(evaluate, sys_, 500, 9)
+    assert got == want

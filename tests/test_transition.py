@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from unittest.mock import patch
@@ -12,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import boxattractor.transition as transition
 
-from boxattractor.geometry import Box, CoverLevel, point_box_distance, subbox_centers
+from boxattractor.geometry import Box, CoverLevel, box_corners, grid_points, point_box_distance, subbox_centers
 from boxattractor.integrator import EulerParams, enclosure_radius, euler_backward, reference_backward_flow
 from boxattractor.systems import (
+    ContinuousSystemSpec,
     DiscreteSystemSpec,
     eval_field,
     eval_inverse,
@@ -569,3 +571,168 @@ def test_serialization_shape() -> None:
     tmap = build_transition_discrete(level, sys_, M=1)
     obj = json.loads(tmap.dumps())
     assert obj == {"depth": 1, "edges": {"0": [0, 1], "1": [0, 1]}}
+
+
+# -- the column forms against the axis and broadcast forms they replaced -------
+
+
+def axis_form_containment(tmap: TransitionMap, sys_, samples: int, seed: int) -> list[tuple[int, bytes]]:
+    """check_containment_condition with its samples built by one broadcast
+    over d and its region test and window sizes reduced along axis 1: the
+    oracle for the column forms."""
+    level = tmap.level
+    continuous = tmap.meta.kind == "continuous"
+    slack = 10.0 * transition._CONTAINMENT_TOL if continuous else 0.0
+    n, d = level.size, level.dim
+    lo, hi = level.box_los, level.box_his
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(level.depth,)))
+    step = max(1, transition._CHECK_POINTS // samples)
+    out = []
+    for b0 in range(0, n, step):
+        b1 = min(b0 + step, n)
+        unit = rng.random((b1 - b0, samples, d))
+        pts = (lo[b0:b1, None, :] + unit * (hi[b0:b1] - lo[b0:b1])[:, None, :]).reshape(-1, d)
+        if continuous:
+            images = reference_backward_flow(sys_, pts, tmap.meta.h, transition._CONTAINMENT_TOL)
+        else:
+            images = eval_inverse(sys_, pts)
+        wlo, whi = level.cell_windows(images, slack)
+        point, count, near = level.window_runs(wlo, whi)
+        point = np.repeat(point, count)
+        covered = np.zeros(images.shape[0], dtype=bool)
+        covered[point[tmap.has_edges(b0 + point // samples, near)]] = True
+        active = np.bincount(point, minlength=images.shape[0])
+        if continuous:
+            inside = np.all((images >= level.root.lo) & (images <= level.root.hi), axis=1)
+            in_region = inside & (active == np.prod(np.maximum(whi - wlo + 1, 0), axis=1))
+        else:
+            in_region = active > 0
+        out += [(int(level.flats[b0 + s // samples]), pts[s].tobytes()) for s in np.nonzero(in_region & ~covered)[0]]
+    return out
+
+
+def broadcast_defect(sys_, h: float, src_lo, src_hi, tgt_lo, tgt_hi) -> float:
+    """The defect over the (E, 2^d, 3^d, d) broadcast of the target corners
+    against the source grid points: the oracle for transition._defect."""
+    x = box_corners(tgt_lo, tgt_hi)
+    zs = grid_points(src_lo, src_hi, 3)
+    gz = eval_field(sys_, zs)
+    return float(np.max(np.abs((x[:, :, None, :] - zs[:, None, :, :]) / h + gz[:, None, :, :])))
+
+
+def axis_form_gaps(tmap: TransitionMap, sys_, samples: int) -> tuple[float, float, float]:
+    """measure_overapprox_gap with the map distances reduced along their d
+    axis and the flow defect over the broadcast: the oracle for the column
+    forms."""
+    level = tmap.level
+    lo, hi = level.box_los, level.box_his
+    d, chunk = level.dim, 4096
+    if tmap.meta.kind == "discrete":
+        ends = np.concatenate([box_corners(lo, hi), ((lo + hi) / 2.0)[:, None, :]], axis=1)
+        w_img = eval_inverse(sys_, np.concatenate([subbox_centers(lo, hi, tmap.meta.M), ends], axis=1))
+        rows, pos = transition._strided_entries(tmap.indptr, max(1, samples // ((1 << d) + 1)))
+        gap = 0.0
+        for c0 in range(0, pos.size, chunk):
+            si, ti = rows[c0 : c0 + chunk], tmap.targets[pos[c0 : c0 + chunk]]
+            dists = np.max(np.abs(ends[ti][:, :, None, :] - w_img[si][:, None, :, :]), axis=3)
+            gap = max(gap, float(np.max(np.min(dists, axis=2))))
+        return gap, 0.0, 0.0
+    src = np.repeat(np.arange(level.size), np.diff(tmap.indptr))
+    tgt = tmap.targets
+    neighbor = float(max(np.max(np.maximum(lo[src] - lo[tgt], hi[tgt] - hi[src])), 0.0))
+    _, edges = transition._strided_entries(np.array([0, tgt.size]), max(samples * 100, 10_000))
+    defect = 0.0
+    for c0 in range(0, edges.size, chunk):
+        si, ti = src[edges[c0 : c0 + chunk]], tgt[edges[c0 : c0 + chunk]]
+        defect = max(defect, broadcast_defect(sys_, tmap.meta.h, lo[si], hi[si], lo[ti], hi[ti]))
+    return 0.0, neighbor, defect
+
+
+Q3 = Box([-1.0] * 3, [1.0] * 3)
+
+
+def stretch1d() -> DiscreteSystemSpec:
+    """The inverse map x -> 1.7 x - 0.1 of [-2, 2], vectorised, L = 1.7."""
+    return DiscreteSystemSpec(inverse_eval=lambda p: 1.7 * np.asarray(p, dtype=np.float64) - 0.1, lipschitz_L=1.7,
+                              validity_region=Box([-2.0], [2.0]), name="stretch1d", vectorized=True)
+
+
+def shear3d() -> DiscreteSystemSpec:
+    """A nonlinear 3-D inverse map of [-2, 2]^3, vectorised; its Jacobian
+    rows sum to at most 1.6 there, and L = 3.2 bounds that."""
+
+    def inv(p):
+        p = np.asarray(p, dtype=np.float64)
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        return np.stack([0.5 * y + 0.1, 0.8 * z - 0.2 * x * x, 1.2 * x - 0.3 * y], axis=-1)
+
+    return DiscreteSystemSpec(inverse_eval=inv, lipschitz_L=3.2, validity_region=Box([-2.0] * 3, [2.0] * 3),
+                              name="shear3d", vectorized=True)
+
+
+def twist3d() -> ContinuousSystemSpec:
+    """A nonlinear 3-D field, vectorised; on [-2, 2]^3 its norm is at most
+    4 and its Jacobian rows sum to at most 3, and P = 6, L = 4 bound these."""
+
+    def field(p):
+        p = np.asarray(p, dtype=np.float64)
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        return np.stack([x - 0.5 * y * z, -y + 0.25 * x * x, 0.5 * z - 0.2 * x * y], axis=-1)
+
+    return ContinuousSystemSpec(field_eval=field, bound_P=6.0, lipschitz_L=4.0, validity_region=Box([-2.0] * 3, [2.0] * 3),
+                                name="twist3d", vectorized=True)
+
+
+def diagnostics_case(kind: str, d: int, honest: bool):
+    """(system, study box, depth, params) of a map or a flow in d = 1, 2 or
+    3 dimensions; with honest=False its constants are understated, so the
+    map has holes that the containment check must find."""
+    if kind == "map":
+        sys_, Q, depth = {
+            1: (stretch1d(), Q1, 6),
+            2: (make_builtin("henon", Box([-2.0, -2.0], [2.0, 2.0])), Box([-2.0, -2.0], [2.0, 2.0]), 4),
+            3: (shear3d(), Q3, 3),
+        }[d]
+        return (sys_ if honest else replace(sys_, lipschitz_L=sys_.lipschitz_L / 10)), Q, depth, None
+    sys_, Q, depth, h = {
+        1: (make_builtin("cubic1d", Box([-1.5], [1.5])), Box([-1.5], [1.5]), 6, 0.05),
+        2: (make_builtin("saddle2d", Q2), Q2, 4, 0.4),
+        3: (twist3d(), Q3, 3, 0.1),
+    }[d]
+    sys_ = sys_ if honest else replace(sys_, lipschitz_L=0.01, bound_P=0.01)
+    return sys_, Q, depth, EulerParams(h=h)
+
+
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["map", "flow"])
+def test_diagnostics_match_their_axis_forms(kind: str, d: int, honest: bool) -> None:
+    # maps (M = 1 and 2) and flows in d = 1, 2 and 3 on a sparse level:
+    # the same violations, bit for bit, and the same gaps as the axis forms
+    sys_, Q, depth, params = diagnostics_case(kind, d, honest)
+    rng = np.random.default_rng(17)
+    cells = 1 << (depth * d)
+    level = CoverLevel(Q, depth, np.sort(rng.choice(cells, size=cells * 3 // 5, replace=False)))
+    for M in (1, 2) if params is None else (1,):
+        tmap = build_transition(level, sys_, M=M, params=params)
+        got = check_containment_condition(tmap, sys_, samples=30, seed=3).containment_violations
+        want = axis_form_containment(tmap, sys_, samples=30, seed=3)
+        assert [(flat, p.tobytes()) for flat, p in got] == want
+        assert (want == []) == honest
+        rep = measure_overapprox_gap(tmap, sys_, samples=40)
+        assert (rep.overapprox_gap, rep.neighbor_gap, rep.defect_gap) == axis_form_gaps(tmap, sys_, samples=40)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_defect_matches_its_broadcast_form(d: int) -> None:
+    # random source and target boxes: the per-axis maximum over a corner's
+    # two values of x_k is the maximum of the same floats as the broadcast,
+    # for a batch of edges and for each edge alone
+    rng = np.random.default_rng(d)
+    sys_ = {1: make_builtin("cubic1d", Box([-1.5], [1.5])), 2: make_builtin("saddle2d", Q2), 3: twist3d()}[d]
+    for h in (0.05, 0.3):
+        a, b = rng.uniform(-1.0, 1.0, size=(2, 2, 60, d))
+        boxes = np.minimum(a[0], b[0]), np.maximum(a[0], b[0]), np.minimum(a[1], b[1]), np.maximum(a[1], b[1])
+        for e in [slice(None)] + [slice(i, i + 1) for i in range(60)]:
+            edge = [corner[e] for corner in boxes]
+            assert transition._defect(sys_, h, *edge) == broadcast_defect(sys_, h, *edge)
