@@ -290,7 +290,8 @@ class CoverLevel:
 
         Exactness contract: the product of a point's windows holds a grid
         cell iff point_box_distance(p, cell) <= r with the cell's canonical
-        bounds; :meth:`window_runs` gives the active cells among them.
+        bounds; :meth:`row_runs` and :meth:`run_cells` give the active cells
+        among them.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -343,19 +344,78 @@ class CoverLevel:
         order = self._lex[1]
         return order[expand_ranges(start, count, order.dtype)]
 
-    def window_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The runs of :meth:`row_runs` as the window index and the cell count
-        of each run, and their cells as :meth:`run_cells` gives them.
+    def point_cells(self, points, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Point location: per point, the number of grid cells c with
+        point_box_distance(p, c) <= r, and the active cells among them as
+        (point index, local id) pairs, ordered by point and then by
+        coordinates (local ids int32 while the level has fewer than 2^31
+        cells). One binary search of the boundaries per axis finds the cell
+        that holds the point, and one search of the level's lexicographic
+        keys per candidate cell finds the active ones.
+
+        On each axis the closed-cell test max(B[c] - x, x - B[c+1], 0) <= r
+        (r >= 0) of cell_windows passes for the holding cell when x lies on
+        the grid, and its value only grows away from x, also in float64
+        (rounding is monotone). So the passing cells are the holding cell
+        widened one neighbour at a time while the next one passes: no round
+        for a point farther than r from every face, which has one candidate,
+        as many rounds as the cells r spans when r exceeds a cell, and no
+        cell on an axis whose grid the point misses by more than r.
         """
-        point, start, count = self.row_runs(lo, hi)
-        return point, count, self.run_cells(start, count)
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
+        n = self.cells_per_axis
+        los, widths = [], []
+        for k in range(self.dim):
+            B, x = self.boundaries[k], pts[:, k]
+
+            def passes(c, i):
+                return np.maximum(np.maximum(B[c] - x[i], x[i] - B[c + 1]), 0.0) <= r
+
+            lo = np.clip(np.searchsorted(B, x, side="right") - 1, 0, n - 1)
+            hi = lo.copy()
+            # the holding cell's test, max(-below, -above, 0) <= r, is
+            # min(below, above) >= -r (float negation is exact); the lower
+            # neighbour's, max(B[lo-1] - x, below, 0) <= r, needs below <= r
+            # and the upper one's above <= r, so only the points within r of
+            # a face enter the loops
+            below, above = x - B[lo], B[lo + 1] - x
+            fits = np.minimum(below, above) >= -r
+            for end, step, last, near in ((lo, -1, 0, below <= r), (hi, 1, n - 1, above <= r)):
+                i = np.flatnonzero(near & fits & (end != last))
+                while i.size:
+                    i = i[passes(end[i] + step, i)]
+                    end[i] += step
+                    i = i[end[i] != last]
+            los.append(lo)
+            widths.append(np.where(fits, hi - lo + 1, 0))
+        candidates = reduce(np.multiply, widths)
+        point = np.repeat(np.arange(pts.shape[0]), candidates)
+        # a candidate's key is its point's first key plus the offset that its
+        # rank within the point decodes to, zero for the first
+        key = np.repeat(reduce(lambda a, c: a * n + c, los), candidates)
+        rank = np.arange(point.size) - np.repeat(np.cumsum(candidates) - candidates, candidates)
+        more = np.flatnonzero(rank)
+        j, owner = rank[more], point[more]
+        stride = 1
+        for k in range(self.dim - 1, -1, -1):  # the last axis varies fastest, as in the keys
+            w = widths[k][owner]
+            key[more] += j % w * stride
+            j //= w
+            stride *= n
+        keys, order = self._lex
+        pos = np.searchsorted(keys, key)
+        hit = pos < keys.size
+        hit[hit] = keys[pos[hit]] == key[hit]
+        return candidates, point[hit], order[pos[hit]]
 
     def contains_points(self, points) -> np.ndarray:
-        """Membership of points in the union of active (closed) cells."""
+        """Membership of points in the union of active (closed) cells: the
+        points with an active cell at distance 0 in :meth:`point_cells`."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.zeros(pts.shape[0], dtype=bool)
-        point, _, count = self.row_runs(*self.cell_windows(pts, 0.0))
-        out[point[count > 0]] = True
+        out[self.point_cells(pts, 0.0)[1]] = True
         return out
 
 

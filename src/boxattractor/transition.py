@@ -28,14 +28,13 @@ keys, 8 with int64 keys, plus 8 bytes per run (henon depth 8: 4.5 bytes
 per edge). Sources stay int32 (4 bytes per edge) while the level has fewer
 than 2^31 cells. Edge queries bisect these rows: the self-loop share and
 the containment check, which maps one chunk of sampled cells per image
-call and tests each image's nearby cells with one pass of cell windows.
-The successor rows, sorted by flat index so that the JSON serialisation is
-canonical, are one transpose away and are built only when something reads
-them: the gap measurement and the serialisation. The diagnostics' per-point
-arrays are (m, d) with d small, so their samples, region tests, window
-sizes, norms and defects are computed one axis at a time
-(geometry.across_axes) rather than reduced along d or broadcast with d
-innermost.
+call and finds each image's cells by point location (CoverLevel.point_cells),
+not by cell windows. The successor rows, sorted by flat index so that the
+JSON serialisation is canonical, are one transpose away and are built only
+when something reads them: the gap measurement and the serialisation. The
+diagnostics' per-point arrays are (m, d) with d small, so their samples,
+region tests, norms, distances and defects are computed one axis at a time
+rather than reduced along d or broadcast with d innermost.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ import numpy as np
 from .geometry import (
     Box,
     CoverLevel,
-    across_axes,
     box_corners,
     expand_ranges,
     grid_points,
@@ -387,8 +385,14 @@ def check_containment_condition(
     flows, which picks the step count per point, so no image depends on its
     batch); images landing in the covered region must lie in their cell's
     successor union. Flows test membership within 10 * _CONTAINMENT_TOL:
-    diagnostic, not proof-strength. The samples, the region test and the
-    window sizes are computed column by column.
+    diagnostic, not proof-strength. The slack (0 for maps) is far below a
+    cell's width, so CoverLevel.point_cells finds an image's grid cells with
+    one binary search per axis, widened across a face only where the image
+    lies within the slack of it, and its active cells with one search of the
+    level's keys per candidate; only those go to has_edges. A map's image is
+    in the region when one of its candidates is active, a flow's when all
+    are and the image lies in Q. The samples and the region test are
+    computed column by column.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -414,16 +418,14 @@ def check_containment_condition(
             images = eval_inverse(sys, pts)
         # an image is covered when an active cell within the slack of it is a
         # successor of its box
-        wlo, whi = level.cell_windows(images, slack)
-        point, count, near = level.window_runs(wlo, whi)
-        point = np.repeat(point, count)
+        candidates, point, near = level.point_cells(images, slack)
         covered = np.zeros(images.shape[0], dtype=bool)
         covered[point[tmap.has_edges(b0 + point // samples, near)]] = True
         # images outside the covered region need no successor; for flows the
         # whole slack ball around the image must be covered
         active = np.bincount(point, minlength=images.shape[0])
         if continuous:
-            in_region = active == across_axes(np.multiply, np.maximum(whi - wlo + 1, 0))
+            in_region = active == candidates
             for k in range(d):
                 in_region &= (images[:, k] >= level.root.lo[k]) & (images[:, k] <= level.root.hi[k])
         else:
@@ -490,12 +492,15 @@ def measure_overapprox_gap(
         w_pts = np.concatenate([subbox_centers(lo, hi, tmap.meta.M), ends], axis=1)
         w_img = eval_inverse(sys, w_pts)
         rows, pos = _strided_entries(tmap.indptr, max(1, samples // ((1 << d) + 1)))
+        # one (points, cells) array per axis, so a chunk's distances are
+        # (2^d + 1, M^d + 2^d + 1, E) with the sampled edges innermost
+        e_cols = [np.ascontiguousarray(ends[:, :, k].T) for k in range(d)]
+        w_cols = [np.ascontiguousarray(w_img[:, :, k].T) for k in range(d)]
         gap = 0.0
         for c0 in range(0, pos.size, chunk):
             si, ti = rows[c0 : c0 + chunk], tmap.targets[pos[c0 : c0 + chunk]]
-            e, w = ends[ti], w_img[si]
-            dists = reduce(np.maximum, (np.abs(e[:, :, None, k] - w[:, None, :, k]) for k in range(d)))
-            gap = max(gap, float(np.max(np.min(dists, axis=2))))
+            dists = reduce(np.maximum, (np.abs(e[:, None, ti] - w[None, :, si]) for e, w in zip(e_cols, w_cols)))
+            gap = max(gap, float(np.max(np.min(dists, axis=1))))
         report.overapprox_gap = gap
         return report
 

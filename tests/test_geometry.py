@@ -234,30 +234,38 @@ def _lookup_cases() -> list[tuple[CoverLevel, np.ndarray, list[float]]]:
 
 def test_cell_windows_match_bruteforce() -> None:
     # the exactness contract of cell_windows: the windows of a point hold a
-    # cell iff point_box_distance(p, cell) <= r; window_runs lists the
-    # active ones among them
+    # cell iff point_box_distance(p, cell) <= r; the runs of row_runs hold
+    # the active ones among them. point_cells counts the same cells and
+    # lists the active ones in coordinate order, also at radii of several
+    # cells and beyond the grid
     for level, pts, radii in _lookup_cases():
         grid = CoverLevel.full(level.root, level.depth)
         boxes = [grid.box_of_flat(int(f)) for f in grid.flats]
         active = np.zeros(grid.size, dtype=bool)
         active[level.flats] = True
         coords = flats_to_coords(grid.flats, grid.depth, grid.dim)
+        lex = np.lexsort(coords[level.flats].T[::-1]).tolist()  # local ids in coordinate order, axis 0 slowest
         for p, r in zip(pts, radii):
             near = np.array([point_box_distance(p, b) <= r for b in boxes])
             lo, hi = level.cell_windows(p[None, :], r)
             inside = np.all((coords >= lo[0]) & (coords <= hi[0]), axis=1)
             assert np.nonzero(inside)[0].tolist() == np.nonzero(near)[0].tolist()
-            point, count, cells = level.window_runs(lo, hi)
+            point, start, count = level.row_runs(lo, hi)
+            cells = level.run_cells(start, count)
             assert set(point.tolist()) <= {0} and count.sum() == cells.size
             assert sorted(cells.tolist()) == np.nonzero(near[level.flats])[0].tolist()
+            candidates, point, cells = level.point_cells(p[None, :], r)
+            assert candidates.tolist() == [near.sum()] and set(point.tolist()) <= {0}
+            assert cells.tolist() == [c for c in lex if near[level.flats[c]]]
         want = [any(b.contains_point(p) for b, a in zip(boxes, active) if a) for p in pts]
         assert level.contains_points(pts).tolist() == want
 
 
 def test_contains_points_is_window_runs_membership() -> None:
-    # contains_points reads only the run counts of row_runs: a point is
-    # covered iff window_runs lists an active cell for it at r = 0, also on
-    # faces, edges and corners, which two cells share
+    # contains_points, by point location, agrees with the window lookup: a
+    # point is covered iff row_runs lists an active cell for it at r = 0,
+    # also on faces, edges and corners, which two cells share; and iff
+    # point_box_distance(p, cell) <= 0 for an active cell
     rng = np.random.default_rng(5)
     for dim, depth in ((1, 5), (2, 4), (3, 3)):
         root = Box([-1.0] * dim, [1.0] * dim)
@@ -266,11 +274,14 @@ def test_contains_points_is_window_runs_membership() -> None:
         faces = rng.random(pts.shape) < 0.6
         face_axis = np.nonzero(faces)[1]
         pts[faces] = np.array(level.boundaries)[face_axis, rng.integers(0, level.cells_per_axis + 1, face_axis.size)]
-        point, count, cells = level.window_runs(*level.cell_windows(pts, 0.0))
+        point, start, count = level.row_runs(*level.cell_windows(pts, 0.0))
+        cells = level.run_cells(start, count)
         want = np.zeros(len(pts), dtype=bool)
         want[np.repeat(point, count)] = True
         assert level.contains_points(pts).tolist() == want.tolist()
         assert 0 < want.sum() < len(pts) and cells.size == count.sum()
+        boxes = [level.box_of_flat(int(f)) for f in level.flats]
+        assert [any(point_box_distance(p, b) <= 0 for b in boxes) for p in pts[:100]] == want[:100].tolist()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

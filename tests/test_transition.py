@@ -50,7 +50,8 @@ def from_successors(level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, 
 
 def cells_at(level: CoverLevel, p) -> list[int]:
     """Local indices of the active cells that hold the point p."""
-    return sorted(level.window_runs(*level.cell_windows(np.asarray(p, dtype=float)[None, :], 0.0))[2].tolist())
+    _, start, count = level.row_runs(*level.cell_windows(np.asarray(p, dtype=float)[None, :], 0.0))
+    return sorted(level.run_cells(start, count).tolist())
 
 
 def test_halving_depth1_hand_example() -> None:
@@ -597,7 +598,8 @@ def axis_form_containment(tmap: TransitionMap, sys_, samples: int, seed: int) ->
         else:
             images = eval_inverse(sys_, pts)
         wlo, whi = level.cell_windows(images, slack)
-        point, count, near = level.window_runs(wlo, whi)
+        point, start, count = level.row_runs(wlo, whi)
+        near = level.run_cells(start, count)
         point = np.repeat(point, count)
         covered = np.zeros(images.shape[0], dtype=bool)
         covered[point[tmap.has_edges(b0 + point // samples, near)]] = True
@@ -736,3 +738,98 @@ def test_defect_matches_its_broadcast_form(d: int) -> None:
         for e in [slice(None)] + [slice(i, i + 1) for i in range(60)]:
             edge = [corner[e] for corner in boxes]
             assert transition._defect(sys_, h, *edge) == broadcast_defect(sys_, h, *edge)
+
+
+# -- point location against the window lookup ----------------------------------
+
+
+def corrupted_full_map(level: CoverLevel, meta: TransitionMeta, seed: int) -> TransitionMap:
+    """Every cell a successor of every cell, then 30% of the edges dropped."""
+    size = level.size
+    keep = np.random.default_rng(seed).random((size, size)) >= 0.3
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    targets = np.tile(np.arange(size, dtype=np.int32), size)[keep.ravel()]
+    return from_successors(level, indptr, targets, meta)
+
+
+def face_images(level: CoverLevel, slack: float):
+    """An image function that moves each coordinate of a point, chosen by
+    the coordinate's own digits, onto a cell face, within the slack of one,
+    one ulp off one, just outside Q within the slack, or beyond the grid on
+    either side, and otherwise leaves it; two axes on faces make a corner."""
+
+    def image(p):
+        p = np.array(p, dtype=np.float64)
+        for k in range(level.dim):
+            B, x = level.boundaries[k], p[..., k].copy()
+            kind = ((x * 7919.0) % 1.0 * 10).astype(int)
+            below = (x * 104729.0) % 1.0 < 0.5
+            face = B[np.clip(np.rint((x - B[0]) / (B[-1] - B[0]) * (B.size - 1)).astype(int), 0, B.size - 1)]
+            width = B[-1] - B[0]
+            moved = [
+                face, face, face, face + slack, face - slack / 2,
+                np.nextafter(face, np.where(below, -np.inf, np.inf)),
+                np.where(below, B[0] - slack / 2, B[-1] + slack / 2),
+                np.where(below, B[0] - 0.3 * width, B[-1] + 0.3 * width),
+                x, x,
+            ]
+            p[..., k] = np.choose(kind, moved)
+        return p
+
+    return image
+
+
+@pytest.mark.parametrize("kind", ["map", "flow"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_point_location_matches_the_window_lookup_on_faces(kind: str, d: int, monkeypatch) -> None:
+    # images on faces, corners, within the slack of a face, outside Q and
+    # beyond the grid: the check by point location lists the violations of
+    # its window-lookup form bit for bit, at slack 0 (a map) and 1e-9 (a flow)
+    depth = {1: 6, 2: 4, 3: 3}[d]
+    root = Box(np.full(d, -1.1), np.full(d, 0.9))
+    rng = np.random.default_rng(d)
+    cells = 1 << (depth * d)
+    level = CoverLevel(root, depth, np.sort(rng.choice(cells, size=cells * 3 // 5, replace=False)))
+    slack = 10.0 * transition._CONTAINMENT_TOL if kind == "flow" else 0.0
+    image = face_images(level, slack)
+    sys_ = DiscreteSystemSpec(inverse_eval=image, lipschitz_L=1.0, validity_region=root, name="faces", vectorized=True)
+    if kind == "flow":
+
+        def flow(sys_, pts, h, tol):
+            return image(pts)
+
+        monkeypatch.setattr(transition, "reference_backward_flow", flow)
+        monkeypatch.setitem(globals(), "reference_backward_flow", flow)
+        meta = TransitionMeta("continuous", 1, 0.0, level.rho, h=0.1)
+    else:
+        meta = TransitionMeta("discrete", 1, 0.0, level.rho)
+    tmap = corrupted_full_map(level, meta, seed=d)
+    got = check_containment_condition(tmap, sys_, samples=30, seed=3).containment_violations
+    want = axis_form_containment(tmap, sys_, samples=30, seed=3)
+    assert [(flat, p.tobytes()) for flat, p in got] == want
+    assert 0 < len(want) < 30 * level.size
+    # the images include points that two or more cells share
+    images = image(np.concatenate([level.box_los, level.box_his]))
+    assert level.point_cells(images, slack)[0].max() >= 2
+
+
+def test_point_location_is_exact_when_the_slack_spans_cells() -> None:
+    # a sparse cubic1d level whose cells, about 5.7e-10 wide, are narrower
+    # than the flow's slack of 1e-9: an image on a face has two cells
+    # within the slack on each side, so one neighbour per side would be
+    # wrong, and the check still lists the violations of its window-lookup
+    # form bit for bit
+    Q = Box([-1.5e-4], [1.5e-4])
+    sys_ = make_builtin("cubic1d", Q)
+    depth = 19
+    rng = np.random.default_rng(19)
+    middle = np.arange((1 << (depth - 1)) - 200, (1 << (depth - 1)) + 200)
+    level = CoverLevel(Q, depth, np.sort(rng.choice(middle, size=380, replace=False)))
+    slack = 10.0 * transition._CONTAINMENT_TOL
+    assert level.rho < slack
+    assert level.point_cells(level.box_los, slack)[0].min() == 4
+    tmap = corrupted_full_map(level, TransitionMeta("continuous", 1, 0.0, level.rho, h=0.05), seed=19)
+    got = check_containment_condition(tmap, sys_, samples=100, seed=5).containment_violations
+    want = axis_form_containment(tmap, sys_, samples=100, seed=5)
+    assert [(flat, p.tobytes()) for flat, p in got] == want
+    assert 0 < len(want) < 100 * level.size
