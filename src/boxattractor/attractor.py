@@ -12,8 +12,9 @@ and out-degrees, built by the map builder with one sort per level, so the
 prune sorts no edges. A plain graph is transposed once by the same helper,
 as one sort of packed target * n + source keys (int32 while n * n fits in
 int32, int64 otherwise). A removal round gathers the predecessor rows of
-its frontier only, and the next frontier is drawn from the nodes the round
-decremented, so the whole prune costs O(edges), not O(n) per round. The
+its frontier only, in blocks of a bounded number of entries, and the next
+frontier is drawn from the nodes the round decremented, so the whole prune
+costs O(edges), not O(n) per round, and peaks a few MiB above the rows. The
 level report's self-loop share is one TransitionMap.has_edges query on
 the same rows, so a run without diagnostics never builds successor rows.
 """
@@ -116,6 +117,9 @@ class LevelReport:
         return out
 
 
+_GATHER_ENTRIES = 1 << 17  # predecessor entries a removal round gathers at once
+
+
 def _prune_csr(pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray,
                alive: np.ndarray) -> tuple[np.ndarray, int]:
     """Counter-decrement worklist on predecessor rows, restricted to the
@@ -125,19 +129,38 @@ def _prune_csr(pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndar
     removed first, which counts as no round. A round removes its frontier,
     gathers the frontier's predecessor rows and decrements each predecessor
     once per removed successor; only the nodes it decrements can join the
-    next frontier, so a round costs O(its predecessors), not O(n).
+    next frontier, so a round costs O(its predecessors), not O(n). The rows
+    are gathered, counted and decremented one block of at most
+    _GATHER_ENTRIES entries at a time (or one longer row), the blocks cut
+    by the cumulative sum of the row lengths, so the prune's temporaries
+    stay small beside the rows it reads; a round whose rows fit in one block
+    is one such step. The next frontier is filtered from the sorted union
+    of the touched nodes after the whole round, so the result and the round
+    count do not depend on the blocks.
     """
     counts = out_degree.astype(np.int64)
     lengths = np.diff(pred_indptr)
+    longest = int(lengths.max(initial=0))
     position = index_dtype(sources.size)
     alive = alive.copy()
 
-    def remove(nodes: np.ndarray) -> np.ndarray:
-        alive[nodes] = False
-        touched, lost = np.unique(sources[expand_ranges(pred_indptr[nodes], lengths[nodes], position)],
-                                  return_counts=True)
+    def decrement(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+        touched, lost = np.unique(sources[expand_ranges(starts, lens, position)], return_counts=True)
         counts[touched] -= lost
         return touched
+
+    def remove(nodes: np.ndarray) -> np.ndarray:
+        alive[nodes] = False
+        starts, lens = pred_indptr[nodes], lengths[nodes]
+        if nodes.size * longest <= _GATHER_ENTRIES or lens.sum() <= _GATHER_ENTRIES:
+            return decrement(starts, lens)  # one block, with no sum for the many small rounds
+        ends = np.cumsum(lens)
+        parts, a = [], 0
+        while a < nodes.size:  # nodes a..b-1 hold at most _GATHER_ENTRIES entries, or one row
+            b = max(int(np.searchsorted(ends, ends[a] - lens[a] + _GATHER_ENTRIES, side="right")), a + 1)
+            parts.append(decrement(starts[a:b], lens[a:b]))
+            a = b
+        return np.unique(np.concatenate(parts))
 
     remove(np.flatnonzero(~alive))
     frontier = np.flatnonzero(alive & (counts == 0))

@@ -22,19 +22,23 @@ it. The map is stored as predecessor rows, the form the prune reads: the
 fill pass writes the runs' cells into one keys array of exactly one entry
 per edge, int64 only when size * size exceeds int32, a block of runs at a
 time; the keys are packed in place into target * size + source and sorted
-once (deduplicated when M > 1), which lists every target's predecessors as
-one sorted run. So the build peaks at about 4 bytes per edge with int32
-keys, 8 with int64 keys, plus 8 bytes per run (henon depth 8: 4.5 bytes
-per edge). Sources stay int32 (4 bytes per edge) while the level has fewer
-than 2^31 cells. Edge queries bisect these rows: the self-loop share and
-the containment check, which maps one chunk of sampled cells per image
-call and finds each image's cells by point location (CoverLevel.point_cells),
-not by cell windows. The successor rows, sorted by flat index so that the
-JSON serialisation is canonical, are one transpose away and are built only
-when something reads them: the gap measurement and the serialisation. The
-diagnostics' per-point arrays are (m, d) with d small, so their samples,
-region tests, norms, distances and defects are computed one axis at a time
-rather than reduced along d or broadcast with d innermost.
+once (deduplicated in place when M > 1), which lists every target's
+predecessors as one sorted run. The sources are decoded into the keys' own
+memory, narrowed to int32 in place when the keys are int64 (an int32 owner
+of twice their length holds them), and that memory, shrunk in place, is
+the map's sources. So the build peaks at about 4 bytes per edge with int32
+keys, 8 with int64 keys, plus 8 bytes per run (henon depth 8: 4.6 bytes
+per edge, 8.5 with int64 keys). Sources stay int32 (4 bytes per edge)
+while the level has fewer than 2^31 cells. Edge queries bisect these
+rows: the self-loop share and the containment check, which maps one chunk
+of sampled cells per image call and finds each image's cells by point
+location (CoverLevel.point_cells), not by cell windows. The successor
+rows, sorted by flat index so that the JSON serialisation is canonical, are
+one transpose away and are built only when something reads them: the gap
+measurement and the serialisation. The diagnostics' per-point arrays are
+(m, d) with d small, so their samples, region tests, norms, distances and
+defects are computed one axis at a time rather than reduced along d or
+broadcast with d innermost.
 """
 
 from __future__ import annotations
@@ -194,38 +198,57 @@ def _pack_rows(keys: np.ndarray, indptr: np.ndarray, n: int) -> None:
         keys[indptr[r0] : indptr[r1]] += np.repeat(np.arange(r0, r1, dtype=keys.dtype), lengths[r0:r1])
 
 
-def _drop_repeats(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of sorted keys, moved to the front in place one
-    block at a time, so no second key array is made: a view of that front."""
+def _drop_repeats(keys: np.ndarray) -> int:
+    """Move the distinct values of sorted keys to the front in place, one
+    block at a time, so no second key array is made; returns their count."""
     w = min(keys.size, 1)
     for b0 in range(1, keys.size, _BLOCK_EDGES):
         block = keys[b0 : b0 + _BLOCK_EDGES]
         fresh = block[np.diff(block, prepend=keys[w - 1]) != 0]  # keys[w - 1] is the last kept value
         keys[w : w + fresh.size] = fresh
         w += fresh.size
-    return keys[:w]
+    return w
 
 
-def _rows_of_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows of the sorted keys row * n + value: the searchsorted
-    positions of the keys r * n bound the rows, and the values are decoded
-    in place, then narrowed to int32 while n fits. A view of a larger array
-    is copied, so that array can be freed."""
+def _key_owner(m: int, n: int) -> np.ndarray:
+    """The memory of m packed keys of n nodes: an empty array of n's index
+    dtype, viewed as the keys by owner.view(_key_dtype(n)). int64 keys of
+    nodes with int32 indices get an int32 owner of twice the length, so that
+    _rows_of_keys can narrow the decoded values into its front in place."""
+    key, index = np.dtype(_key_dtype(n)), np.dtype(index_dtype(n))
+    return np.empty(m * key.itemsize // index.itemsize, index)
+
+
+def _rows_of_keys(owner: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the first m sorted keys row * n + value in `owner`, from
+    _key_owner: the searchsorted positions of the keys r * n bound the rows,
+    and the values are decoded in place one block at a time, each block's
+    written into the owner's front (numpy buffers the overlap of the first
+    block of int64 keys; later blocks land on keys already decoded). The
+    owner, shrunk in place to its m values, becomes the values, so a key
+    array is never copied; the caller must hold no view of it."""
+    keys = owner.view(_key_dtype(n))[:m]
     indptr = np.searchsorted(keys, (np.arange(n + 1) * n).astype(keys.dtype))
-    for b0 in range(0, keys.size, _BLOCK_EDGES):
+    for b0 in range(0, m, _BLOCK_EDGES):
         block = keys[b0 : b0 + _BLOCK_EDGES]
         block -= block // n * n  # key % n: numpy divides by a scalar several times faster
-    return indptr, keys.astype(index_dtype(n), copy=keys.base is not None)
+        owner[b0 : b0 + block.size] = block  # a no-op when the keys are the owner
+    keys = block = None  # the resize may move the data, so no view of it may be left
+    owner.resize(m, refcheck=False)
+    return indptr, owner
 
 
 def _transpose(indptr: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR rows of the reversed relation on n nodes, each row sorted: one
     sort of the packed keys value * n + row (int32 while n * n fits in
     int32, int64 otherwise)."""
-    keys = values.astype(_key_dtype(n))
+    owner = _key_owner(values.size, n)
+    keys = owner.view(_key_dtype(n))
+    keys[:] = values
     _pack_rows(keys, indptr, n)
     keys.sort()
-    return _rows_of_keys(keys, n)
+    del keys
+    return _rows_of_keys(owner, values.size, n)
 
 
 def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,13 +281,17 @@ def _build_map(
     while size * size fits in it and int64 otherwise, is filled with the
     runs' local cell ids one block of runs (about _BLOCK_EDGES keys on
     average) at a time, then packed in place into keys target * size +
-    source. So the build peaks at about 4 bytes per edge with int32 keys and
-    8 with int64 keys, plus 8 bytes per run. One sort of all keys then lists
-    every target's predecessors as one sorted run. The run counts give the
-    out-degrees for M = 1; for M > 1 repeated keys are dropped after the
-    sort and the out-degrees counted from the sources."""
+    source. One sort of all keys then lists every target's predecessors as
+    one sorted run, and _rows_of_keys decodes the sources into the keys'
+    memory (from _key_owner, so int64 keys are narrowed to int32 in place)
+    and shrinks it to the sources. So the build peaks at about 4 bytes per
+    edge with int32 keys and 8 with int64 keys, plus 8 bytes per run. The
+    run counts give the out-degrees for M = 1; for M > 1 repeated keys are
+    dropped in place after the sort and the out-degrees counted from the
+    sources."""
     size = level.size
-    keys = np.empty(int(counts.sum()), dtype=_key_dtype(size))
+    owner = _key_owner(int(counts.sum()), size)
+    keys = owner.view(_key_dtype(size))
     step = max(1, _BLOCK_EDGES * count.size // max(keys.size, 1))  # runs per block
     at = 0
     for r0 in range(0, count.size, step):
@@ -273,9 +300,9 @@ def _build_map(
         at += cells.size
     _pack_rows(keys, np.concatenate([[0], np.cumsum(counts)]), size)
     keys.sort()
-    if meta.M > 1:
-        keys = _drop_repeats(keys)
-    pred_indptr, sources = _rows_of_keys(keys, size)
+    m = keys.size if meta.M == 1 else _drop_repeats(keys)
+    del keys  # _rows_of_keys shrinks the owner in place
+    pred_indptr, sources = _rows_of_keys(owner, m, size)
     out_degree = counts if meta.M == 1 else np.bincount(sources, minlength=size)
     return TransitionMap(level, pred_indptr, sources, out_degree, meta)
 

@@ -17,11 +17,17 @@ from boxattractor.attractor import (
     run_global,
     run_subdivision,
 )
-from boxattractor.geometry import Box, CoverLevel, refine_cover, region_semidistance
+from boxattractor.geometry import Box, CoverLevel, expand_ranges, refine_cover, region_semidistance
 from boxattractor.integrator import EulerParams, EulerSchedule, reference_backward_flow
 from boxattractor.oracle import reach_cycle_set, reference_attractor_points
 from boxattractor.systems import make_builtin
-from boxattractor.transition import build_transition, build_transition_discrete, check_containment_condition
+from boxattractor.transition import (
+    TransitionMap,
+    TransitionMeta,
+    build_transition,
+    build_transition_discrete,
+    check_containment_condition,
+)
 
 Q1 = Box([-1.0], [1.0])
 Q2 = Box([-1.0, -1.0], [1.0, 1.0])
@@ -175,6 +181,61 @@ def test_prune_restriction_semantics_on_transition_map_subset() -> None:
         assert res.kept_flats.tolist() == list(want.kept)
     # some subsets do prune, so the comparison is not between two full sets
     assert prune(level.active[::2], tmap).removed
+
+
+def whole_round_prune(pred_indptr, sources, out_degree, alive):
+    """The prune kernel that gathers each round's predecessor rows at once,
+    kept as the oracle of the blocked kernel."""
+    counts = out_degree.astype(np.int64)
+    lengths = np.diff(pred_indptr)
+    alive = alive.copy()
+
+    def remove(nodes):
+        alive[nodes] = False
+        touched, lost = np.unique(sources[expand_ranges(pred_indptr[nodes], lengths[nodes])], return_counts=True)
+        counts[touched] -= lost
+        return touched
+
+    remove(np.flatnonzero(~alive))
+    frontier = np.flatnonzero(alive & (counts == 0))
+    rounds = 0
+    while frontier.size:
+        rounds += 1
+        touched = remove(frontier)
+        frontier = touched[alive[touched] & (counts[touched] <= 0)]
+    return alive, rounds
+
+
+@st.composite
+def prune_graphs(draw):
+    """Successor lists of the cells of a 1-D level, and the cells to prune over."""
+    n = 1 << draw(st.integers(0, 6))
+    succ = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4, unique=True), min_size=n, max_size=n))
+    given = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return CoverLevel.full(Q1, n.bit_length() - 1), succ, given
+
+
+@given(case=prune_graphs(), as_map=st.booleans(), block=st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=200, deadline=None)
+def test_blocked_prune_equals_whole_round_kernel(case, as_map: bool, block: int) -> None:
+    # a TransitionMap pruned over a subset removes the cells outside it in
+    # its first call, so that call goes through the blocks as well
+    level, succ, given = case
+    if as_map:
+        indptr = np.concatenate([[0], np.cumsum([len(s) for s in succ])])
+        targets = np.array([t for s in succ for t in s], dtype=np.int32)
+        meta = TransitionMeta("discrete", 1, 0.0, level.rho)
+        graph = TransitionMap(level, *transition._transpose(indptr, targets, level.size), np.diff(indptr), meta)
+        indices = level.flats[given]
+    else:
+        graph, indices = dict(enumerate(succ)), np.flatnonzero(given).tolist()
+    with patch.object(attractor, "_prune_csr", whole_round_prune):
+        want = prune(indices, graph)
+    with patch.object(attractor, "_GATHER_ENTRIES", block):
+        got = prune(indices, graph)
+    assert got.kept_flats.tolist() == want.kept_flats.tolist()
+    assert got.removed_flats.tolist() == want.removed_flats.tolist()
+    assert got.rounds == want.rounds
 
 
 def test_run_global_halving_band() -> None:
@@ -442,18 +503,26 @@ def test_exact_box_map_keeps_all_of_q_at_shallow_depths() -> None:
         assert sd[depth] > sd[3] / 4.0
 
 
-def test_henon_level_peak_bytes_per_edge() -> None:
+@pytest.fixture(scope="module")
+def henon_d6():
+    Q = Box([-2.0, -2.0], [2.0, 2.0])
+    sys_ = make_builtin("henon", Q)
+    result, _ = run_subdivision(sys_, Q, 6)[-1]
+    return Q, sys_, result.kept_flats
+
+
+def test_henon_level_peak_bytes_per_edge(henon_d6) -> None:
     # int32 edges from the lookup to the prune: the traced peak of building
     # a henon map at depth 7 (3.2 M edges) and of pruning it, per edge, with
     # the map alive during the prune. int64 targets read 15.0 and 16.0 here,
     # and a prune that sorted its own transpose 10.8; reading the builder's
-    # predecessor rows it reads 6.8. A build that concatenated per-chunk
-    # targets read 8.3; keeping only the lookup's runs, then filling one keys
-    # array of exactly one entry per edge, reads 4.8.
-    Q = Box([-2.0, -2.0], [2.0, 2.0])
-    sys_ = make_builtin("henon", Q)
-    result, _ = run_subdivision(sys_, Q, 6)[-1]
-    level = refine_cover(CoverLevel(Q, 6, result.kept_flats), result.kept_flats)
+    # predecessor rows it reads 6.8, and gathering them in blocks of 2^17
+    # entries rather than a whole round at once 4.5, below the build. A build
+    # that concatenated per-chunk targets read 8.3; keeping only the lookup's
+    # runs, then filling one keys array of exactly one entry per edge, reads
+    # 4.8.
+    Q, sys_, kept = henon_d6
+    level = refine_cover(CoverLevel(Q, 6, kept), kept)
     tracemalloc.start()
     try:
         tmap = build_transition(level, sys_)
@@ -465,7 +534,27 @@ def test_henon_level_peak_bytes_per_edge() -> None:
         tracemalloc.stop()
     assert tmap.sources.dtype == np.int32 and tmap.edge_count > 3_000_000
     assert build_peak / tmap.edge_count <= 5.6
-    assert prune_peak / tmap.edge_count <= 7.8
+    assert prune_peak / tmap.edge_count <= 4.8
+    assert prune_peak <= build_peak
+
+
+def test_henon_int64_key_level_peak_bytes_per_edge(henon_d6) -> None:
+    # the same level with the int64 packed keys of every level above 46,340
+    # cells: the keys view an int32 owner of twice their length, the decoded
+    # sources are narrowed into its front, and the owner is shrunk in place to
+    # become the sources. Holding the int64 keys and an int32 copy of them
+    # together read 12.4 bytes per edge here; narrowing in place reads 8.8.
+    Q, sys_, kept = henon_d6
+    level = refine_cover(CoverLevel(Q, 6, kept), kept)
+    with patch.object(transition, "_INT32_KEYS", 0):
+        tracemalloc.start()
+        try:
+            tmap = build_transition(level, sys_)
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert tmap.sources.dtype == np.int32 and tmap.sources.flags.owndata and tmap.edge_count > 3_000_000
+    assert build_peak / tmap.edge_count <= 9.0
 
 
 def test_run_without_diagnostics_never_builds_the_successor_view() -> None:

@@ -515,7 +515,8 @@ def test_lookup_matches_pair_scan(case, chunk: int) -> None:
 def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: bool, block: int) -> None:
     # wide=True lowers the int32 packing bound so that small levels take the
     # int64 key path of the builder and of the successor view's transpose;
-    # small blocks split the in-place key passes as large levels do
+    # small blocks split the in-place key passes as large levels do. Either
+    # way the key array, shrunk in place, becomes the int32 sources.
     level, images, radius, M = case
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
     scan = transition_pair_scan(level, images, radius)
@@ -533,6 +534,7 @@ def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: b
     rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
     assert tmap.pred_indptr.dtype == np.int64 and tmap.pred_indptr[0] == 0
     assert tmap.sources.dtype == np.int32 and tmap.out_degree.dtype == np.int64
+    assert tmap.sources.flags.owndata and tmap.targets.flags.owndata and again.sources.flags.owndata
     assert {flats[t]: level.flats[row].tolist() for t, row in enumerate(rows)} == preds
     assert tmap.out_degree.tolist() == [len(scan[s]) for s in flats]
     assert tmap.edge_count == sum(map(len, scan.values()))
