@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Box, BoxKey, CoverLevel, expand_ranges, index_dtype, refine_cover
+from .geometry import MAX_FULL_GRID, Box, BoxKey, CoverLevel, expand_ranges, index_dtype, refine_cover
 from .integrator import EulerParams, EulerSchedule
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
 from .transition import GapReport, TransitionMap, _transpose, build_transition, check_margin, run_diagnostics
@@ -253,9 +253,9 @@ def run_global(
     seed: int = 0,
 ) -> tuple[PruneResult, LevelReport]:
     """Fixed-depth scheme: build the full 2^{nd}-cell cover, map, and prune."""
-    needed = 1 << (depth * Q.dim)
-    if needed > box_budget:
-        raise BoxBudgetError(depth=depth, needed=needed, budget=box_budget)
+    needed, budget = 1 << (depth * Q.dim), min(box_budget, MAX_FULL_GRID)  # CoverLevel.full's cap too
+    if needed > budget:
+        raise BoxBudgetError(depth=depth, needed=needed, budget=budget)
     return _run_level(CoverLevel.full(Q, depth), sys, M, euler, diagnostics, samples, seed)
 
 

@@ -53,6 +53,8 @@ from .systems import (
 )
 from .transition import build_transition, check_containment_condition, check_margin, measure_overapprox_gap
 
+_BOX_CHUNK = 4096  # kept cells per chunk of the boxes records
+
 
 class ConfigError(ValueError):
     pass
@@ -127,10 +129,11 @@ class RunConfig:
         return system, self.schedule() if isinstance(system, ContinuousSystemSpec) else None
 
     def validate(self, for_run: bool = True) -> None:
-        kinds = dict.fromkeys(("depth", "M", "N", "seed", "threads", "box_budget", "samples"), int)
-        kinds.update(diagnostics=bool, out=str, stats=str, checkpoint_dir=(str, type(None)))
-        for name, kind in kinds.items():
-            if not isinstance(getattr(self, name), kind):
+        kinds = dict.fromkeys(("depth", "M", "N", "seed", "threads", "box_budget", "samples"), (int,))
+        kinds.update(h0=(int, float, type(None)), alpha=(int, float), diagnostics=(bool,), out=(str,), stats=(str,))
+        kinds.update(checkpoint_dir=(str, type(None)))
+        for name, kind in kinds.items():  # exact types: a JSON true or false is a bool, never a number
+            if type(getattr(self, name)) not in kind:
                 raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
         if self.depth < 0:
             raise ConfigError("depth must be nonnegative")
@@ -346,14 +349,14 @@ def cmd_run(cfg: RunConfig) -> int:
     return status
 
 
-def _box_lines(level: CoverLevel, kept: np.ndarray, chunk: int = 4096):
+def _box_lines(level: CoverLevel, kept: np.ndarray):
     """The boxes JSONL records of the kept flat indices, chunk by chunk, as
     the bytes json.dumps(sort_keys=True, separators=(",", ":")) writes:
     json writes floats with float.__repr__, so the repr of each boundary the
     cells touch is made once per level and the lines are joined with numpy
     on bytes arrays, one byte per character."""
     # coordinates chunk by chunk: one whole-level array made saddle depth-8 runs about 4% slower
-    flats = [kept[c0 : c0 + chunk] for c0 in range(0, kept.size, chunk)]
+    flats = [kept[c0 : c0 + _BOX_CHUNK] for c0 in range(0, kept.size, _BOX_CHUNK)]
     coords = [flats_to_coords(f, level.depth, level.dim) for f in flats]
     touched = [np.zeros(b.size, dtype=bool) for b in level.boundaries]
     for c in coords:

@@ -7,7 +7,10 @@ iff the ball of radius r around p meets b.
 Cell bounds at depth n are produced by repeated midpoint splitting, never by
 `lo + i * width` arithmetic; this keeps a key's box bitwise identical no
 matter whether it is reached through recursion, through a cached boundary
-array, or through a spatial query.
+array, or through a spatial query. Both spatial queries, the windows and
+runs of the map build and the point location of the containment check,
+get their per-axis cells from one exact window routine and their keys from
+one enumeration; they differ only in how they search the level's keys.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ class CoverLevel:
         """Coordinate-lexicographic keys of the active cells (axis 0 slowest),
         sorted, and the local id of the cell behind each key (int32 while the
         level has fewer than 2^31 cells)."""
-        keys = self.coords @ self.cells_per_axis ** np.arange(self.dim - 1, -1, -1)
+        keys = _lex_keys(list(self.coords.T), self.cells_per_axis)
         order = np.argsort(keys)
         return keys[order], order.astype(index_dtype(self.size))
 
@@ -283,58 +286,32 @@ class CoverLevel:
     # -- spatial queries -----------------------------------------------------
 
     def cell_windows(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """First and last cell index, per point and axis, of the cells c with
-        max(B[c] - p, p - B[c+1], 0) <= r for the axis boundaries B (lo > hi
-        where none is). The passing cells are contiguous, so a conservative
-        window from two binary searches is trimmed at both ends by that test.
-
-        Exactness contract: the product of a point's windows holds a grid
-        cell iff point_box_distance(p, cell) <= r with the cell's canonical
-        bounds; :meth:`row_runs` and :meth:`run_cells` give the active cells
-        among them.
+        """First and last cell index, per point and axis, of the cells within
+        r >= 0 (lo > hi where none is): :func:`_exact_windows` from the cells
+        that hold p - r and p + r. Exactness contract: the product of a
+        point's windows holds a grid cell iff point_box_distance(p, cell) <= r
+        with the cell's canonical bounds; :meth:`row_runs` and
+        :meth:`run_cells` give the active cells among them.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
-        los = np.empty(pts.shape, dtype=np.int64)
-        his = np.empty(pts.shape, dtype=np.int64)
-        for k in range(self.dim):
-            B, x = self.boundaries[k], pts[:, k]
-            lo = np.maximum(np.searchsorted(B, x - r, side="left") - 2, 0)
-            hi = np.minimum(np.searchsorted(B, x + r, side="right"), self.cells_per_axis - 1)
-            for end, step in ((lo, 1), (hi, -1)):
-                i = np.arange(x.size)
-                while i.size:
-                    i = i[lo[i] <= hi[i]]
-                    c = end[i]
-                    gap = np.maximum(np.maximum(B[c] - x[i], x[i] - B[c + 1]), 0.0)
-                    i = i[~(gap <= r)]
-                    end[i] += step
-            los[:, k], his[:, k] = lo, hi
-        return los, his
+        los, his = zip(*(_exact_windows(B, x, r, x - r, x + r) for B, x in zip(self.boundaries, pts.T)))
+        return np.stack(los, axis=1), np.stack(his, axis=1)
 
     def row_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The active cells of the windows lo[i]..hi[i] as runs of the sorted
         lexicographic keys, one per row of a window's first d-1 axes, ordered
         by window and row: the window index, the position of the run's first
-        key and the run's cell count. Each row takes two binary searches in
-        those keys.
+        key and the run's cell count. :func:`_window_keys` gives each row's
+        first key, and each row takes two binary searches in the level's keys.
         """
         width = hi - lo + 1
         rows = np.where(across_axes(np.minimum, width) > 0, across_axes(np.multiply, width[:, :-1], initial=1), 0)
-        point = np.repeat(np.arange(rows.size), rows)
-        j = expand_ranges(np.zeros_like(rows), rows)
-        n = self.cells_per_axis
-        prefix = np.zeros(point.size, dtype=np.int64)
-        stride = 1
-        for k in range(self.dim - 2, -1, -1):  # last of the row axes varies fastest
-            w = width[point, k]
-            prefix += (lo[point, k] + j % w) * stride
-            j //= w
-            stride *= n
+        point, first = _window_keys(list(lo.T), list(width[:, :-1].T), rows, self.cells_per_axis)
         keys = self._lex[0]
-        start = np.searchsorted(keys, prefix * n + lo[point, -1], side="left")
-        count = np.searchsorted(keys, prefix * n + hi[point, -1], side="right") - start
+        start = np.searchsorted(keys, first, side="left")
+        count = np.searchsorted(keys, first + (width[point, -1] - 1), side="right") - start
         return point, start, count
 
     def run_cells(self, start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -346,64 +323,21 @@ class CoverLevel:
 
     def point_cells(self, points, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Point location: per point, the number of grid cells c with
-        point_box_distance(p, c) <= r, and the active cells among them as
-        (point index, local id) pairs, ordered by point and then by
+        point_box_distance(p, c) <= r (r >= 0), and the active cells among
+        them as (point index, local id) pairs, ordered by point and then by
         coordinates (local ids int32 while the level has fewer than 2^31
-        cells). One binary search of the boundaries per axis finds the cell
-        that holds the point, and one search of the level's lexicographic
-        keys per candidate cell finds the active ones.
-
-        On each axis the closed-cell test max(B[c] - x, x - B[c+1], 0) <= r
-        (r >= 0) of cell_windows passes for the holding cell when x lies on
-        the grid, and its value only grows away from x, also in float64
-        (rounding is monotone). So the passing cells are the holding cell
-        widened one neighbour at a time while the next one passes: no round
-        for a point farther than r from every face, which has one candidate,
-        as many rounds as the cells r spans when r exceeds a cell, and no
-        cell on an axis whose grid the point misses by more than r.
+        cells). The windows are :func:`_exact_windows` from the cell that
+        holds the point, and one search of the level's keys per candidate
+        cell (:func:`_window_keys`) finds the active ones: one search per
+        axis and one key search for a point farther than r from every face.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
-        n = self.cells_per_axis
-        los, widths = [], []
-        for k in range(self.dim):
-            B, x = self.boundaries[k], pts[:, k]
-
-            def passes(c, i):
-                return np.maximum(np.maximum(B[c] - x[i], x[i] - B[c + 1]), 0.0) <= r
-
-            lo = np.clip(np.searchsorted(B, x, side="right") - 1, 0, n - 1)
-            hi = lo.copy()
-            # the holding cell's test, max(-below, -above, 0) <= r, is
-            # min(below, above) >= -r (float negation is exact); the lower
-            # neighbour's, max(B[lo-1] - x, below, 0) <= r, needs below <= r
-            # and the upper one's above <= r, so only the points within r of
-            # a face enter the loops
-            below, above = x - B[lo], B[lo + 1] - x
-            fits = np.minimum(below, above) >= -r
-            for end, step, last, near in ((lo, -1, 0, below <= r), (hi, 1, n - 1, above <= r)):
-                i = np.flatnonzero(near & fits & (end != last))
-                while i.size:
-                    i = i[passes(end[i] + step, i)]
-                    end[i] += step
-                    i = i[end[i] != last]
-            los.append(lo)
-            widths.append(np.where(fits, hi - lo + 1, 0))
+        los, his = zip(*(_exact_windows(B, x, r, x, x) for B, x in zip(self.boundaries, pts.T)))
+        widths = [hi - lo + 1 for lo, hi in zip(los, his)]
         candidates = reduce(np.multiply, widths)
-        point = np.repeat(np.arange(pts.shape[0]), candidates)
-        # a candidate's key is its point's first key plus the offset that its
-        # rank within the point decodes to, zero for the first
-        key = np.repeat(reduce(lambda a, c: a * n + c, los), candidates)
-        rank = np.arange(point.size) - np.repeat(np.cumsum(candidates) - candidates, candidates)
-        more = np.flatnonzero(rank)
-        j, owner = rank[more], point[more]
-        stride = 1
-        for k in range(self.dim - 1, -1, -1):  # the last axis varies fastest, as in the keys
-            w = widths[k][owner]
-            key[more] += j % w * stride
-            j //= w
-            stride *= n
+        point, key = _window_keys(los, widths, candidates, self.cells_per_axis)
         keys, order = self._lex
         pos = np.searchsorted(keys, key)
         hit = pos < keys.size
@@ -462,6 +396,75 @@ def expand_ranges(start: np.ndarray, count: np.ndarray, dtype=np.int64) -> np.nd
         out[ends] = start[1:] - start[:-1] - count[:-1] + 1
         np.cumsum(out, out=out, dtype=dtype)
     return out
+
+
+def _lex_keys(columns, n: int) -> np.ndarray:
+    """Lexicographic keys of per-axis cell columns, n cells per axis and
+    axis 0 slowest: key * n + c folded over the axes."""
+    return reduce(lambda key, c: key * n + c, columns)
+
+
+def _exact_windows(B: np.ndarray, x: np.ndarray, r: float, lo_at: np.ndarray, hi_at: np.ndarray):
+    """The first and last cell c of one axis with max(B[c] - x, x - B[c+1],
+    0) <= r (r >= 0), or lo = hi + 1 where none passes, from the cells that
+    hold lo_at <= x and hi_at >= x (the upper one on a face, clipped to the
+    grid; one search when lo_at is hi_at).
+
+    The test grows away from x, also in float64 (rounding is monotone), so
+    the passing cells are contiguous. It passes for the cell that holds x
+    when x is on the grid and, off the grid, for the end cell nearest x if
+    any cell passes. So lo starts at or before the last passing cell and hi
+    at or after the first, and the ends come out exact, with no rounding
+    margin, when each first shrinks while its own cell fails and then widens
+    while the next cell out passes. The own test is min(below, above) >= -r
+    for below = x - B[c] and above = B[c+1] - x (float negation is exact),
+    and the next cell out can pass only where below <= r (for lo) or
+    above <= r (for hi), so only the points near a face enter the loops.
+    """
+    last = B.size - 2
+    lo = np.clip(np.searchsorted(B, lo_at, side="right") - 1, 0, last)
+    hi = lo.copy() if hi_at is lo_at else np.clip(np.searchsorted(B, hi_at, side="right") - 1, 0, last)
+
+    def passes(c, i):
+        return np.maximum(B[c] - x[i], x[i] - B[c + 1]) <= r
+
+    for end, out, stop in ((lo, -1, 0), (hi, 1, last)):
+        below, above = x - B[end], B[end + 1] - x
+        fits = np.minimum(below, above) >= -r
+        i = np.flatnonzero(~fits & (lo <= hi))
+        while i.size:
+            end[i] -= out
+            i = i[lo[i] <= hi[i]]
+            i = i[~passes(end[i], i)]
+        i = np.flatnonzero(fits & ((below if out < 0 else above) <= r) & (end != stop))
+        while i.size:
+            i = i[passes(end[i] + out, i)]
+            end[i] += out
+            i = i[end[i] != stop]
+    return lo, hi
+
+
+def _window_keys(firsts: list, widths: list, counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of per-point product windows as (point, key) pairs, point
+    after point and in key order within a point. Point i's window starts at
+    cell firsts[k][i] of every axis k and spans widths[k][i] cells on each
+    of the leading len(widths) axes, one cell on the others; counts[i] is
+    the product of its widths (0 for an empty window). Each point's first
+    key is repeated, and only the ranks above zero decode to an offset."""
+    point = np.repeat(np.arange(counts.size), counts)
+    key = np.repeat(_lex_keys(firsts, n), counts)
+    rank = expand_ranges(np.zeros_like(counts), counts)
+    more = np.flatnonzero(rank)
+    j, owner = rank[more], point[more]
+    offset = np.zeros(more.size, dtype=np.int64)
+    stride = n ** (len(firsts) - len(widths))
+    for w in reversed(widths[1:]):  # the last enumerated axis varies fastest, as in the keys
+        w = w[owner]
+        offset += j % w * stride
+        j //= w
+        stride *= n
+    key[more] += offset + j * stride  # what is left of the rank is axis 0's offset
+    return point, key
 
 
 def refine_cover(level: CoverLevel, retained) -> CoverLevel:

@@ -15,30 +15,23 @@ therefore preserves every containment guarantee. Only the image function
 and the radius differ; build_transition picks both by the system kind.
 
 All image points of a chunk of sources go through one batch neighbour
-lookup, CoverLevel.row_runs, which returns the active cells within r of
-each point as runs of the level's sorted lexicographic keys; the lookup
-pass keeps only each run's start and count, and the images are freed after
-it. The map is stored as predecessor rows, the form the prune reads: the
-fill pass writes the runs' cells into one keys array of exactly one entry
-per edge, int64 only when size * size exceeds int32, a block of runs at a
-time; the keys are packed in place into target * size + source and sorted
-once (deduplicated in place when M > 1), which lists every target's
-predecessors as one sorted run. The sources are decoded into the keys' own
-memory, narrowed to int32 in place when the keys are int64 (an int32 owner
-of twice their length holds them), and that memory, shrunk in place, is
-the map's sources. So the build peaks at about 4 bytes per edge with int32
-keys, 8 with int64 keys, plus 8 bytes per run (henon depth 8: 4.6 bytes
-per edge, 8.5 with int64 keys). Sources stay int32 (4 bytes per edge)
-while the level has fewer than 2^31 cells. Edge queries bisect these
-rows: the self-loop share and the containment check, which maps one chunk
-of sampled cells per image call and finds each image's cells by point
-location (CoverLevel.point_cells), not by cell windows. The successor
-rows, sorted by flat index so that the JSON serialisation is canonical, are
-one transpose away and are built only when something reads them: the gap
-measurement and the serialisation. The diagnostics' per-point arrays are
-(m, d) with d small, so their samples, region tests, norms, distances and
-defects are computed one axis at a time rather than reduced along d or
-broadcast with d innermost.
+lookup: CoverLevel.cell_windows gives each point's exact cell window per
+axis and CoverLevel.row_runs the active cells in it, as runs of the
+level's sorted lexicographic keys. The lookup pass keeps each run's start
+and count, and the fill pass writes the runs' cells into one keys array of
+one entry per edge, packed in place into target * size + source and
+sorted once (repeats dropped when M > 1): the predecessor rows, which the
+prune reads. The sources are decoded into the keys' own memory, narrowed
+in place when the keys are int64, so the build peaks at about 4 bytes per
+edge with int32 keys and 8 with int64 keys, plus 8 bytes per run (see
+_build_map). Edge queries bisect these rows: the self-loop share and the
+containment check, which finds each image's cells by point location
+(CoverLevel.point_cells: the same exact windows, with one key search per
+candidate cell instead of runs). The successor rows, sorted by flat index
+so that the JSON serialisation is canonical, are one transpose away and
+are built only for the gap measurement and the serialisation. The
+diagnostics' per-point arrays are (m, d) with d small, so they are
+computed one axis at a time.
 """
 
 from __future__ import annotations
@@ -412,14 +405,12 @@ def check_containment_condition(
     flows, which picks the step count per point, so no image depends on its
     batch); images landing in the covered region must lie in their cell's
     successor union. Flows test membership within 10 * _CONTAINMENT_TOL:
-    diagnostic, not proof-strength. The slack (0 for maps) is far below a
-    cell's width, so CoverLevel.point_cells finds an image's grid cells with
-    one binary search per axis, widened across a face only where the image
-    lies within the slack of it, and its active cells with one search of the
-    level's keys per candidate; only those go to has_edges. A map's image is
-    in the region when one of its candidates is active, a flow's when all
-    are and the image lies in Q. The samples and the region test are
-    computed column by column.
+    diagnostic, not proof-strength. CoverLevel.point_cells finds the grid
+    cells within that slack (0 for maps) of each image and the active ones
+    among them, and only those go to has_edges. A map's image is in the
+    region when one of its candidates is active, a flow's when all are and
+    the image lies in Q. The samples and the region test are computed
+    column by column.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -281,6 +281,13 @@ def test_run_global_budget() -> None:
         run_global(sys_, Q2, depth=8, M=1, box_budget=1000)
 
 
+def test_run_global_above_the_full_grid_cap_is_a_budget_error() -> None:
+    # a budget above MAX_FULL_GRID (2^24) does not let a 2^25-cell grid through
+    with pytest.raises(BoxBudgetError) as err:
+        run_global(make_builtin("halving1d", Q1), Q1, depth=25, box_budget=1 << 26)
+    assert (err.value.needed, err.value.budget) == (1 << 25, 1 << 24)
+
+
 def test_subdivision_halving_band_and_containment() -> None:
     sys_ = make_builtin("halving1d", Q1)
     levels = run_subdivision(sys_, Q1, max_depth=8, M=1)

@@ -171,6 +171,17 @@ def test_budget_overflow_exit_3(tmp_path: Path) -> None:
     assert {r["depth"] for r in records} == {0, 1, 2, 3, 4}
 
 
+def test_sandwich_above_the_full_grid_cap_exit_3(tmp_path: Path) -> None:
+    # the depth-13 global cover has 2^26 cells: within --box-budget but above
+    # the full-grid cap, so the sandwich stops with exit 3, not a traceback
+    args = run_args(tmp_path, **{"--system": "linmap2d", "--q": "-1,-1:1,1", "--depth": "13"})
+    assert main(args) == 0
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_text("".join(l for l in boxes.read_text().splitlines(keepends=True) if l.startswith('{"depth":13,')))
+    check = ["check", "--mode", "sandwich", *args[1:], "--box-budget", "100000000", "--max-global-depth", "13"]
+    assert main(check) == 3
+
+
 def test_interrupt_exits_130_with_flush(tmp_path: Path, monkeypatch) -> None:
     real = cli.run_subdivision
 
@@ -800,6 +811,10 @@ def test_checkpoint_non_integer_exit_2(tmp_path: Path, entry: dict) -> None:
     {"system": "cubic1d", "q": "-1.5:1.5", "h0": [0.05]},
     {"params": [1]},
     {"system": "henon", "q": "-1,-1:1,1", "params": {"a": "x"}},
+    {"depth": True, "samples": True},
+    {"M": True},
+    {"h0": True},
+    {"alpha": False},
 ])
 def test_malformed_config_values_exit_2(tmp_path: Path, entry: dict) -> None:
     cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from boxattractor.geometry import (
     Box,
     BoxKey,
     CoverLevel,
+    _exact_windows,
     across_axes,
     flats_to_coords,
     point_box_distance,
@@ -212,9 +213,10 @@ def test_dyadic_boundaries_match_recursive_bounds() -> None:
 
 def _lookup_cases() -> list[tuple[CoverLevel, np.ndarray, list[float]]]:
     """(level, points, radii): a full 2-D level and a sparse 3-D level, each
-    with random points in and around Q at random radii, plus points on cell
-    faces, edges and corners at r = 0."""
-    rng = np.random.default_rng(11)
+    with random points in and around Q at random radii, points on cell
+    faces, edges and corners at r = 0, and points whose p - r or p + r lands
+    on a boundary or within two ulps of one, at radii of 0.5-4 cells."""
+    rng, edge_rng = np.random.default_rng(11), np.random.default_rng(12)
     full = CoverLevel.full(Box([-1.0, -1.0], [1.0, 1.0]), 4)
     sparse = CoverLevel(Box([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]), 3, rng.choice(1 << 9, size=60, replace=False))
     cases = []
@@ -228,6 +230,15 @@ def _lookup_cases() -> list[tuple[CoverLevel, np.ndarray, list[float]]]:
                 p[k] = level.boundaries[k][rng.integers(0, level.cells_per_axis + 1)]
             pts.append(p)
             radii.append(0.0)
+        for _ in range(12):
+            p = edge_rng.uniform(lo, hi)
+            k = edge_rng.integers(level.dim)
+            r = float(edge_rng.uniform(0.5, 4) * (hi[k] - lo[k]) / level.cells_per_axis)
+            x = level.boundaries[k][edge_rng.integers(0, level.cells_per_axis + 1)] + edge_rng.choice([-r, r])
+            for y in x + np.arange(-2, 3) * np.spacing(x):  # x + r or x - r at a boundary, up to rounding
+                p[k] = y
+                pts.append(p.copy())
+                radii.append(r)
         cases.append((level, np.array(pts), radii))
     return cases
 
@@ -237,7 +248,12 @@ def test_cell_windows_match_bruteforce() -> None:
     # cell iff point_box_distance(p, cell) <= r; the runs of row_runs hold
     # the active ones among them. point_cells counts the same cells and
     # lists the active ones in coordinate order, also at radii of several
-    # cells and beyond the grid
+    # cells and beyond the grid. Both start from valid cells: the cells that
+    # hold p - r and p + r bracket the passing cells of each axis, and the
+    # cell that holds p passes, also where rounding decides
+    def holding(B, v):  # the cell that holds v, clipped to the grid
+        return int(np.clip(np.searchsorted(B, v, side="right") - 1, 0, B.size - 2))
+
     for level, pts, radii in _lookup_cases():
         grid = CoverLevel.full(level.root, level.depth)
         boxes = [grid.box_of_flat(int(f)) for f in grid.flats]
@@ -257,6 +273,14 @@ def test_cell_windows_match_bruteforce() -> None:
             candidates, point, cells = level.point_cells(p[None, :], r)
             assert candidates.tolist() == [near.sum()] and set(point.tolist()) <= {0}
             assert cells.tolist() == [c for c in lex if near[level.flats[c]]]
+            for B, x in zip(level.boundaries, p):
+                passing = np.nonzero([max(B[c] - x, x - B[c + 1], 0) <= r for c in range(B.size - 1)])[0]
+                if passing.size:
+                    assert holding(B, x - r) <= passing[-1] and holding(B, x + r) >= passing[0]
+                    assert holding(B, x) in passing
+                # any starts that bracket the point give the same window
+                lo, hi = _exact_windows(B, np.array([x]), r, np.array([x - 2 * r - 1]), np.array([x + 2 * r + 1]))
+                assert [lo[0], hi[0]] == ([passing[0], passing[-1]] if passing.size else [hi[0] + 1, hi[0]])
         want = [any(b.contains_point(p) for b, a in zip(boxes, active) if a) for p in pts]
         assert level.contains_points(pts).tolist() == want
 
