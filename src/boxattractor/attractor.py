@@ -2,21 +2,21 @@
 point, the fixed-depth global scheme, and the sparse subdivision loop.
 
 Pruning keeps exactly the indices that have nonempty images under every
-iterate of the map; it is realised as reverse-adjacency counter decrement
-(every node tracks how many successors survive, nodes hitting zero join the
-removal worklist) processed in batched generations on a CSR graph, so the
-result and the round count do not depend on the order of the nodes.
+iterate of the map; it is realised as counter decrement (every node tracks
+how many successors survive, nodes hitting zero join the removal worklist)
+processed in batched generations, so the result and the round count do not
+depend on the order of the nodes.
 
-The reverse adjacency is the form a TransitionMap stores: predecessor rows
-and out-degrees, built by the map builder with one sort per level, so the
-prune sorts no edges. A plain graph is transposed once by the same helper,
-as one sort of packed target * n + source keys (int32 while n * n fits in
-int32, int64 otherwise). A removal round gathers the predecessor rows of
-its frontier only, in blocks of a bounded number of entries, and the next
-frontier is drawn from the nodes the round decremented, so the whole prune
-costs O(edges), not O(n) per round, and peaks a few MiB above the rows. The
-level report's self-loop share is one TransitionMap.has_edges query on
-the same rows, so a run without diagnostics never builds successor rows.
+One kernel prunes every graph on the form a TransitionMap stores: each
+node's successors as disjoint runs of positions. A plain graph's successor
+rows become such runs over its sorted nodes. A removal round lowers every
+node's counter by the removed positions its runs hold: sparse rounds test
+the runs that start near each removed position, dense rounds take one
+cumulative sum over the positions and read every run once, and each round
+takes the cheaper of the two, so neither the map nor the prune ever makes
+an array of one entry per edge. The level report's self-loop share bisects
+each cell's runs for its own position, so a run without diagnostics never
+builds a view of the map's edges.
 """
 
 from __future__ import annotations
@@ -32,7 +32,15 @@ import numpy as np
 from .geometry import MAX_FULL_GRID, Box, BoxKey, CoverLevel, expand_ranges, index_dtype, refine_cover
 from .integrator import EulerParams, EulerSchedule
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
-from .transition import GapReport, TransitionMap, _transpose, build_transition, check_margin, run_diagnostics
+from .transition import (
+    GapReport,
+    TransitionMap,
+    _row_sums,
+    _runs_of_rows,
+    build_transition,
+    check_margin,
+    run_diagnostics,
+)
 
 # Cells allowed in one level. A run whose next level would hold more stops
 # with BoxBudgetError (the CLI's exit 3, artifacts of the finished levels
@@ -117,48 +125,95 @@ class LevelReport:
         return out
 
 
-_GATHER_ENTRIES = 1 << 17  # predecessor entries a removal round gathers at once
+_GATHER_ENTRIES = 1 << 17  # candidate runs a sparse round tests at once
 
 
-def _prune_csr(pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray,
-               alive: np.ndarray) -> tuple[np.ndarray, int]:
-    """Counter-decrement worklist on predecessor rows, restricted to the
-    nodes of the `alive` mask; returns (alive mask, rounds).
+def _dense_is_cheaper(candidates: int, runs: int, nodes: int, sorted_runs: bool) -> bool:
+    """Whether a round's dense method costs less than its sparse one: the
+    runs and nodes against the candidates, plus the runs once while the
+    sparse method has still to sort them."""
+    return candidates + (0 if sorted_runs else runs) > runs + nodes
 
-    Every node starts with its out-degree. The nodes outside the mask are
-    removed first, which counts as no round. A round removes its frontier,
-    gathers the frontier's predecessor rows and decrements each predecessor
-    once per removed successor; only the nodes it decrements can join the
-    next frontier, so a round costs O(its predecessors), not O(n). The rows
-    are gathered, counted and decremented one block of at most
-    _GATHER_ENTRIES entries at a time (or one longer row), the blocks cut
-    by the cumulative sum of the row lengths, so the prune's temporaries
-    stay small beside the rows it reads; a round whose rows fit in one block
-    is one such step. The next frontier is filtered from the sorted union
-    of the touched nodes after the whole round, so the result and the round
-    count do not depend on the blocks.
+
+def _prune_runs(run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarray, rank: np.ndarray | None,
+                alive: np.ndarray) -> tuple[np.ndarray, int]:
+    """Counter-decrement worklist on successor runs, restricted to the nodes
+    of the `alive` mask; returns (alive mask, rounds).
+
+    Node i's successors are the nodes at the positions of its runs
+    run_ptr[i] .. run_ptr[i + 1] - 1, which are disjoint; node v sits at
+    position rank[v] (at v without `rank`). Every node starts with its
+    out-degree. The nodes outside the mask are removed first, which counts
+    as no round. A round removes its frontier and lowers every node's
+    counter by the number of removed positions its runs hold, by whichever
+    of two exact methods costs less, judged from sizes the round already has
+    (the dense/sparse frontier switch of direction-optimizing BFS; Beamer,
+    Asanovic & Patterson 2012):
+
+    - sparse: the runs that can hold position p start in [p - longest + 1,
+      p], a range of the runs sorted by start that a prefix count of the
+      starts gives. The ranges of the frontier are tested in blocks of at
+      most _GATHER_ENTRIES candidates, or one longer range: a candidate
+      holds p when it ends after p, and its node loses one. It costs the
+      candidates, plus the runs once for the sort on the first sparse round;
+    - dense: one cumulative sum C over the marked positions, so each run
+      loses C[end] - C[start], summed per node. It costs O(runs + nodes).
+
+    Both give the same counters, so kept sets and round counts do not depend
+    on the choice. Only the nodes a round decrements can join the next
+    frontier, which is drawn after the whole round.
     """
-    counts = out_degree.astype(np.int64)
-    lengths = np.diff(pred_indptr)
-    longest = int(lengths.max(initial=0))
-    position = index_dtype(sources.size)
+    n, m = alive.size, run_start.size
     alive = alive.copy()
+    counts = _row_sums(run_ptr, run_count)
+    end = run_start + run_count
+    longest = int(run_count.max(initial=0))
+    by_start = np.zeros(n + 1, dtype=np.int64)  # runs that start before each position
+    np.add.at(by_start[1:], run_start, 1)  # with no index-sized temporary, unlike bincount
+    np.cumsum(by_start, out=by_start)
+    by_start_runs = None  # the ends and nodes of the runs sorted by start, made on the first sparse round
+    position = index_dtype(m)
 
-    def decrement(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        touched, lost = np.unique(sources[expand_ranges(starts, lens, position)], return_counts=True)
+    def dense(at: np.ndarray) -> np.ndarray:
+        marks = np.zeros(n + 1, dtype=run_start.dtype)
+        marks[at + 1] = 1
+        np.cumsum(marks, out=marks)
+        loss = marks[end]
+        loss -= marks[run_start]
+        lost = _row_sums(run_ptr, loss)
+        touched = np.flatnonzero(lost)
+        counts[touched] -= lost[touched]
+        return touched
+
+    def sparse(at: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+        ends, nodes = by_start_runs
+        k = expand_ranges(first, lens, position)
+        hit = ends[k] > np.repeat(at, lens)
+        touched, lost = np.unique(nodes[k[hit]], return_counts=True)
         counts[touched] -= lost
         return touched
 
-    def remove(nodes: np.ndarray) -> np.ndarray:
-        alive[nodes] = False
-        starts, lens = pred_indptr[nodes], lengths[nodes]
-        if nodes.size * longest <= _GATHER_ENTRIES or lens.sum() <= _GATHER_ENTRIES:
-            return decrement(starts, lens)  # one block, with no sum for the many small rounds
+    def remove(cells: np.ndarray) -> np.ndarray:
+        nonlocal by_start_runs
+        alive[cells] = False
+        at = cells if rank is None else rank[cells]
+        first = by_start[np.maximum(at - (longest - 1), 0)]
+        lens = by_start[at + 1] - first
+        total = int(lens.sum())
+        if not total:
+            return cells[:0]
+        if _dense_is_cheaper(total, m, n, by_start_runs is not None):
+            return dense(at)
+        if by_start_runs is None:
+            order = np.argsort(run_start)
+            by_start_runs = end[order], np.repeat(np.arange(n, dtype=run_start.dtype), np.diff(run_ptr))[order]
+        if total <= _GATHER_ENTRIES:
+            return sparse(at, first, lens)  # one block, as in the many small rounds
         ends = np.cumsum(lens)
         parts, a = [], 0
-        while a < nodes.size:  # nodes a..b-1 hold at most _GATHER_ENTRIES entries, or one row
+        while a < cells.size:  # cells a..b-1 have at most _GATHER_ENTRIES candidates, or are one cell
             b = max(int(np.searchsorted(ends, ends[a] - lens[a] + _GATHER_ENTRIES, side="right")), a + 1)
-            parts.append(decrement(starts[a:b], lens[a:b]))
+            parts.append(sparse(at[a:b], first[a:b], lens[a:b]))
             a = b
         return np.unique(np.concatenate(parts))
 
@@ -173,10 +228,11 @@ def _prune_csr(pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndar
 
 
 def _selfloop_frac(tmap: TransitionMap) -> float:
-    """Share of cells that are their own successor."""
+    """Share of cells that are their own successor: one bisection of each
+    cell's runs for its own position."""
     if tmap.size == 0:
         return 0.0
-    cells = np.arange(tmap.size, dtype=tmap.sources.dtype)
+    cells = np.arange(tmap.size, dtype=index_dtype(tmap.size))
     return float(np.mean(tmap.has_edges(cells, cells)))
 
 
@@ -188,21 +244,25 @@ def prune(indices, transition) -> PruneResult:
     to an iterable of successors. Edges leaving `indices` are dropped
     (restriction semantics), and indices missing from the mapping count as
     having no successors. One kernel prunes every graph: a TransitionMap on
-    its own predecessor rows, with the cells outside `indices` removed
-    first, and a mapping on predecessor rows over its sorted nodes.
+    its own runs, with the cells outside `indices` removed first, and a
+    mapping on the runs of its successor rows over its sorted nodes.
     """
     if isinstance(transition, TransitionMap):
         level = transition.level
-        given = np.zeros(level.size, dtype=bool)
-        given[level.locate(level.flats_of(indices))] = True
-        alive, rounds = _prune_csr(transition.pred_indptr, transition.sources, transition.out_degree, given)
+        if indices is level.flats:  # the level's own cells, as the level loop passes them
+            given = np.ones(level.size, dtype=bool)
+        else:
+            given = np.zeros(level.size, dtype=bool)
+            given[level.locate(level.flats_of(indices))] = True
+        runs = transition.run_ptr, transition.run_start, transition.run_count
+        alive, rounds = _prune_runs(*runs, level._rank, given)
         return PruneResult(level.flats[alive], level.flats[given & ~alive], rounds, depth=level.depth, dim=level.dim)
     nodes = tuple(sorted(set(indices)))
     position = {v: i for i, v in enumerate(nodes)}
     succ = [{position[j] for j in transition.get(v, ()) if j in position} for v in nodes]
     indptr = np.concatenate([[0], np.cumsum([len(s) for s in succ], dtype=np.int64)])
     targets = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.int64, count=int(indptr[-1]))
-    alive, rounds = _prune_csr(*_transpose(indptr, targets, len(nodes)), np.diff(indptr), np.ones(len(nodes), bool))
+    alive, rounds = _prune_runs(*_runs_of_rows(indptr, targets), None, np.ones(len(nodes), bool))
     ids = np.arange(len(nodes))
     return PruneResult(ids[alive], ids[~alive], rounds, nodes=nodes)
 

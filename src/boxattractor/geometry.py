@@ -248,6 +248,15 @@ class CoverLevel:
         order = np.argsort(keys)
         return keys[order], order.astype(index_dtype(self.size))
 
+    @cached_property
+    def _rank(self) -> np.ndarray:
+        """The position of each local cell in the sorted lexicographic keys:
+        the inverse permutation of _lex[1], in the same dtype."""
+        order = self._lex[1]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size, dtype=order.dtype)
+        return rank
+
     def box_of_flat(self, flat: int) -> Box:
         c = flats_to_coords(np.array([flat]), self.depth, self.dim)[0]
         lo = np.array([self.boundaries[k][c[k]] for k in range(self.dim)])
@@ -420,6 +429,7 @@ def _exact_windows(B: np.ndarray, x: np.ndarray, r: float, lo_at: np.ndarray, hi
     for below = x - B[c] and above = B[c+1] - x (float negation is exact),
     and the next cell out can pass only where below <= r (for lo) or
     above <= r (for hi), so only the points near a face enter the loops.
+    When lo_at is hi_at, both ends start at one cell and share that test.
     """
     last = B.size - 2
     lo = np.clip(np.searchsorted(B, lo_at, side="right") - 1, 0, last)
@@ -429,8 +439,9 @@ def _exact_windows(B: np.ndarray, x: np.ndarray, r: float, lo_at: np.ndarray, hi
         return np.maximum(B[c] - x[i], x[i] - B[c + 1]) <= r
 
     for end, out, stop in ((lo, -1, 0), (hi, 1, last)):
-        below, above = x - B[end], B[end + 1] - x
-        fits = np.minimum(below, above) >= -r
+        if end is lo or hi_at is not lo_at:  # both ends start at one cell: hi reuses lo's first test
+            below, above = x - B[end], B[end + 1] - x
+            fits = np.minimum(below, above) >= -r
         i = np.flatnonzero(~fits & (lo <= hi))
         while i.size:
             end[i] -= out

@@ -17,21 +17,22 @@ and the radius differ; build_transition picks both by the system kind.
 All image points of a chunk of sources go through one batch neighbour
 lookup: CoverLevel.cell_windows gives each point's exact cell window per
 axis and CoverLevel.row_runs the active cells in it, as runs of the
-level's sorted lexicographic keys. The lookup pass keeps each run's start
-and count, and the fill pass writes the runs' cells into one keys array of
-one entry per edge, packed in place into target * size + source and
-sorted once (repeats dropped when M > 1): the predecessor rows, which the
-prune reads. The sources are decoded into the keys' own memory, narrowed
-in place when the keys are int64, so the build peaks at about 4 bytes per
-edge with int32 keys and 8 with int64 keys, plus 8 bytes per run (see
-_build_map). Edge queries bisect these rows: the self-loop share and the
-containment check, which finds each image's cells by point location
-(CoverLevel.point_cells: the same exact windows, with one key search per
-candidate cell instead of runs). The successor rows, sorted by flat index
-so that the JSON serialisation is canonical, are one transpose away and
-are built only for the gap measurement and the serialisation. The
-diagnostics' per-point arrays are (m, d) with d small, so they are
-computed one axis at a time.
+level's sorted lexicographic keys, one per window row. The map stores what
+the lookup finds: each source's runs, as the start position and cell count
+of every run over the level's lexicographic order. A chunk's runs are
+sorted by source and start and merged where they overlap or touch (the
+windows of a source's M^d samples overlap when M > 1), so every edge is
+held once and no array of one entry per edge is ever made: the map takes
+8 bytes per run, about 28 edges per run on henon levels. The prune reads
+the runs (attractor._prune_runs), and edge queries bisect a source's runs
+for the target's position: the self-loop share and the containment check,
+which finds each image's cells by point location (CoverLevel.point_cells:
+the same exact windows, with one key search per candidate cell instead of
+runs). Two views are built on first use only, each by one sort of packed
+keys: the successor rows, sorted by flat index so that the JSON
+serialisation is canonical, for the gap measurement and the serialisation,
+and the predecessor rows. The diagnostics' per-point arrays are (m, d) with
+d small, so they are computed one axis at a time.
 """
 
 from __future__ import annotations
@@ -75,32 +76,46 @@ class TransitionMeta:
 
 
 class TransitionMap:
-    """Multivalued index map on a cover level, stored as predecessor rows.
+    """Multivalued index map on a cover level, stored as successor runs.
 
-    Row t of `pred_indptr` (int64) and `sources` lists the sources with t
-    among their successors, sorted; `out_degree` (int64) counts each
-    source's successors. Indices are local into level.flats, int32 while
-    the level has fewer than 2^31 cells. `has_edges` answers edge queries
-    on these rows. The successor view, `indptr` and `targets` with every
-    row sorted by flat index, is built by one transpose on first use;
-    `targets_local`, `to_json_dict` and `dumps` read it, so iteration order
-    and the JSON serialisation are canonical.
+    Position p names the cell at place p of the level's coordinate-
+    lexicographic order (CoverLevel._lex; `level._rank` maps each cell to its
+    position). Source i's runs are k = run_ptr[i] .. run_ptr[i + 1] - 1, and
+    run k holds the run_count[k] cells at positions run_start[k] onwards.
+    A source's runs are disjoint, not adjacent and ascending, so every edge
+    is held once. run_ptr is int64 and the runs are int32 while the level
+    has fewer than 2^31 cells. `has_edges` answers edge queries on the runs.
+    Two views, with indices local into level.flats (int32 while the level
+    has fewer than 2^31 cells), are built on first use by one sort of packed
+    keys each: the successor rows `indptr` and `targets`, every row sorted
+    by flat index, which `targets_local`, `to_json_dict` and `dumps` read,
+    so iteration order and the JSON serialisation are canonical; and the
+    predecessor rows `pred_indptr` and `sources`.
     """
 
     def __init__(
-        self, level: CoverLevel, pred_indptr: np.ndarray, sources: np.ndarray, out_degree: np.ndarray, meta: TransitionMeta
+        self, level: CoverLevel, run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarray, meta: TransitionMeta
     ):
-        if pred_indptr.shape != (level.size + 1,) or out_degree.shape != (level.size,):
-            raise ValueError("pred_indptr needs one entry per cell plus one, out_degree one per cell")
-        if pred_indptr[-1] != sources.size:
-            raise ValueError("pred_indptr must end at the number of sources")
+        if run_ptr.shape != (level.size + 1,):
+            raise ValueError("run_ptr needs one entry per cell plus one")
+        if not run_ptr[-1] == run_start.size == run_count.size:
+            raise ValueError("run_ptr must end at the number of runs, and every run needs one start and one count")
         self.level = level
-        self.pred_indptr, self.sources, self.out_degree = pred_indptr, sources, out_degree
+        self.run_ptr, self.run_start, self.run_count = run_ptr, run_start, run_count
         self.meta = meta
 
     @cached_property
+    def out_degree(self) -> np.ndarray:
+        """Each cell's successor count (int64): the counts of its runs, summed."""
+        return _row_sums(self.run_ptr, self.run_count)
+
+    @cached_property
     def _successors(self) -> tuple[np.ndarray, np.ndarray]:
-        return _transpose(self.pred_indptr, self.sources, self.size)
+        return self._edge_rows(by_target=False)
+
+    @cached_property
+    def _predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._edge_rows(by_target=True)
 
     @property
     def indptr(self) -> np.ndarray:
@@ -111,27 +126,58 @@ class TransitionMap:
         return self._successors[1]  # local indices into level.flats
 
     @property
+    def pred_indptr(self) -> np.ndarray:
+        return self._predecessors[0]
+
+    @property
+    def sources(self) -> np.ndarray:
+        return self._predecessors[1]  # local indices into level.flats
+
+    @property
     def size(self) -> int:
         return self.level.size
 
     @property
     def edge_count(self) -> int:
-        return int(self.sources.size)
+        return int(self.run_count.sum(dtype=np.int64))
 
     def has_edges(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """Whether src[k] -> tgt[k] is an edge, per k: one vectorised
-        bisection of each sorted predecessor row tgt[k] for src[k]."""
-        lo, hi = self.pred_indptr[tgt], self.pred_indptr[1:][tgt]
+        bisection of src[k]'s runs for the last one that starts at or before
+        tgt[k]'s position, which holds it when it ends after it."""
+        at = self.level._rank[tgt]
+        lo, hi = self.run_ptr[src], self.run_ptr[1:][src]
         open_ = np.flatnonzero(lo < hi)
         while open_.size:
             mid = (lo[open_] + hi[open_]) // 2
-            below = self.sources[mid] < src[open_]
-            lo[open_[below]] = mid[below] + 1
-            hi[open_[~below]] = mid[~below]
+            right = self.run_start[mid] <= at[open_]
+            lo[open_[right]] = mid[right] + 1
+            hi[open_[~right]] = mid[~right]
             open_ = open_[lo[open_] < hi[open_]]
-        found = lo < self.pred_indptr[1:][tgt]  # the row ends, gathered again rather than held through the loop
-        found[found] = self.sources[lo[found]] == src[found]
+        lo -= 1  # the last run that starts at or before the position
+        found = lo >= self.run_ptr[src]  # the row starts, gathered again rather than held through the loop
+        run = lo[found]
+        found[found] = at[found] < self.run_start[run] + self.run_count[run]
         return found
+
+    def _edge_rows(self, by_target: bool) -> tuple[np.ndarray, np.ndarray]:
+        """CSR rows of the edges, by source or (by_target) by target, each
+        row sorted: one sort of the packed keys row * size + value, filled
+        one block of runs (about _BLOCK_EDGES keys) at a time."""
+        n, count = self.size, self.run_count
+        keys = np.empty(self.edge_count, _key_dtype(n))
+        source = np.repeat(np.arange(n, dtype=keys.dtype), np.diff(self.run_ptr))
+        step = max(1, _BLOCK_EDGES * count.size // max(keys.size, 1))  # runs per block
+        at = 0
+        for r0 in range(0, count.size, step):
+            cells = self.level.run_cells(self.run_start[r0 : r0 + step], count[r0 : r0 + step])
+            owners = np.repeat(source[r0 : r0 + step], count[r0 : r0 + step])
+            block = keys[at : at + cells.size]
+            block[:] = cells if by_target else owners
+            block *= n
+            block += owners if by_target else cells
+            at += cells.size
+        return _rows_of_keys(keys, n)
 
     def targets_local(self, i: int) -> np.ndarray:
         return self.targets[self.indptr[i] : self.indptr[i + 1]]
@@ -170,7 +216,7 @@ class GapReport:
 
 
 _CHUNK_POINTS = 1 << 10  # image points per batch neighbour lookup
-_BLOCK_EDGES = 1 << 16  # keys per block of the fill and the in-place key passes, whose temporaries stay small
+_BLOCK_EDGES = 1 << 16  # keys per block of a view's fill and decode, whose temporaries stay small
 _INT32_KEYS = np.iinfo(np.int32).max  # the largest packed key kept in int32
 
 
@@ -179,125 +225,90 @@ def _key_dtype(n: int) -> type:
     return np.int32 if n * n <= _INT32_KEYS else np.int64
 
 
-def _pack_rows(keys: np.ndarray, indptr: np.ndarray, n: int) -> None:
-    """Turn the values of the CSR rows of n nodes into the keys
-    value * n + row, in place; the rows are added one block of rows at a
-    time, so the temporaries stay small."""
-    keys *= n
-    lengths = np.diff(indptr)
-    step = max(1, _BLOCK_EDGES * n // max(keys.size, 1))
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        keys[indptr[r0] : indptr[r1]] += np.repeat(np.arange(r0, r1, dtype=keys.dtype), lengths[r0:r1])
-
-
-def _drop_repeats(keys: np.ndarray) -> int:
-    """Move the distinct values of sorted keys to the front in place, one
-    block at a time, so no second key array is made; returns their count."""
-    w = min(keys.size, 1)
-    for b0 in range(1, keys.size, _BLOCK_EDGES):
-        block = keys[b0 : b0 + _BLOCK_EDGES]
-        fresh = block[np.diff(block, prepend=keys[w - 1]) != 0]  # keys[w - 1] is the last kept value
-        keys[w : w + fresh.size] = fresh
-        w += fresh.size
-    return w
-
-
-def _key_owner(m: int, n: int) -> np.ndarray:
-    """The memory of m packed keys of n nodes: an empty array of n's index
-    dtype, viewed as the keys by owner.view(_key_dtype(n)). int64 keys of
-    nodes with int32 indices get an int32 owner of twice the length, so that
-    _rows_of_keys can narrow the decoded values into its front in place."""
-    key, index = np.dtype(_key_dtype(n)), np.dtype(index_dtype(n))
-    return np.empty(m * key.itemsize // index.itemsize, index)
-
-
-def _rows_of_keys(owner: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows of the first m sorted keys row * n + value in `owner`, from
-    _key_owner: the searchsorted positions of the keys r * n bound the rows,
-    and the values are decoded in place one block at a time, each block's
-    written into the owner's front (numpy buffers the overlap of the first
-    block of int64 keys; later blocks land on keys already decoded). The
-    owner, shrunk in place to its m values, becomes the values, so a key
-    array is never copied; the caller must hold no view of it."""
-    keys = owner.view(_key_dtype(n))[:m]
-    indptr = np.searchsorted(keys, (np.arange(n + 1) * n).astype(keys.dtype))
-    for b0 in range(0, m, _BLOCK_EDGES):
-        block = keys[b0 : b0 + _BLOCK_EDGES]
-        block -= block // n * n  # key % n: numpy divides by a scalar several times faster
-        owner[b0 : b0 + block.size] = block  # a no-op when the keys are the owner
-    keys = block = None  # the resize may move the data, so no view of it may be left
-    owner.resize(m, refcheck=False)
-    return indptr, owner
-
-
-def _transpose(indptr: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows of the reversed relation on n nodes, each row sorted: one
-    sort of the packed keys value * n + row (int32 while n * n fits in
-    int32, int64 otherwise)."""
-    owner = _key_owner(values.size, n)
-    keys = owner.view(_key_dtype(n))
-    keys[:] = values
-    _pack_rows(keys, indptr, n)
+def _rows_of_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the packed keys row * n + value on n nodes, each row
+    sorted: the keys are sorted in place, the searchsorted positions of the
+    keys r * n bound the rows, and the values are decoded one block at a
+    time into an array of n's index dtype."""
     keys.sort()
-    del keys
-    return _rows_of_keys(owner, values.size, n)
+    indptr = np.searchsorted(keys, (np.arange(n + 1) * n).astype(keys.dtype))
+    values = np.empty(keys.size, index_dtype(n))
+    for b0 in range(0, keys.size, _BLOCK_EDGES):
+        block = keys[b0 : b0 + _BLOCK_EDGES]
+        values[b0 : b0 + block.size] = block - block // n * n  # numpy divides by a scalar faster than it takes %
+    return indptr, values
 
 
-def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lookup pass over the sources' (V, M^d, d) image points, one batch
-    lookup per chunk of sources: the entries of each source (int64, repeats
-    included), and the start in the level's lexicographic keys and the cell
-    count of every non-empty run, source after source, in the level's index
-    dtype (8 bytes per run while it is int32)."""
+def _row_sums(run_ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The values of each row's runs, summed (int64): one reduceat over the
+    non-empty rows in the values' own dtype, which holds every such sum of
+    run counts, as a row's disjoint runs hold at most one entry per node."""
+    rows = np.flatnonzero(np.diff(run_ptr))
+    sums = np.zeros(run_ptr.size - 1, dtype=np.int64)
+    sums[rows] = np.add.reduceat(values, run_ptr[rows], dtype=values.dtype)
+    return sums
+
+
+def _merged_runs(row: np.ndarray, start: np.ndarray, end: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Runs [start, end) of positions below n, given by ascending row,
+    sorted by start within each row (unless they already are, as the runs
+    of one window per row are) and merged where they overlap or touch: the
+    segmented running maximum of the ends, row * (n + 1) + end, tells where
+    a run leaves every earlier run of its row. Returns the merged runs'
+    rows, starts and counts."""
+    offset = row.astype(np.int64) * (n + 1)
+    key = offset + start
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key)
+        row, start, end, offset = row[order], start[order], end[order], offset[order]
+    reach = np.maximum.accumulate(offset + end) - offset
+    new = np.ones(row.size, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (start[1:] > reach[:-1])
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], row.size)[: first.size] - 1
+    return row[first], start[first], reach[last] - start[first]
+
+
+def _runs_of_rows(indptr: np.ndarray, values: np.ndarray, rank: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """CSR rows of local values on n = indptr.size - 1 nodes as runs: each
+    row's positions rank[value] (the values themselves without `rank`),
+    sorted, with repeated and consecutive positions merged. Returns
+    (run_ptr int64, run_start, run_count), the runs in n's index dtype."""
+    n = indptr.size - 1
+    dtype = index_dtype(n)
+    rows = np.repeat(np.arange(n, dtype=dtype), np.diff(indptr))
+    positions = (values if rank is None else rank[values]).astype(dtype)
+    row, start, count = _merged_runs(rows, positions, positions + 1, n)
+    run_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=run_ptr[1:])
+    return run_ptr, start.astype(dtype), count.astype(dtype)
+
+
+def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
+    """The successor runs of the sources' (V, M^d, d) image points, one
+    batch lookup per chunk of sources: CoverLevel.row_runs gives the runs of
+    every window row, and each chunk's runs are merged per source by
+    _merged_runs, which for M > 1 drops the cells that several windows of a
+    source hold. Returns (run_ptr int64, run_start, run_count), the runs in
+    the level's index dtype; no array has one entry per edge."""
     n, per = images.shape[:2]
     pts = images.reshape(-1, level.dim)
     step = max(1, _CHUNK_POINTS // per)
     dtype = index_dtype(level.size)
-    counts = np.zeros(n, dtype=np.int64)
-    starts, lengths = [np.empty(0, dtype)], [np.empty(0, dtype)]
+    runs = np.zeros(n, dtype=np.int64)
+    starts, counts = [np.empty(0, dtype)], [np.empty(0, dtype)]
     for s0 in range(0, n, step):
         s1 = min(s0 + step, n)
         point, start, count = level.row_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
-        counts[s0:s1] = np.bincount(point // per, weights=count, minlength=s1 - s0)
         kept = count > 0
-        starts.append(start[kept].astype(dtype))
-        lengths.append(count[kept].astype(dtype))
-    return counts, np.concatenate(starts), np.concatenate(lengths)
-
-
-def _build_map(
-    level: CoverLevel, counts: np.ndarray, start: np.ndarray, count: np.ndarray, meta: TransitionMeta
-) -> TransitionMap:
-    """Predecessor rows of every cell from the lookup pass's runs, with one
-    sort per level. One keys array of exactly one entry per run cell, int32
-    while size * size fits in it and int64 otherwise, is filled with the
-    runs' local cell ids one block of runs (about _BLOCK_EDGES keys on
-    average) at a time, then packed in place into keys target * size +
-    source. One sort of all keys then lists every target's predecessors as
-    one sorted run, and _rows_of_keys decodes the sources into the keys'
-    memory (from _key_owner, so int64 keys are narrowed to int32 in place)
-    and shrinks it to the sources. So the build peaks at about 4 bytes per
-    edge with int32 keys and 8 with int64 keys, plus 8 bytes per run. The
-    run counts give the out-degrees for M = 1; for M > 1 repeated keys are
-    dropped in place after the sort and the out-degrees counted from the
-    sources."""
-    size = level.size
-    owner = _key_owner(int(counts.sum()), size)
-    keys = owner.view(_key_dtype(size))
-    step = max(1, _BLOCK_EDGES * count.size // max(keys.size, 1))  # runs per block
-    at = 0
-    for r0 in range(0, count.size, step):
-        cells = level.run_cells(start[r0 : r0 + step], count[r0 : r0 + step])
-        keys[at : at + cells.size] = cells
-        at += cells.size
-    _pack_rows(keys, np.concatenate([[0], np.cumsum(counts)]), size)
-    keys.sort()
-    m = keys.size if meta.M == 1 else _drop_repeats(keys)
-    del keys  # _rows_of_keys shrinks the owner in place
-    pred_indptr, sources = _rows_of_keys(owner, m, size)
-    out_degree = counts if meta.M == 1 else np.bincount(sources, minlength=size)
-    return TransitionMap(level, pred_indptr, sources, out_degree, meta)
+        start = start[kept]
+        source, start, count = _merged_runs(point[kept] // per, start, start + count[kept], level.size)
+        runs[s0:s1] = np.bincount(source, minlength=s1 - s0)
+        starts.append(start.astype(dtype))
+        counts.append(count.astype(dtype))
+    run_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(runs, out=run_ptr[1:])
+    return run_ptr, np.concatenate(starts), np.concatenate(counts)
 
 
 def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:
@@ -364,9 +375,8 @@ def build_transition(
     images = image(centers) if level.size else centers
     del centers
     radius = _round_outward(radius, lip, extent, images, steps)
-    counts, start, count = _lookup_runs(level, images, radius)
-    del images  # the fill reads only the runs
-    return _build_map(level, counts, start, count, TransitionMeta(kind, M, radius, subdiameter, h=h, substeps=steps))
+    meta = TransitionMeta(kind, M, radius, subdiameter, h=h, substeps=steps)
+    return TransitionMap(level, *_lookup_runs(level, images, radius), meta)
 
 
 def build_transition_discrete(

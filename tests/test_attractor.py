@@ -17,16 +17,17 @@ from boxattractor.attractor import (
     run_global,
     run_subdivision,
 )
-from boxattractor.geometry import Box, CoverLevel, expand_ranges, refine_cover, region_semidistance
-from boxattractor.integrator import EulerParams, EulerSchedule, reference_backward_flow
+from boxattractor.geometry import Box, CoverLevel, expand_ranges, refine_cover, region_semidistance, subbox_centers
+from boxattractor.integrator import EulerParams, EulerSchedule, euler_backward, reference_backward_flow
 from boxattractor.oracle import reach_cycle_set, reference_attractor_points
-from boxattractor.systems import make_builtin
+from boxattractor.systems import eval_inverse, make_builtin
 from boxattractor.transition import (
     TransitionMap,
     TransitionMeta,
     build_transition,
     build_transition_discrete,
     check_containment_condition,
+    transition_pair_scan,
 )
 
 Q1 = Box([-1.0], [1.0])
@@ -69,10 +70,12 @@ def test_prune_matches_reach_cycle_oracle_random_graphs() -> None:
 
 
 def test_prune_packed_key_widths() -> None:
-    # 46,340 nodes is the last count whose packed (target, source) keys fit
+    # 46,340 nodes is the last count whose packed row * n + value keys fit
     # in int32 and 46,341 the first that needs int64. The embedded graph's
     # chain 38 -> 39 into a sink sits at the two largest ids, so its edge has
-    # the key (n - 1) * n + n - 2, which int32 would wrap at 46,341 nodes.
+    # the key (n - 1) * n + n - 2, which int32 would wrap at 46,341 nodes;
+    # the runs of a plain graph are sorted by such keys (row * (n + 1) +
+    # position) before they are merged.
     adj = np.random.default_rng(20261018).random((40, 40)) < 0.045
     adj[38:] = False
     adj[38, 39] = True
@@ -184,8 +187,8 @@ def test_prune_restriction_semantics_on_transition_map_subset() -> None:
 
 
 def whole_round_prune(pred_indptr, sources, out_degree, alive):
-    """The prune kernel that gathers each round's predecessor rows at once,
-    kept as the oracle of the blocked kernel."""
+    """The prune kernel on predecessor rows that gathers each round's rows
+    at once, kept as the oracle of the kernel on runs."""
     counts = out_degree.astype(np.int64)
     lengths = np.diff(pred_indptr)
     alive = alive.copy()
@@ -208,34 +211,94 @@ def whole_round_prune(pred_indptr, sources, out_degree, alive):
 
 @st.composite
 def prune_graphs(draw):
-    """Successor lists of the cells of a 1-D level, and the cells to prune over."""
-    n = 1 << draw(st.integers(0, 6))
-    succ = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4, unique=True), min_size=n, max_size=n))
-    given = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    return CoverLevel.full(Q1, n.bit_length() - 1), succ, given
-
-
-@given(case=prune_graphs(), as_map=st.booleans(), block=st.sampled_from([1, 7, 1 << 16]))
-@settings(max_examples=200, deadline=None)
-def test_blocked_prune_equals_whole_round_kernel(case, as_map: bool, block: int) -> None:
-    # a TransitionMap pruned over a subset removes the cells outside it in
-    # its first call, so that call goes through the blocks as well
-    level, succ, given = case
-    if as_map:
+    """A graph to prune and the cells to prune it over: successor lists of the
+    cells of a 1-D level, or a window map of a 2-D level from the lookup."""
+    if draw(st.booleans()):
+        n = 1 << draw(st.integers(0, 6))
+        succ = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4, unique=True), min_size=n, max_size=n))
+        level = CoverLevel.full(Q1, n.bit_length() - 1)
         indptr = np.concatenate([[0], np.cumsum([len(s) for s in succ])])
         targets = np.array([t for s in succ for t in s], dtype=np.int32)
-        meta = TransitionMeta("discrete", 1, 0.0, level.rho)
-        graph = TransitionMap(level, *transition._transpose(indptr, targets, level.size), np.diff(indptr), meta)
-        indices = level.flats[given]
+        runs = transition._runs_of_rows(indptr, targets, level._rank)
     else:
-        graph, indices = dict(enumerate(succ)), np.flatnonzero(given).tolist()
-    with patch.object(attractor, "_prune_csr", whole_round_prune):
-        want = prune(indices, graph)
-    with patch.object(attractor, "_GATHER_ENTRIES", block):
+        depth = draw(st.integers(1, 3))
+        flats = draw(st.lists(st.integers(0, (1 << 2 * depth) - 1), min_size=1, max_size=40, unique=True))
+        level = CoverLevel(Q2, depth, flats)
+        width = 2.0 / level.cells_per_axis
+        coord = st.floats(-1.0 - width, 1.0 + width) | st.sampled_from(level.boundaries[0].tolist())
+        points = draw(st.lists(st.lists(coord, min_size=2, max_size=2), min_size=level.size, max_size=level.size))
+        radius = draw(st.sampled_from([0.0, 0.5 * width, 1.5 * width]))
+        runs = transition._lookup_runs(level, np.array(points).reshape(level.size, 1, 2), radius)
+    given = np.array(draw(st.lists(st.booleans(), min_size=level.size, max_size=level.size)), dtype=bool)
+    return TransitionMap(level, *runs, TransitionMeta("discrete", 1, 0.0, level.rho)), given
+
+
+@given(
+    case=prune_graphs(),
+    as_map=st.booleans(),
+    block=st.sampled_from([1, 7, 1 << 17]),
+    method=st.sampled_from(["dense", "sparse", "mix", "by cost"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_prune_equals_whole_round_kernel(case, as_map: bool, block: int, method: str) -> None:
+    # the kernel on runs, with its rounds forced dense, sparse or a seeded mix
+    # of both, or chosen by cost, and its sparse candidates tested in blocks
+    # of any size, against the predecessor-row kernel: the same kept set,
+    # removed set and round count. A map pruned over a subset removes the
+    # cells outside it first, so that removal goes through both methods too;
+    # a plain graph is pruned from its restricted successor lists.
+    tmap, given = case
+    level = tmap.level
+    if as_map:
+        graph, indices = tmap, level.flats[given]
+        want_alive, want_rounds = whole_round_prune(tmap.pred_indptr, tmap.sources, tmap.out_degree, given)
+        want_kept, want_removed = level.flats[want_alive], level.flats[given & ~want_alive]
+    else:
+        edges = tmap.to_json_dict()["edges"]
+        graph = {int(f): succ for f, succ in edges.items()}
+        indices = level.flats[given].tolist()
+        position = {f: i for i, f in enumerate(indices)}
+        succ = [{position[t] for t in graph[f] if t in position} for f in indices]
+        preds = [[i for i, s in enumerate(succ) if t in s] for t in range(len(indices))]
+        pred_indptr = np.concatenate([[0], np.cumsum([len(p) for p in preds], dtype=np.int64)])
+        sources = np.array([i for p in preds for i in p], dtype=np.int64)
+        out_degree = np.array([len(s) for s in succ], dtype=np.int64)
+        want_alive, want_rounds = whole_round_prune(pred_indptr, sources, out_degree, np.ones(len(indices), bool))
+        ids = np.arange(len(indices))
+        want_kept, want_removed = ids[want_alive], ids[~want_alive]
+    rng = np.random.default_rng(len(indices))
+    choose = {
+        "dense": lambda *args: True,
+        "sparse": lambda *args: False,
+        "mix": lambda *args: bool(rng.random() < 0.5),
+        "by cost": attractor._dense_is_cheaper,
+    }[method]
+    with patch.object(attractor, "_GATHER_ENTRIES", block), patch.object(attractor, "_dense_is_cheaper", choose):
         got = prune(indices, graph)
-    assert got.kept_flats.tolist() == want.kept_flats.tolist()
-    assert got.removed_flats.tolist() == want.removed_flats.tolist()
-    assert got.rounds == want.rounds
+    assert got.kept_flats.tolist() == want_kept.tolist()
+    assert got.removed_flats.tolist() == want_removed.tolist()
+    assert got.rounds == want_rounds
+
+
+def test_prune_methods_both_occur_on_the_workload_levels() -> None:
+    # a henon level takes dense rounds and a cubic flow level sparse ones,
+    # so the cost choice is exercised on both sides
+    calls = []
+
+    def counting(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    real = attractor._dense_is_cheaper
+    Q = Box([-2.0, -2.0], [2.0, 2.0])
+    with patch.object(attractor, "_dense_is_cheaper", counting):
+        run_subdivision(make_builtin("henon", Q), Q, 6)
+        dense = sum(calls)
+        calls.clear()
+        Qc = Box([-1.5], [1.5])
+        run_subdivision(make_builtin("cubic1d", Qc), Qc, 12, euler=EulerSchedule(h0=0.08, alpha=0.5, substeps=1))
+        sparse = len(calls) - sum(calls)
+    assert dense > 0 and sparse > 100
 
 
 def test_run_global_halving_band() -> None:
@@ -404,6 +467,29 @@ def test_level_report_traces_prune_rounds_and_selfloops() -> None:
     assert len(rounds) == 7 and max(rounds) > 1  # boxes without successors were pruned
 
 
+@given(
+    name=st.sampled_from(["henon", "linmap2d", "halving1d", "cubic1d"]),
+    depth=st.integers(1, 5),
+    M=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_selfloop_share_matches_pair_scan(name: str, depth: int, M: int, seed: int) -> None:
+    # the share from one bisection of each cell's runs for its own position
+    # against the brute-force edge predicate on every cell and itself
+    Q = {"henon": Box([-2.0, -2.0], [2.0, 2.0]), "linmap2d": Q2, "halving1d": Q1, "cubic1d": Box([-1.5], [1.5])}[name]
+    sys_ = make_builtin(name, Q)
+    cells = 1 << (depth * Q.dim)
+    rng = np.random.default_rng(seed)
+    level = CoverLevel(Q, depth, rng.choice(cells, size=min(cells, 24), replace=False))
+    params = EulerParams(h=0.08) if name == "cubic1d" else None
+    tmap = build_transition(level, sys_, M, params)
+    centers = subbox_centers(level.box_los, level.box_his, M)
+    images = euler_backward(sys_, centers, params) if params else eval_inverse(sys_, centers)
+    scan = transition_pair_scan(level, images, tmap.meta.radius)
+    assert attractor._selfloop_frac(tmap) == np.mean([f in scan[f] for f in scan])
+
+
 def test_deep_continuous_runs_eventually_prune() -> None:
     # at M=1 a cell keeps its self-loop while its drift h_n*|g| is at most
     # r_n + rho_n/2; at depth 9 the threshold (r_n + rho_n/2)/h_n = 1.81
@@ -527,7 +613,9 @@ def test_henon_level_peak_bytes_per_edge(henon_d6) -> None:
     # entries rather than a whole round at once 4.5, below the build. A build
     # that concatenated per-chunk targets read 8.3; keeping only the lookup's
     # runs, then filling one keys array of exactly one entry per edge, reads
-    # 4.8.
+    # 4.8. Storing the merged runs themselves, with no array of one entry
+    # per edge in the build or the prune, reads 1.95 for the build and 0.74
+    # for the prune.
     Q, sys_, kept = henon_d6
     level = refine_cover(CoverLevel(Q, 6, kept), kept)
     tracemalloc.start()
@@ -547,10 +635,10 @@ def test_henon_level_peak_bytes_per_edge(henon_d6) -> None:
 
 def test_henon_int64_key_level_peak_bytes_per_edge(henon_d6) -> None:
     # the same level with the int64 packed keys of every level above 46,340
-    # cells: the keys view an int32 owner of twice their length, the decoded
-    # sources are narrowed into its front, and the owner is shrunk in place to
-    # become the sources. Holding the int64 keys and an int32 copy of them
-    # together read 12.4 bytes per edge here; narrowing in place reads 8.8.
+    # cells. Holding the int64 keys and an int32 copy of them together read
+    # 12.4 bytes per edge here, and narrowing them in place 8.8. The build
+    # now packs no keys, so the key width leaves its peak alone; only the
+    # views pack them, and they decode int64 keys into int32 sources too.
     Q, sys_, kept = henon_d6
     level = refine_cover(CoverLevel(Q, 6, kept), kept)
     with patch.object(transition, "_INT32_KEYS", 0):
@@ -560,24 +648,49 @@ def test_henon_int64_key_level_peak_bytes_per_edge(henon_d6) -> None:
             build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert tmap.sources.dtype == np.int32 and tmap.sources.flags.owndata and tmap.edge_count > 3_000_000
+        assert tmap.sources.dtype == np.int32 and tmap.sources.flags.owndata and tmap.edge_count > 3_000_000
     assert build_peak / tmap.edge_count <= 9.0
 
 
+def test_henon_d8_level_peak_bytes_per_run() -> None:
+    # the level of the henon-d8 benchmark workload: 9.69 M edges in 348,586
+    # merged runs. The map holds 8 bytes per run (start and count) and the
+    # prune adds one end and the dense rounds' losses per run, which read
+    # 27.2 (build) and 23.8 (prune) bytes per run, the prune below the build
+    Q = Box([-2.0, -2.0], [2.0, 2.0])
+    sys_ = make_builtin("henon", Q)
+    kept = run_subdivision(sys_, Q, 7)[-1][0].kept_flats
+    level = refine_cover(CoverLevel(Q, 7, kept), kept)
+    tracemalloc.start()
+    try:
+        tmap = build_transition(level, sys_)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        prune(level.flats, tmap)
+        prune_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    runs = tmap.run_start.size
+    assert tmap.edge_count > 9_000_000 and runs > 300_000
+    assert build_peak / runs <= 32.0
+    assert prune_peak / runs <= 28.0
+    assert prune_peak <= build_peak
+
+
 def test_run_without_diagnostics_never_builds_the_successor_view() -> None:
-    # the prune, the report and the containment check read the predecessor
-    # rows as the builder emits them; only the gap measurement transposes
-    # them to successor rows
+    # the prune, the report and the containment check read the stored runs;
+    # only the gap measurement builds a view, the successor rows, and no run
+    # builds the predecessor rows
     calls = []
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args)
 
-    real = transition._transpose
+    real = transition._rows_of_keys
     Q = Box([-2.0, -2.0], [2.0, 2.0])
     sys_ = make_builtin("henon", Q)
-    with patch.object(transition, "_transpose", counting), patch.object(attractor, "_transpose", counting):
+    with patch.object(transition, "_rows_of_keys", counting):
         levels = run_subdivision(sys_, Q, 6)
         assert calls == [] and levels[-1][1].edges > 0
         level = CoverLevel.full(Q, 3)

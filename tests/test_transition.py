@@ -25,8 +25,8 @@ from boxattractor.systems import (
 from boxattractor.transition import (
     TransitionMap,
     TransitionMeta,
-    _build_map,
     _lookup_runs,
+    _runs_of_rows,
     build_transition,
     build_transition_continuous,
     build_transition_discrete,
@@ -45,7 +45,7 @@ def edges_as_flats(tmap: TransitionMap) -> dict[int, list[int]]:
 
 def from_successors(level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, meta: TransitionMeta) -> TransitionMap:
     """The map with the given successor rows (indptr, local targets)."""
-    return TransitionMap(level, *transition._transpose(indptr, targets, level.size), np.diff(indptr), meta)
+    return TransitionMap(level, *_runs_of_rows(indptr, targets, level._rank), meta)
 
 
 def cells_at(level: CoverLevel, p) -> list[int]:
@@ -500,9 +500,20 @@ def test_lookup_matches_pair_scan(case, chunk: int) -> None:
     level, images, radius, M = case
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
     with patch.object(transition, "_CHUNK_POINTS", chunk):
-        tmap = _build_map(level, *_lookup_runs(level, images, radius), meta)
+        tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
     assert tmap.targets.dtype == np.int32
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
+
+
+def assert_canonical_runs(tmap: TransitionMap) -> None:
+    """Every source's runs are non-empty, disjoint, not adjacent and ascending."""
+    assert tmap.run_ptr.dtype == np.int64 and tmap.run_ptr[0] == 0 and np.all(np.diff(tmap.run_ptr) >= 0)
+    assert tmap.run_start.dtype == tmap.run_count.dtype == np.int32 and np.all(tmap.run_count > 0)
+    ends = tmap.run_start + tmap.run_count
+    source = np.repeat(np.arange(tmap.size), np.diff(tmap.run_ptr))
+    same = source[1:] == source[:-1]  # a run and the run before it of the same source
+    assert np.all(tmap.run_start[1:][same] > ends[:-1][same])
+    assert np.all(ends <= tmap.size)
 
 
 @given(
@@ -513,10 +524,10 @@ def test_lookup_matches_pair_scan(case, chunk: int) -> None:
 )
 @settings(max_examples=150, deadline=None)
 def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: bool, block: int) -> None:
+    # the predecessor view of the stored runs is the transposed pair scan.
     # wide=True lowers the int32 packing bound so that small levels take the
-    # int64 key path of the builder and of the successor view's transpose;
-    # small blocks split the in-place key passes as large levels do. Either
-    # way the key array, shrunk in place, becomes the int32 sources.
+    # int64 key path of both views; small blocks split their fill and decode
+    # as large levels do
     level, images, radius, M = case
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
     scan = transition_pair_scan(level, images, radius)
@@ -526,39 +537,99 @@ def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: b
         patch.object(transition, "_INT32_KEYS", bound),
         patch.object(transition, "_BLOCK_EDGES", block),
     ):
-        tmap = _build_map(level, *_lookup_runs(level, images, radius), meta)
+        tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
         successors = edges_as_flats(tmap)
-        again = from_successors(level, tmap.indptr, tmap.targets, meta)
+        rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
+    assert_canonical_runs(tmap)
     flats = level.flats.tolist()
     preds = {f: [s for s in flats if f in scan[s]] for f in flats}
-    rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
     assert tmap.pred_indptr.dtype == np.int64 and tmap.pred_indptr[0] == 0
     assert tmap.sources.dtype == np.int32 and tmap.out_degree.dtype == np.int64
-    assert tmap.sources.flags.owndata and tmap.targets.flags.owndata and again.sources.flags.owndata
+    assert tmap.sources.flags.owndata and tmap.targets.flags.owndata
     assert {flats[t]: level.flats[row].tolist() for t, row in enumerate(rows)} == preds
     assert tmap.out_degree.tolist() == [len(scan[s]) for s in flats]
     assert tmap.edge_count == sum(map(len, scan.values()))
     assert successors == scan
-    # every pair of cells, edge or not, empty rows included
+
+
+@given(case=lookup_cases())
+@settings(max_examples=150, deadline=None)
+def test_runs_of_the_successor_view_are_the_stored_runs(case) -> None:
+    # _runs_of_rows followed by the successor view, and the successor view
+    # turned back into runs, round-trip: the stored runs are canonical
+    level, images, radius, M = case
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
+    again = from_successors(level, tmap.indptr, tmap.targets, meta)
+    for a, b in zip((again.run_ptr, again.run_start, again.run_count), (tmap.run_ptr, tmap.run_start, tmap.run_count)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(again.indptr, tmap.indptr) and np.array_equal(again.targets, tmap.targets)
+    # successor rows in any order, with repeats, give the same runs
+    rng = np.random.default_rng(level.size)
+    shuffled = np.concatenate([rng.permutation(np.repeat(tmap.targets_local(i), 2)) for i in range(level.size)])
+    twice = from_successors(level, 2 * tmap.indptr, shuffled.astype(np.int32), meta)
+    assert np.array_equal(twice.run_start, tmap.run_start) and np.array_equal(twice.run_ptr, tmap.run_ptr)
+
+
+@given(case=lookup_cases())
+@settings(max_examples=150, deadline=None)
+def test_has_edges_on_runs_matches_pair_scan(case) -> None:
+    # every pair of cells, edge or not, empty rows included, with images on
+    # cell faces and M = 2 among the cases
+    level, images, radius, M = case
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
+    scan = transition_pair_scan(level, images, radius)
+    flats = level.flats.tolist()
     src, tgt = (a.ravel().astype(np.int32) for a in np.meshgrid(np.arange(level.size), np.arange(level.size)))
     member = [flats[t] in scan[flats[s]] for s, t in zip(src.tolist(), tgt.tolist())]
     assert tmap.has_edges(src, tgt).tolist() == member
-    # transposing the successor view gives back the same predecessor rows
-    assert np.array_equal(again.pred_indptr, tmap.pred_indptr) and np.array_equal(again.sources, tmap.sources)
-    assert np.array_equal(again.out_degree, tmap.out_degree)
+    assert tmap.has_edges(src.astype(np.int64), tgt).tolist() == member
+
+
+def drop_repeats_rows(level: CoverLevel, images: np.ndarray, radius: float) -> dict[int, list[int]]:
+    """The predecessor rows of the per-edge build that merged runs replace:
+    one key target * size + source per run cell, repeats included, sorted,
+    with the repeated keys dropped. The reference for M > 1."""
+    n, per = images.shape[:2]
+    point, start, count = level.row_runs(*level.cell_windows(images.reshape(-1, level.dim), radius))
+    targets = level.run_cells(start, count).astype(np.int64)
+    keys = np.unique(targets * n + np.repeat(point // per, count))
+    assert targets.size > keys.size  # the windows of a source overlap, so there were repeats
+    flats = level.flats
+    return {int(flats[t]): flats[keys[keys // n == t] % n].tolist() for t in range(n)}
+
+
+@pytest.mark.parametrize("name, M", [("henon", 2), ("henon", 3), ("linmap2d", 2), ("linmap2d", 3)])
+def test_merged_runs_hold_every_edge_once(name: str, M: int) -> None:
+    # with M > 1 the M^d windows of a source overlap; the merged runs hold
+    # each edge once, so no repeated key is ever made
+    Q = Box([-2.0, -2.0], [2.0, 2.0]) if name == "henon" else Q2
+    sys_ = make_builtin(name, Q)
+    level = CoverLevel(Q, 3, np.arange(0, 64, 3))
+    tmap = build_transition(level, sys_, M=M)
+    images = eval_inverse(sys_, subbox_centers(level.box_los, level.box_his, M))
+    scan = transition_pair_scan(level, images, tmap.meta.radius)
+    assert_canonical_runs(tmap)
+    assert edges_as_flats(tmap) == scan
+    assert tmap.edge_count == sum(map(len, scan.values()))
+    rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
+    assert {int(level.flats[t]): level.flats[row].tolist() for t, row in enumerate(rows)} == drop_repeats_rows(
+        level, images, tmap.meta.radius
+    )
 
 
 @pytest.mark.parametrize(
-    "name, extra", [("pred_indptr", 1), ("pred_indptr", -1), ("out_degree", 1), ("out_degree", -1), ("sources", -1)]
+    "name, extra", [("run_ptr", 1), ("run_ptr", -1), ("run_start", 1), ("run_start", -1), ("run_count", -1)]
 )
-def test_constructor_rejects_rows_of_the_wrong_length(name: str, extra: int) -> None:
+def test_constructor_rejects_runs_of_the_wrong_length(name: str, extra: int) -> None:
     level = CoverLevel.full(Q1, 2)
     tmap = build_transition_discrete(level, make_builtin("halving1d", Q1), M=1)
-    rows = {"pred_indptr": tmap.pred_indptr, "sources": tmap.sources, "out_degree": tmap.out_degree}
-    TransitionMap(level, **rows, meta=tmap.meta)  # the right lengths pass
-    rows[name] = np.concatenate([rows[name], rows[name][-1:]]) if extra > 0 else rows[name][:-1]
-    with pytest.raises(ValueError, match="pred_indptr"):
-        TransitionMap(level, **rows, meta=tmap.meta)
+    runs = {"run_ptr": tmap.run_ptr, "run_start": tmap.run_start, "run_count": tmap.run_count}
+    TransitionMap(level, **runs, meta=tmap.meta)  # the right lengths pass
+    runs[name] = np.concatenate([runs[name], runs[name][-1:]]) if extra > 0 else runs[name][:-1]
+    with pytest.raises(ValueError, match="run_ptr"):
+        TransitionMap(level, **runs, meta=tmap.meta)
 
 
 def test_thread_count_does_not_change_serialization() -> None:
