@@ -10,8 +10,10 @@ Subcommands:
 
 Progress and timings go to stderr; data artifacts only to files (and the
 check verdict to stdout), so machine output stays clean and byte-stable.
-Box records are joined by numpy string operations from the reprs of the
-level boundaries, in the bytes of json.dumps with sorted keys.
+Box records and checkpoints are the bytes of json.dumps with sorted keys,
+built chunk by chunk as byte matrices: one row per record, whose columns
+are the constant JSON fragments, the reprs of the level boundaries and the
+decimal digits of the indices.
 
 Exit codes: 0 success, 1 failed verdict, 2 configuration error,
 3 box-budget overflow (partial results flushed), 130 handled interrupt.
@@ -22,13 +24,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
 import resource
 import sys as _sys
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -246,10 +248,43 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of nonnegative integers as an (m, w) uint8 matrix,
+    one number a row, right-aligned, with NUL bytes before its first digit."""
+    v = values.astype(np.int64)
+    width = len(str(int(v.max())))
+    out = np.empty((v.size, width), dtype=np.uint8)
+    out[:, -1] = v % 10 + 48
+    for j in range(width - 2, -1, -1):
+        v //= 10
+        out[:, j] = (v % 10 + 48) * (v > 0)
+    return out
+
+
+def _rows_bytes(columns: list, m: int) -> bytes:
+    """The bytes of m rows, each the concatenation of `columns`: a bytes
+    constant is the same in every row, an (m, w) uint8 matrix gives each row
+    its own w bytes. NUL bytes, which no field holds, are dropped."""
+    parts = [np.broadcast_to(np.frombuffer(c, dtype=np.uint8), (m, len(c))) if isinstance(c, bytes) else c
+             for c in columns]
+    buf = np.concatenate(parts, axis=1)
+    return buf[buf != 0].tobytes()
+
+
+def _chunks(kept: np.ndarray) -> list[np.ndarray]:
+    """The kept flat indices in chunks of _BOX_CHUNK, so the byte matrices
+    stay near 1 MiB whatever the level's size."""
+    return [kept[c0 : c0 + _BOX_CHUNK] for c0 in range(0, kept.size, _BOX_CHUNK)]
+
+
 def _checkpoint_text(level: CoverLevel, kept: np.ndarray, cfg_hash: str) -> str:
-    """The checkpoint of the kept flat indices of a level's depth."""
-    ck = {"depth": level.depth, "kept": kept.tolist(), "config_hash": cfg_hash}
-    return json.dumps(ck, sort_keys=True, separators=(",", ":")) + "\n"
+    """The checkpoint of the kept flat indices of a level's depth, as the
+    bytes json.dumps(sort_keys=True, separators=(",", ":")) writes: the
+    config_hash and depth come from json.dumps, the indices are joined from
+    digit columns chunk by chunk."""
+    head = json.dumps({"config_hash": cfg_hash, "depth": level.depth}, sort_keys=True, separators=(",", ":"))
+    body = b"".join(_rows_bytes([_digits(f), b","], f.size) for f in _chunks(kept))
+    return f'{head[:-1]},"kept":[{body[:-1].decode()}]}}\n'
 
 
 def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> CoverLevel:
@@ -351,12 +386,14 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def _box_lines(level: CoverLevel, kept: np.ndarray):
     """The boxes JSONL records of the kept flat indices, chunk by chunk, as
-    the bytes json.dumps(sort_keys=True, separators=(",", ":")) writes:
+    the bytes json.dumps(sort_keys=True, separators=(",", ":")) writes.
     json writes floats with float.__repr__, so the repr of each boundary the
-    cells touch is made once per level and the lines are joined with numpy
-    on bytes arrays, one byte per character."""
+    cells touch is made once per level, as a NUL-padded row of bytes. Each
+    chunk is one byte matrix, a record a row (see _rows_bytes): the constant
+    fragments, each axis's upper and lower boundary rows and the index
+    digits."""
     # coordinates chunk by chunk: one whole-level array made saddle depth-8 runs about 4% slower
-    flats = [kept[c0 : c0 + _BOX_CHUNK] for c0 in range(0, kept.size, _BOX_CHUNK)]
+    flats = _chunks(kept)
     coords = [flats_to_coords(f, level.depth, level.dim) for f in flats]
     touched = [np.zeros(b.size, dtype=bool) for b in level.boundaries]
     for c in coords:
@@ -364,12 +401,14 @@ def _box_lines(level: CoverLevel, kept: np.ndarray):
             t[c[:, k]] = t[c[:, k] + 1] = True
     # each touched boundary's repr, at its rank among the touched ones
     reprs = [np.array([repr(x).encode() for x in b[t].tolist()], dtype="S") for b, t in zip(level.boundaries, touched)]
+    reprs = [r.view(np.uint8).reshape(r.size, r.itemsize) for r in reprs]
     ranks = [np.cumsum(t) - 1 for t in touched]
+    head = b'{"depth":%d,"hi":[' % level.depth
     for f, c in zip(flats, coords):
         # upper (e = 1) and lower (e = 0) corner reprs, axis by axis, with "," between them
-        hi, lo = ([s for k in range(level.dim) for s in (b",", reprs[k][ranks[k][c[:, k] + e]])][1:] for e in (1, 0))
-        parts = [b'{"depth":%d,"hi":[' % level.depth, *hi, b'],"index":', f.astype("S"), b',"lo":[', *lo, b"]}\n"]
-        yield b"".join(reduce(np.char.add, parts).tolist())
+        hi, lo = ([s for k in range(level.dim) for s in (b",", reprs[k].take(ranks[k][c[:, k] + e], axis=0))][1:]
+                  for e in (1, 0))
+        yield _rows_bytes([head, *hi, b'],"index":', _digits(f), b',"lo":[', *lo, b"]}\n"], f.size)
 
 
 def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]:
@@ -383,10 +422,10 @@ def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]
     if not Path(cfg.out).exists():
         return 0, []
     chain = [*(_read_checkpoint(_checkpoint_path(cfg, d), cfg.config_hash(), cfg.q) for d in range(start.depth)), start]
-    run = b"".join(line for level in chain for line in _box_lines(level, level.flats))
     with open(cfg.out, "rb") as fp:
-        if [level.depth for level in chain] != list(range(start.depth + 1)) or fp.read(len(run)) != run:
+        if [level.depth for level in chain] != list(range(start.depth + 1)) or not _reads_levels(fp, chain):
             raise ConfigError(f"{cfg.out} does not begin with the levels of the checkpoints up to depth {start.depth}")
+        committed = fp.tell()
     try:
         stats = json.loads(Path(cfg.stats).read_text(encoding="utf-8"))
         records = [r for r in stats if r["depth"] <= start.depth]
@@ -395,7 +434,13 @@ def _earlier_levels(cfg: RunConfig, start: CoverLevel) -> tuple[int, list[dict]]
         raise ConfigError(f"cannot extend the earlier run's stats: {exc!r}") from None
     if kept != [(level.depth, level.flats.size) for level in chain]:
         raise ConfigError(f"the stats of {cfg.stats} are not those of the checkpoints up to depth {start.depth}")
-    return len(run), records
+    return committed, records
+
+
+def _reads_levels(fp, levels: list[CoverLevel]) -> bool:
+    """Whether `fp` reads on with the bytes _box_lines writes for `levels`,
+    compared chunk by chunk, so no second copy of the file is held."""
+    return all(fp.read(len(chunk)) == chunk for level in levels for chunk in _box_lines(level, level.flats))
 
 
 # -- check -----------------------------------------------------------------------
@@ -468,11 +513,17 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
         boxes = _read_boxes(cfg.out, cfg.q)
         reference = _reference(system, cfg.q, resolution, horizon)
         # the boxes file is tied to the run's configuration through the
-        # checkpoints, which carry its hash: each checked depth must hold
-        # exactly the cells of that depth's checkpoint
-        for depth, level in sorted(boxes.items()):
-            if depth > max_global_depth:
+        # checkpoints, which carry its hash: each depth of the file or of the
+        # checkpoints, from the file's shallowest up to max_global_depth,
+        # must hold exactly the cells of that depth's checkpoint, and an
+        # empty checkpoint matches no records
+        first = min(boxes, default=max_global_depth + 1)
+        for depth in sorted(d for d in {*boxes, *checkpoints} if first <= d <= max_global_depth):
+            if depth not in boxes and checkpoints[depth].size:  # a level whose records are missing
+                verdict["levels"].append({"depth": depth, "kept_matches_checkpoint": False})
+                ok = False
                 continue
+            level = boxes[depth] if depth in boxes else checkpoints[depth]
             euler = schedule.params_at(depth) if schedule else None
             g_result, _ = run_global(
                 system, cfg.q, depth, M=cfg.M, euler=euler, box_budget=cfg.box_budget,
@@ -508,7 +559,8 @@ def _read_boxes(path: str, root: Box) -> dict[int, CoverLevel]:
         starts = np.flatnonzero(np.diff(depths, prepend=-1)).tolist()
         levels = {int(depths[a]): CoverLevel(root, int(depths[a]), flats[a:b])  # rejects values out of range
                   for a, b in zip(starts, starts[1:] + [depths.size])}
-        if b"".join(line for d in sorted(levels) for line in _box_lines(levels[d], levels[d].flats)) != data:
+        fp = io.BytesIO(data)  # shares the bytes of data until written
+        if not _reads_levels(fp, [levels[d] for d in sorted(levels)]) or fp.read(1):
             raise ValueError("the file holds other bytes than run writes for its records")
         return levels
     except (OSError, TypeError, ValueError, OverflowError) as exc:

@@ -381,6 +381,44 @@ def test_box_lines_repr_only_the_touched_boundaries(monkeypatch) -> None:
                      for i, lo, hi in records]
 
 
+# roots with non-dyadic bounds and bounds that print in exponent form; each
+# level has more than 10,000 cells, so its indices reach five digits
+WRITER_LEVELS = [
+    (Box([-1.0], [1.0]), 14),
+    (Box([-1e-05], [3e-05]), 14),
+    (Box([-1e-05, 0.1], [3e-05, 0.7]), 7),
+    (Box([-1.0, -1e-05, 0.1], [2.0, 3e-05, 0.7]), 5),
+]
+# the empty set and sets that cross digit-count boundaries
+WRITER_KEPT = [[], [0], [9], [9, 10], [0, 1, 99, 100], [999, 1000, 1001], [0, 9, 10, 99, 100, 999, 1000, 9999, 10000]]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("root, depth", WRITER_LEVELS)
+def test_writers_are_json_dumps_record_by_record(monkeypatch, chunk: int, root: Box, depth: int) -> None:
+    monkeypatch.setattr(cli, "_BOX_CHUNK", chunk)
+    # more than one 4,096-record chunk only where the chunk is that long
+    sets = [*WRITER_KEPT, range(0, 1 << (depth * root.dim), 3)] if chunk == 4096 else WRITER_KEPT
+    for kept in sets:
+        level = CoverLevel(root, depth, np.array(kept, dtype=np.int64))
+        records = zip(level.flats.tolist(), level.box_los.tolist(), level.box_his.tolist())
+        lines = [json.dumps({"depth": depth, "hi": hi, "index": i, "lo": lo}, sort_keys=True, separators=(",", ":"))
+                 for i, lo, hi in records]
+        assert b"".join(cli._box_lines(level, level.flats)).decode() == "".join(line + "\n" for line in lines)
+        for cfg_hash in ("0" * 64, "", 7, None, {"b": [1, 2], "a": "\u00e9"}):
+            ck = {"config_hash": cfg_hash, "depth": depth, "kept": level.flats.tolist()}
+            assert cli._checkpoint_text(level, level.flats, cfg_hash) == json.dumps(
+                ck, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_checkpoint_text_of_64_bit_indices() -> None:
+    level = CoverLevel(Box([-1.0], [1.0]), 62, np.array([0, (1 << 62) - 1]))
+    text = cli._checkpoint_text(level, level.flats, "h")
+    assert text == json.dumps({"config_hash": "h", "depth": 62, "kept": [0, (1 << 62) - 1]},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+    assert "boundaries" not in vars(level)  # a checkpoint needs no geometry
+
+
 def test_resume_hash_mismatch_exit_2(tmp_path: Path) -> None:
     assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
     rc = main(run_args(
@@ -560,6 +598,39 @@ def test_sandwich_ties_boxes_to_checkpoints(tmp_path: Path) -> None:
     assert main([*check, "--verdict", str(tmp_path / "v_missing.json")]) == 1
     verdict = json.loads((tmp_path / "v_missing.json").read_text())
     assert [l["kept_matches_checkpoint"] for l in verdict["levels"]] == [True] * 4 + [False]
+
+
+@pytest.mark.parametrize("gone", [4, 2])  # the deepest level, a middle level
+def test_sandwich_fails_a_level_missing_from_the_boxes(tmp_path: Path, gone: int) -> None:
+    flags = {"--system": "saddle2d", "--q": "-1,-1:1,1", "--h0": "0.2", "--depth": "4"}
+    assert main(run_args(tmp_path, **flags)) == 0
+    check = ["check", "--mode", "sandwich", *run_args(tmp_path, **flags)[1:], "--max-global-depth", "4",
+             "--verdict", str(tmp_path / "v.json")]
+    assert main(check) == 0
+    boxes = tmp_path / "boxes.jsonl"
+    lines = boxes.read_text().splitlines(keepends=True)
+    boxes.write_text("".join(line for line in lines if not line.startswith('{"depth":%d,' % gone)))
+    assert main(check) == 1
+    verdict = json.loads((tmp_path / "v.json").read_text())
+    assert [l["depth"] for l in verdict["levels"]] == [0, 1, 2, 3, 4] and not verdict["pass"]
+    assert [l["kept_matches_checkpoint"] for l in verdict["levels"]] == [d != gone for d in range(5)]
+    assert verdict["levels"][gone] == {"depth": gone, "kept_matches_checkpoint": False}
+
+
+def test_sandwich_checks_an_empty_checkpoint_against_no_records(tmp_path: Path) -> None:
+    # a depth whose checkpoint keeps no cell matches a file without its
+    # records, and its empty cover then misses the reference points
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    base = run_args(tmp_path, **{"--depth": "2"})[1:]
+    cfg = cli._load_config(cli.build_parser().parse_args(cli._join_q_flag(["run", *base])))
+    empty = CoverLevel(cfg.q, 2, [])
+    (tmp_path / "ckpt" / "checkpoint_d2.json").write_text(cli._checkpoint_text(empty, empty.flats, cfg.config_hash()))
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_text("".join(l for l in boxes.read_text().splitlines(keepends=True) if not l.startswith('{"depth":2,')))
+    assert main(["check", "--mode", "sandwich", *base, "--verdict", str(tmp_path / "v.json")]) == 1
+    *shallow, deepest = json.loads((tmp_path / "v.json").read_text())["levels"]
+    assert [l["depth"] for l in shallow] == [0, 1] and all(l["pass"] for l in shallow)
+    assert deepest["depth"] == 2 and deepest["kept_matches_checkpoint"] and deepest["uncovered_count"] > 0
 
 
 @pytest.mark.parametrize("mode", ["containment", "gaps", "sandwich"])
