@@ -308,15 +308,22 @@ class CoverLevel:
         los, his = zip(*(_exact_windows(B, x, r, x - r, x + r) for B, x in zip(self.boundaries, pts.T)))
         return np.stack(los, axis=1), np.stack(his, axis=1)
 
-    def row_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The active cells of the windows lo[i]..hi[i] as runs of the sorted
-        lexicographic keys, one per row of a window's first d-1 axes, ordered
-        by window and row: the window index, the position of the run's first
-        key and the run's cell count. :func:`_window_keys` gives each row's
-        first key, and each row takes two binary searches in the level's keys.
+    @staticmethod
+    def window_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The rows of each window lo[i]..hi[i]: the product of its widths on
+        the first d-1 axes, 0 for an empty window."""
+        width = hi - lo + 1
+        return np.where(across_axes(np.minimum, width) > 0, across_axes(np.multiply, width[:, :-1], initial=1), 0)
+
+    def row_runs(self, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The active cells of the windows lo[i]..hi[i], whose row counts are
+        rows[i] (:meth:`window_rows`), as runs of the sorted lexicographic
+        keys, one per row of a window's first d-1 axes, ordered by window and
+        row: the window index, the position of the run's first key and the
+        run's cell count. :func:`_window_keys` gives each row's first key, and
+        each row takes two binary searches in the level's keys.
         """
         width = hi - lo + 1
-        rows = np.where(across_axes(np.minimum, width) > 0, across_axes(np.multiply, width[:, :-1], initial=1), 0)
         point, first = _window_keys(list(lo.T), list(width[:, :-1].T), rows, self.cells_per_axis)
         keys = self._lex[0]
         start = np.searchsorted(keys, first, side="left")

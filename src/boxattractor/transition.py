@@ -14,16 +14,21 @@ a face count as intersecting (closed cells), which can only enlarge phi and
 therefore preserves every containment guarantee. Only the image function
 and the radius differ; build_transition picks both by the system kind.
 
-All image points of a chunk of sources go through one batch neighbour
-lookup: CoverLevel.cell_windows gives each point's exact cell window per
-axis and CoverLevel.row_runs the active cells in it, as runs of the
-level's sorted lexicographic keys, one per window row. The map stores what
-the lookup finds: each source's runs, as the start position and cell count
-of every run over the level's lexicographic order. A chunk's runs are
-sorted by source and start and merged where they overlap or touch (the
-windows of a source's M^d samples overlap when M > 1), so every edge is
-held once and no array of one entry per edge is ever made: the map takes
-8 bytes per run, about 28 edges per run on henon levels. The prune reads
+The neighbour lookup takes two steps per level. One CoverLevel.cell_windows
+pass gives every image point's exact cell window per axis, and
+CoverLevel.window_rows the number of rows of each window. Then the sources
+are cut into chunks of at most _CHUNK_ROWS window rows, each ending on a
+source boundary (a source with more rows gets a chunk of its own), and
+CoverLevel.row_runs finds a chunk's active cells as runs of the level's
+sorted lexicographic keys, one per window row. Chunks sized by rows, not
+points, do the same work per lookup whether a point's window has 2 rows
+(saddle2d) or 64 (henon at depth 8). The map stores what the lookup finds:
+each source's runs, as the start position and cell count of every run
+over the level's lexicographic order. A chunk's runs are sorted by source
+and start and merged where they overlap or touch (the windows of a
+source's M^d samples overlap when M > 1), so every edge is held once and
+no array of one entry per edge is ever made: the map takes 8 bytes per
+run, about 28 edges per run on henon levels. The prune reads
 the runs (attractor._prune_runs), and edge queries bisect a source's runs
 for the target's position: the self-loop share and the containment check,
 which finds each image's cells by point location (CoverLevel.point_cells:
@@ -47,6 +52,7 @@ import numpy as np
 from .geometry import (
     Box,
     CoverLevel,
+    across_axes,
     box_corners,
     expand_ranges,
     grid_points,
@@ -215,7 +221,7 @@ class GapReport:
 # -- construction --------------------------------------------------------------
 
 
-_CHUNK_POINTS = 1 << 10  # image points per batch neighbour lookup
+_CHUNK_ROWS = 1 << 16  # window rows per batch neighbour lookup, unless one source holds more
 _BLOCK_EDGES = 1 << 16  # keys per block of a view's fill and decode, whose temporaries stay small
 _INT32_KEYS = np.iinfo(np.int32).max  # the largest packed key kept in int32
 
@@ -285,27 +291,35 @@ def _runs_of_rows(indptr: np.ndarray, values: np.ndarray, rank: np.ndarray | Non
 
 
 def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
-    """The successor runs of the sources' (V, M^d, d) image points, one
-    batch lookup per chunk of sources: CoverLevel.row_runs gives the runs of
-    every window row, and each chunk's runs are merged per source by
-    _merged_runs, which for M > 1 drops the cells that several windows of a
-    source hold. Returns (run_ptr int64, run_start, run_count), the runs in
-    the level's index dtype; no array has one entry per edge."""
+    """The successor runs of the sources' (V, M^d, d) image points: one
+    CoverLevel.cell_windows pass over all of them, then one
+    CoverLevel.row_runs lookup per chunk of sources. A chunk holds at most
+    _CHUNK_ROWS window rows, counted once per level by
+    CoverLevel.window_rows, unless one source alone holds more; it ends on a
+    source boundary, so _merged_runs sees all of a source's runs at once and
+    for M > 1 drops the cells that several windows of a source hold. Returns
+    (run_ptr int64, run_start, run_count), the runs in the level's index
+    dtype; no array has one entry per edge."""
     n, per = images.shape[:2]
-    pts = images.reshape(-1, level.dim)
-    step = max(1, _CHUNK_POINTS // per)
+    lo, hi = level.cell_windows(images.reshape(-1, level.dim), radius)
+    rows = level.window_rows(lo, hi)
+    ends = np.zeros(n + 1, dtype=np.int64)  # the rows before each source
+    np.cumsum(across_axes(np.add, rows.reshape(n, per)), out=ends[1:])
     dtype = index_dtype(level.size)
     runs = np.zeros(n, dtype=np.int64)
     starts, counts = [np.empty(0, dtype)], [np.empty(0, dtype)]
-    for s0 in range(0, n, step):
-        s1 = min(s0 + step, n)
-        point, start, count = level.row_runs(*level.cell_windows(pts[s0 * per : s1 * per], radius))
+    s0 = 0
+    while s0 < n:
+        s1 = max(int(np.searchsorted(ends, ends[s0] + _CHUNK_ROWS, side="right")) - 1, s0 + 1)
+        p0, p1 = s0 * per, s1 * per
+        point, start, count = level.row_runs(lo[p0:p1], hi[p0:p1], rows[p0:p1])
         kept = count > 0
         start = start[kept]
         source, start, count = _merged_runs(point[kept] // per, start, start + count[kept], level.size)
         runs[s0:s1] = np.bincount(source, minlength=s1 - s0)
         starts.append(start.astype(dtype))
         counts.append(count.astype(dtype))
+        s0 = s1
     run_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(runs, out=run_ptr[1:])
     return run_ptr, np.concatenate(starts), np.concatenate(counts)

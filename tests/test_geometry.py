@@ -266,7 +266,7 @@ def test_cell_windows_match_bruteforce() -> None:
             lo, hi = level.cell_windows(p[None, :], r)
             inside = np.all((coords >= lo[0]) & (coords <= hi[0]), axis=1)
             assert np.nonzero(inside)[0].tolist() == np.nonzero(near)[0].tolist()
-            point, start, count = level.row_runs(lo, hi)
+            point, start, count = level.row_runs(lo, hi, level.window_rows(lo, hi))
             cells = level.run_cells(start, count)
             assert set(point.tolist()) <= {0} and count.sum() == cells.size
             assert sorted(cells.tolist()) == np.nonzero(near[level.flats])[0].tolist()
@@ -298,7 +298,8 @@ def test_contains_points_is_window_runs_membership() -> None:
         faces = rng.random(pts.shape) < 0.6
         face_axis = np.nonzero(faces)[1]
         pts[faces] = np.array(level.boundaries)[face_axis, rng.integers(0, level.cells_per_axis + 1, face_axis.size)]
-        point, start, count = level.row_runs(*level.cell_windows(pts, 0.0))
+        lo, hi = level.cell_windows(pts, 0.0)
+        point, start, count = level.row_runs(lo, hi, level.window_rows(lo, hi))
         cells = level.run_cells(start, count)
         want = np.zeros(len(pts), dtype=bool)
         want[np.repeat(point, count)] = True
@@ -336,9 +337,10 @@ def test_row_runs_match_bruteforce(dim: int, depth: int) -> None:
     n = level.cells_per_axis
     lo = rng.integers(0, n, size=(200, dim))
     hi = np.minimum(lo + rng.integers(-1, 4, size=(200, dim)), n - 1)  # some windows empty on an axis
-    point, start, count = level.row_runs(lo, hi)
+    point, start, count = level.row_runs(lo, hi, level.window_rows(lo, hi))
     width = hi - lo + 1
     rows = np.where(width.min(axis=1) > 0, np.prod(width[:, :-1], axis=1), 0)  # the axis form of the run count
+    assert level.window_rows(lo, hi).tolist() == rows.tolist()
     assert np.bincount(point, minlength=len(lo)).tolist() == rows.tolist()
     cells = level.run_cells(start, count)
     owner = np.repeat(point, count)

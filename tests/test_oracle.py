@@ -98,7 +98,8 @@ def test_verify_sandwich_pass_and_mutation() -> None:
     assert verdict.uncovered_points.shape == (0, 1) and verdict.extra_flats.size == 0
 
     # deleting the kept box that covers the reference point breaks check (1)
-    _, start, count = level.row_runs(*level.cell_windows(ref.points, 0.0))
+    lo, hi = level.cell_windows(ref.points, 0.0)
+    _, start, count = level.row_runs(lo, hi, level.window_rows(lo, hi))
     cells = level.run_cells(start, count)
     mutated = CoverLevel(Q1, 4, np.setdiff1d(level.flats, level.flats[cells]))
     verdict = verify_sandwich(mutated, g_result.kept_flats, ref)

@@ -50,7 +50,8 @@ def from_successors(level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, 
 
 def cells_at(level: CoverLevel, p) -> list[int]:
     """Local indices of the active cells that hold the point p."""
-    _, start, count = level.row_runs(*level.cell_windows(np.asarray(p, dtype=float)[None, :], 0.0))
+    lo, hi = level.cell_windows(np.asarray(p, dtype=float)[None, :], 0.0)
+    _, start, count = level.row_runs(lo, hi, level.window_rows(lo, hi))
     return sorted(level.run_cells(start, count).tolist())
 
 
@@ -358,7 +359,7 @@ def test_containment_witnesses_do_not_depend_on_chunking(name: str, Q: Box, para
     image = (lambda p: reference_backward_flow(sys_, p, 0.1)) if params else (lambda p: eval_inverse(sys_, p))
     mutated = drop_edge_of_probe(tmap, image)
     reports = [check_containment_condition(mutated, sys_, samples=60, seed=5)]
-    with patch.object(transition, "_CHUNK_POINTS", 7), patch.object(transition, "_CHECK_POINTS", 7):
+    with patch.object(transition, "_CHECK_POINTS", 7):
         reports.append(check_containment_condition(mutated, sys_, samples=60, seed=5))
     default, small = ([(flat, p.tobytes()) for flat, p in r.containment_violations] for r in reports)
     assert default and default == small
@@ -494,12 +495,12 @@ def lookup_cases(draw) -> tuple[CoverLevel, np.ndarray, float, int]:
     return level, images, radius, M
 
 
-@given(case=lookup_cases(), chunk=st.sampled_from([1, 3, 1 << 10]))
+@given(case=lookup_cases(), chunk=st.sampled_from([1, 3, 1 << 16]))
 @settings(max_examples=150, deadline=None)
 def test_lookup_matches_pair_scan(case, chunk: int) -> None:
     level, images, radius, M = case
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
-    with patch.object(transition, "_CHUNK_POINTS", chunk):
+    with patch.object(transition, "_CHUNK_ROWS", chunk):
         tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
     assert tmap.targets.dtype == np.int32
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
@@ -518,7 +519,7 @@ def assert_canonical_runs(tmap: TransitionMap) -> None:
 
 @given(
     case=lookup_cases(),
-    chunk=st.sampled_from([1, 3, 1 << 10]),
+    chunk=st.sampled_from([1, 3, 1 << 16]),
     wide=st.booleans(),
     block=st.sampled_from([1, 2, 1 << 16]),
 )
@@ -533,7 +534,7 @@ def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: b
     scan = transition_pair_scan(level, images, radius)
     bound = 0 if wide else np.iinfo(np.int32).max
     with (
-        patch.object(transition, "_CHUNK_POINTS", chunk),
+        patch.object(transition, "_CHUNK_ROWS", chunk),
         patch.object(transition, "_INT32_KEYS", bound),
         patch.object(transition, "_BLOCK_EDGES", block),
     ):
@@ -592,7 +593,8 @@ def drop_repeats_rows(level: CoverLevel, images: np.ndarray, radius: float) -> d
     one key target * size + source per run cell, repeats included, sorted,
     with the repeated keys dropped. The reference for M > 1."""
     n, per = images.shape[:2]
-    point, start, count = level.row_runs(*level.cell_windows(images.reshape(-1, level.dim), radius))
+    lo, hi = level.cell_windows(images.reshape(-1, level.dim), radius)
+    point, start, count = level.row_runs(lo, hi, level.window_rows(lo, hi))
     targets = level.run_cells(start, count).astype(np.int64)
     keys = np.unique(targets * n + np.repeat(point // per, count))
     assert targets.size > keys.size  # the windows of a source overlap, so there were repeats
@@ -617,6 +619,41 @@ def test_merged_runs_hold_every_edge_once(name: str, M: int) -> None:
     assert {int(level.flats[t]): level.flats[row].tolist() for t, row in enumerate(rows)} == drop_repeats_rows(
         level, images, tmap.meta.radius
     )
+
+
+@pytest.mark.parametrize("name, depth, M", [("henon", 5, 1), ("henon", 5, 2), ("saddle2d", 6, 1), ("linmap2d", 5, 2)])
+def test_runs_do_not_depend_on_the_chunking(name: str, depth: int, M: int) -> None:
+    # one windows pass per map, then row lookups on chunks of at most
+    # _CHUNK_ROWS window rows that end on source boundaries, so a source's
+    # M^d windows are merged together however the level is cut. A budget of
+    # 1 gives every source with rows a chunk of its own, and every source
+    # with more than one row exceeds it
+    Q = Box([-2.0, -2.0], [2.0, 2.0]) if name == "henon" else Q2
+    sys_ = make_builtin(name, Q)
+    level = CoverLevel.full(Q, depth)
+    params = EulerParams(h=0.2 * 2.0**-3) if name == "saddle2d" else None  # the saddle workloads' depth-6 step
+    maps, lookups = [], []
+    for budget in (transition._CHUNK_ROWS, 1, 2, 7):
+        with (
+            patch.object(transition, "_CHUNK_ROWS", budget),
+            patch.object(CoverLevel, "cell_windows", autospec=True, side_effect=CoverLevel.cell_windows) as windows,
+            patch.object(CoverLevel, "row_runs", autospec=True, side_effect=CoverLevel.row_runs) as rows,
+        ):
+            maps.append(build_transition(level, sys_, M, params))
+        assert windows.call_count == 1
+        lookups.append(rows.call_count)
+    runs = [(tmap.run_ptr, tmap.run_start, tmap.run_count) for tmap in maps]
+    assert maps[0].edge_count > level.size
+    for cut in runs[1:]:
+        for a, b in zip(cut, runs[0]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    if name == "saddle2d":
+        # the depth-6 level of the saddle workloads: 8,320 window rows, one
+        # lookup at the default budget, one per source at a budget of 1
+        images = euler_backward(sys_, subbox_centers(level.box_los, level.box_his, M), params)
+        lo, hi = level.cell_windows(images.reshape(-1, 2), maps[0].meta.radius)
+        assert int(level.window_rows(lo, hi).sum()) == 8_320
+        assert lookups[:2] == [1, level.size]
 
 
 @pytest.mark.parametrize(
@@ -671,7 +708,7 @@ def axis_form_containment(tmap: TransitionMap, sys_, samples: int, seed: int) ->
         else:
             images = eval_inverse(sys_, pts)
         wlo, whi = level.cell_windows(images, slack)
-        point, start, count = level.row_runs(wlo, whi)
+        point, start, count = level.row_runs(wlo, whi, level.window_rows(wlo, whi))
         near = level.run_cells(start, count)
         point = np.repeat(point, count)
         covered = np.zeros(images.shape[0], dtype=bool)
