@@ -15,8 +15,8 @@ the runs that start near each removed position, dense rounds take one
 cumulative sum over the positions and read every run once, and each round
 takes the cheaper of the two, so neither the map nor the prune ever makes
 an array of one entry per edge. The level report's self-loop share bisects
-each cell's runs for its own position, so a run without diagnostics never
-builds a view of the map's edges.
+each cell's runs for its own position, and the diagnostics read the runs
+too, so no run builds a view of the map's edges.
 """
 
 from __future__ import annotations

@@ -33,10 +33,11 @@ the runs (attractor._prune_runs), and edge queries bisect a source's runs
 for the target's position: the self-loop share and the containment check,
 which finds each image's cells by point location (CoverLevel.point_cells:
 the same exact windows, with one key search per candidate cell instead of
-runs). Two views are built on first use only, each by one sort of packed
-keys: the successor rows, sorted by flat index so that the JSON
-serialisation is canonical, for the gap measurement and the serialisation,
-and the predecessor rows. The diagnostics' per-point arrays are (m, d) with
+runs). The runs are the map's one stored form. The gap measurement reads
+them too, finding the edges at given positions of the run order by
+bisecting the runs' cumulative counts (_edge_pairs), and the serialisation
+expands one source's runs at a time and sorts the row by flat index, so
+the JSON is canonical. The diagnostics' per-point arrays are (m, d) with
 d small, so they are computed one axis at a time.
 """
 
@@ -90,13 +91,14 @@ class TransitionMap:
     run k holds the run_count[k] cells at positions run_start[k] onwards.
     A source's runs are disjoint, not adjacent and ascending, so every edge
     is held once. run_ptr is int64 and the runs are int32 while the level
-    has fewer than 2^31 cells. `has_edges` answers edge queries on the runs.
-    Two views, with indices local into level.flats (int32 while the level
-    has fewer than 2^31 cells), are built on first use by one sort of packed
-    keys each: the successor rows `indptr` and `targets`, every row sorted
-    by flat index, which `targets_local`, `to_json_dict` and `dumps` read,
-    so iteration order and the JSON serialisation are canonical; and the
-    predecessor rows `pred_indptr` and `sources`.
+    has fewer than 2^31 cells. The runs are the only stored form, and
+    `has_edges` answers edge queries on them. The successor rows `indptr`
+    (the cumulative out-degrees, int64) and `targets` (indices local into
+    level.flats, int32 while the level has fewer than 2^31 cells) are
+    expanded from the runs on every access, each row in run order, which is
+    the level's lexicographic order; so is `targets_local(i)`, which
+    expands source i's runs only. `to_json_dict` and `dumps` sort each row
+    by local index, which is flat order, so the serialisation is canonical.
     """
 
     def __init__(
@@ -115,29 +117,15 @@ class TransitionMap:
         """Each cell's successor count (int64): the counts of its runs, summed."""
         return _row_sums(self.run_ptr, self.run_count)
 
-    @cached_property
-    def _successors(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._edge_rows(by_target=False)
-
-    @cached_property
-    def _predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._edge_rows(by_target=True)
-
     @property
     def indptr(self) -> np.ndarray:
-        return self._successors[0]
+        indptr = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(self.out_degree, out=indptr[1:])
+        return indptr
 
     @property
     def targets(self) -> np.ndarray:
-        return self._successors[1]  # local indices into level.flats
-
-    @property
-    def pred_indptr(self) -> np.ndarray:
-        return self._predecessors[0]
-
-    @property
-    def sources(self) -> np.ndarray:
-        return self._predecessors[1]  # local indices into level.flats
+        return self.level.run_cells(self.run_start, self.run_count)  # local indices into level.flats
 
     @property
     def size(self) -> int:
@@ -166,33 +154,15 @@ class TransitionMap:
         found[found] = at[found] < self.run_start[run] + self.run_count[run]
         return found
 
-    def _edge_rows(self, by_target: bool) -> tuple[np.ndarray, np.ndarray]:
-        """CSR rows of the edges, by source or (by_target) by target, each
-        row sorted: one sort of the packed keys row * size + value, filled
-        one block of runs (about _BLOCK_EDGES keys) at a time."""
-        n, count = self.size, self.run_count
-        keys = np.empty(self.edge_count, _key_dtype(n))
-        source = np.repeat(np.arange(n, dtype=keys.dtype), np.diff(self.run_ptr))
-        step = max(1, _BLOCK_EDGES * count.size // max(keys.size, 1))  # runs per block
-        at = 0
-        for r0 in range(0, count.size, step):
-            cells = self.level.run_cells(self.run_start[r0 : r0 + step], count[r0 : r0 + step])
-            owners = np.repeat(source[r0 : r0 + step], count[r0 : r0 + step])
-            block = keys[at : at + cells.size]
-            block[:] = cells if by_target else owners
-            block *= n
-            block += owners if by_target else cells
-            at += cells.size
-        return _rows_of_keys(keys, n)
-
     def targets_local(self, i: int) -> np.ndarray:
-        return self.targets[self.indptr[i] : self.indptr[i + 1]]
+        runs = slice(self.run_ptr[i], self.run_ptr[i + 1])
+        return self.level.run_cells(self.run_start[runs], self.run_count[runs])
 
     def to_json_dict(self) -> dict:
         edges = {}
         for i in range(self.size):
             src = int(self.level.flats[i])
-            edges[str(src)] = [int(f) for f in self.level.flats[self.targets_local(i)]]
+            edges[str(src)] = [int(f) for f in self.level.flats[np.sort(self.targets_local(i))]]
         return {"depth": self.level.depth, "edges": edges}
 
     def dumps(self) -> str:
@@ -222,27 +192,6 @@ class GapReport:
 
 
 _CHUNK_ROWS = 1 << 16  # window rows per batch neighbour lookup, unless one source holds more
-_BLOCK_EDGES = 1 << 16  # keys per block of a view's fill and decode, whose temporaries stay small
-_INT32_KEYS = np.iinfo(np.int32).max  # the largest packed key kept in int32
-
-
-def _key_dtype(n: int) -> type:
-    """int32 while the packed keys of n nodes, below n * n, fit in it."""
-    return np.int32 if n * n <= _INT32_KEYS else np.int64
-
-
-def _rows_of_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR rows of the packed keys row * n + value on n nodes, each row
-    sorted: the keys are sorted in place, the searchsorted positions of the
-    keys r * n bound the rows, and the values are decoded one block at a
-    time into an array of n's index dtype."""
-    keys.sort()
-    indptr = np.searchsorted(keys, (np.arange(n + 1) * n).astype(keys.dtype))
-    values = np.empty(keys.size, index_dtype(n))
-    for b0 in range(0, keys.size, _BLOCK_EDGES):
-        block = keys[b0 : b0 + _BLOCK_EDGES]
-        values[b0 : b0 + block.size] = block - block // n * n  # numpy divides by a scalar faster than it takes %
-    return indptr, values
 
 
 def _row_sums(run_ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -488,6 +437,17 @@ def _strided_entries(indptr: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarr
     return rows, indptr[rows] + k * stride[rows]
 
 
+def _edge_pairs(tmap: TransitionMap, ends: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (source, target) local indices of the edges at positions pos of
+    the run order, in which source i's edges fill indptr[i] .. indptr[i + 1]
+    - 1 as targets_local(i) lists them: a bisection of the runs' cumulative
+    counts `ends` finds each position's run, and one of run_ptr its source."""
+    run = np.searchsorted(ends, pos, side="right")
+    cell = tmap.run_start[run] + (pos - (ends[run] - tmap.run_count[run]))
+    source = np.searchsorted(tmap.run_ptr, run, side="right") - 1
+    return source, tmap.level._lex[1][cell]
+
+
 def _defect(
     sys: ContinuousSystemSpec, h: float, src_lo: np.ndarray, src_hi: np.ndarray, tgt_lo: np.ndarray, tgt_hi: np.ndarray
 ) -> float:
@@ -527,37 +487,40 @@ def measure_overapprox_gap(
         return report
     lo, hi = level.box_los, level.box_his
     d, chunk = level.dim, 4096  # sampled edges per chunk
+    run_ends = np.cumsum(tmap.run_count, dtype=np.int64)
     if tmap.meta.kind == "discrete":
         # witnesses: each source's sample centres, corners and centre, mapped
         # back; a sampled successor's corners and centre find their nearest one
         ends = np.concatenate([box_corners(lo, hi), ((lo + hi) / 2.0)[:, None, :]], axis=1)
         w_pts = np.concatenate([subbox_centers(lo, hi, tmap.meta.M), ends], axis=1)
         w_img = eval_inverse(sys, w_pts)
-        rows, pos = _strided_entries(tmap.indptr, max(1, samples // ((1 << d) + 1)))
+        _, pos = _strided_entries(tmap.indptr, max(1, samples // ((1 << d) + 1)))
+        src, tgt = _edge_pairs(tmap, run_ends, pos)
         # one (points, cells) array per axis, so a chunk's distances are
         # (2^d + 1, M^d + 2^d + 1, E) with the sampled edges innermost
         e_cols = [np.ascontiguousarray(ends[:, :, k].T) for k in range(d)]
         w_cols = [np.ascontiguousarray(w_img[:, :, k].T) for k in range(d)]
         gap = 0.0
         for c0 in range(0, pos.size, chunk):
-            si, ti = rows[c0 : c0 + chunk], tmap.targets[pos[c0 : c0 + chunk]]
+            si, ti = src[c0 : c0 + chunk], tgt[c0 : c0 + chunk]
             dists = reduce(np.maximum, (np.abs(e[:, None, ti] - w[None, :, si]) for e, w in zip(e_cols, w_cols)))
             gap = max(gap, float(np.max(np.min(dists, axis=1))))
         report.overapprox_gap = gap
         return report
 
     # continuous: exact neighbor gap, grid-sampled defect gap
-    h = tmap.meta.h
-    src_of_edge = np.repeat(np.arange(level.size), np.diff(tmap.indptr))
-    tgt_of_edge = tmap.targets
+    h, edges, block = tmap.meta.h, tmap.edge_count, 1 << 16  # edges per block of the neighbor gap
     # neighbor gap dist(D_j, D_i): per-axis separable supremum, exact
-    neighbor = np.maximum(lo[src_of_edge] - lo[tgt_of_edge], hi[tgt_of_edge] - hi[src_of_edge])
-    report.neighbor_gap = float(max(np.max(neighbor), 0.0))
-    _, edges = _strided_entries(np.array([0, tgt_of_edge.size]), max(samples * 100, 10_000))
+    neighbor = -math.inf
+    for e0 in range(0, edges, block):
+        si, ti = _edge_pairs(tmap, run_ends, np.arange(e0, min(e0 + block, edges)))
+        neighbor = max(neighbor, np.max(np.maximum(lo[si] - lo[ti], hi[ti] - hi[si])))
+    report.neighbor_gap = float(max(neighbor, 0.0))
+    _, pos = _strided_entries(np.array([0, edges]), max(samples * 100, 10_000))
+    src, tgt = _edge_pairs(tmap, run_ends, pos)
     defect = 0.0
-    for c0 in range(0, edges.size, chunk):
-        e = edges[c0 : c0 + chunk]
-        si, ti = src_of_edge[e], tgt_of_edge[e]
+    for c0 in range(0, pos.size, chunk):
+        si, ti = src[c0 : c0 + chunk], tgt[c0 : c0 + chunk]
         defect = max(defect, _defect(sys, h, lo[si], hi[si], lo[ti], hi[ti]))
     report.defect_gap = defect
     return report

@@ -27,6 +27,7 @@ from boxattractor.transition import (
     build_transition,
     build_transition_discrete,
     check_containment_condition,
+    measure_overapprox_gap,
     transition_pair_scan,
 )
 
@@ -251,7 +252,11 @@ def test_blocked_prune_equals_whole_round_kernel(case, as_map: bool, block: int,
     level = tmap.level
     if as_map:
         graph, indices = tmap, level.flats[given]
-        want_alive, want_rounds = whole_round_prune(tmap.pred_indptr, tmap.sources, tmap.out_degree, given)
+        # the predecessor rows, from the successor view by a stable sort of its targets
+        targets = tmap.targets
+        sources = np.repeat(np.arange(level.size), tmap.out_degree)[np.argsort(targets, kind="stable")]
+        pred_indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=level.size))])
+        want_alive, want_rounds = whole_round_prune(pred_indptr, sources, tmap.out_degree, given)
         want_kept, want_removed = level.flats[want_alive], level.flats[given & ~want_alive]
     else:
         edges = tmap.to_json_dict()["edges"]
@@ -627,29 +632,10 @@ def test_henon_level_peak_bytes_per_edge(henon_d6) -> None:
         prune_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tmap.sources.dtype == np.int32 and tmap.edge_count > 3_000_000
+    assert tmap.edge_count > 3_000_000
     assert build_peak / tmap.edge_count <= 5.6
     assert prune_peak / tmap.edge_count <= 4.8
     assert prune_peak <= build_peak
-
-
-def test_henon_int64_key_level_peak_bytes_per_edge(henon_d6) -> None:
-    # the same level with the int64 packed keys of every level above 46,340
-    # cells. Holding the int64 keys and an int32 copy of them together read
-    # 12.4 bytes per edge here, and narrowing them in place 8.8. The build
-    # now packs no keys, so the key width leaves its peak alone; only the
-    # views pack them, and they decode int64 keys into int32 sources too.
-    Q, sys_, kept = henon_d6
-    level = refine_cover(CoverLevel(Q, 6, kept), kept)
-    with patch.object(transition, "_INT32_KEYS", 0):
-        tracemalloc.start()
-        try:
-            tmap = build_transition(level, sys_)
-            build_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert tmap.sources.dtype == np.int32 and tmap.sources.flags.owndata and tmap.edge_count > 3_000_000
-    assert build_peak / tmap.edge_count <= 9.0
 
 
 def test_henon_d8_level_peak_bytes_per_run() -> None:
@@ -678,23 +664,20 @@ def test_henon_d8_level_peak_bytes_per_run() -> None:
 
 
 def test_run_without_diagnostics_never_builds_the_successor_view() -> None:
-    # the prune, the report and the containment check read the stored runs;
-    # only the gap measurement builds a view, the successor rows, and no run
-    # builds the predecessor rows
-    calls = []
+    # the prune, the report, the containment check and the gap measurement
+    # all read the stored runs, so no run builds the successor view, with
+    # diagnostics or without, for a map or a flow
+    def no_view(self):
+        raise AssertionError("the successor view was built")
 
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    real = transition._rows_of_keys
     Q = Box([-2.0, -2.0], [2.0, 2.0])
     sys_ = make_builtin("henon", Q)
-    with patch.object(transition, "_rows_of_keys", counting):
+    flow = make_builtin("saddle2d", Q2)
+    with patch.object(TransitionMap, "targets", property(no_view)):
         levels = run_subdivision(sys_, Q, 6)
-        assert calls == [] and levels[-1][1].edges > 0
-        level = CoverLevel.full(Q, 3)
-        check_containment_condition(build_transition(level, sys_), sys_, samples=5)
-        assert calls == []
-        run_subdivision(sys_, Q, 2, diagnostics=True, samples=5)
-    assert calls == [1, 4, 16]  # one successor view per diagnosed level, for the gaps
+        assert levels[-1][1].edges > 0
+        levels = run_subdivision(sys_, Q, 3, diagnostics=True, samples=5)
+        assert all(rep.gaps is not None and rep.gaps.overapprox_gap > 0 for _, rep in levels[1:])
+        tmap = build_transition(CoverLevel.full(Q2, 4), flow, params=EulerParams(h=0.1))
+        rep = measure_overapprox_gap(tmap, flow, samples=5)
+        assert rep.neighbor_gap > 0 and rep.defect_gap > 0

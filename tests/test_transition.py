@@ -37,6 +37,7 @@ from boxattractor.transition import (
 
 Q1 = Box([-1.0], [1.0])
 Q2 = Box([-1.0, -1.0], [1.0, 1.0])
+QUADRANT = Box([0.0, 0.0], [1.0, 1.0])  # a saddle2d study box whose maps hold runs across rows
 
 
 def edges_as_flats(tmap: TransitionMap) -> dict[int, list[int]]:
@@ -448,9 +449,14 @@ def brute_force_gaps(tmap: TransitionMap, sys_, samples: int) -> tuple[float, fl
         ("henon", Box([-2.0, -2.0], [2.0, 2.0]), 3, 2, None),
         ("cubic1d", Box([-1.5], [1.5]), 5, 1, 0.08),
         ("saddle2d", Q2, 3, 2, 0.1),
+        ("saddle2d", QUADRANT, 3, 1, 0.5),
     ],
 )
 def test_gap_matches_brute_force(name: str, Q: Box, depth: int, M: int, h: float | None) -> None:
+    # the gaps read from the runs against their definitions on every edge.
+    # On QUADRANT every map holds runs whose cells lie in two rows of the
+    # lexicographic order, and some source's neighbor gap is met by an inner
+    # cell of such a run, not by the end cell of any of its runs
     sys_ = make_builtin(name, Q)
     rng = np.random.default_rng(depth * M)
     for _ in range(3):
@@ -463,6 +469,9 @@ def test_gap_matches_brute_force(name: str, Q: Box, depth: int, M: int, h: float
         else:
             tmap = build_transition_continuous(level, sys_, M=M, params=EulerParams(h=h))
             samples = 100
+            order = level._lex[1]
+            first, last = order[tmap.run_start], order[tmap.run_start + tmap.run_count - 1]
+            assert np.any(level.coords[first, :-1] != level.coords[last, :-1]) == (Q is QUADRANT)
         # the whole map, and each row alone, so the sampled successors and
         # witnesses of every row reach the maximum
         maps = [tmap]
@@ -517,40 +526,28 @@ def assert_canonical_runs(tmap: TransitionMap) -> None:
     assert np.all(ends <= tmap.size)
 
 
-@given(
-    case=lookup_cases(),
-    chunk=st.sampled_from([1, 3, 1 << 16]),
-    wide=st.booleans(),
-    block=st.sampled_from([1, 2, 1 << 16]),
-)
+@given(case=lookup_cases(), chunk=st.sampled_from([1, 3, 1 << 16]))
 @settings(max_examples=150, deadline=None)
-def test_predecessor_rows_are_the_transposed_pair_scan(case, chunk: int, wide: bool, block: int) -> None:
-    # the predecessor view of the stored runs is the transposed pair scan.
-    # wide=True lowers the int32 packing bound so that small levels take the
-    # int64 key path of both views; small blocks split their fill and decode
-    # as large levels do
+def test_successor_view_is_the_pair_scan(case, chunk: int) -> None:
+    # the successor view expanded from the stored runs is the pair scan, each
+    # row in the level's lexicographic order, and the out-degrees and edge
+    # count read from the runs agree with it
     level, images, radius, M = case
     meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
     scan = transition_pair_scan(level, images, radius)
-    bound = 0 if wide else np.iinfo(np.int32).max
-    with (
-        patch.object(transition, "_CHUNK_ROWS", chunk),
-        patch.object(transition, "_INT32_KEYS", bound),
-        patch.object(transition, "_BLOCK_EDGES", block),
-    ):
+    with patch.object(transition, "_CHUNK_ROWS", chunk):
         tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
-        successors = edges_as_flats(tmap)
-        rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
     assert_canonical_runs(tmap)
     flats = level.flats.tolist()
-    preds = {f: [s for s in flats if f in scan[s]] for f in flats}
-    assert tmap.pred_indptr.dtype == np.int64 and tmap.pred_indptr[0] == 0
-    assert tmap.sources.dtype == np.int32 and tmap.out_degree.dtype == np.int64
-    assert tmap.sources.flags.owndata and tmap.targets.flags.owndata
-    assert {flats[t]: level.flats[row].tolist() for t, row in enumerate(rows)} == preds
+    rows = np.split(tmap.targets, tmap.indptr[1:-1])
+    assert tmap.indptr.dtype == np.int64 and tmap.indptr[0] == 0 and tmap.out_degree.dtype == np.int64
+    assert tmap.targets.dtype == np.int32 and tmap.targets.flags.owndata
+    assert all(np.array_equal(row, tmap.targets_local(i)) for i, row in enumerate(rows))
+    assert all(np.all(np.diff(level._rank[row]) > 0) for row in rows)
+    assert {flats[s]: sorted(level.flats[row].tolist()) for s, row in enumerate(rows)} == scan
     assert tmap.out_degree.tolist() == [len(scan[s]) for s in flats]
     assert tmap.edge_count == sum(map(len, scan.values()))
-    assert successors == scan
+    assert edges_as_flats(tmap) == scan
 
 
 @given(case=lookup_cases())
@@ -613,12 +610,12 @@ def test_merged_runs_hold_every_edge_once(name: str, M: int) -> None:
     images = eval_inverse(sys_, subbox_centers(level.box_los, level.box_his, M))
     scan = transition_pair_scan(level, images, tmap.meta.radius)
     assert_canonical_runs(tmap)
-    assert edges_as_flats(tmap) == scan
+    successors = edges_as_flats(tmap)
+    assert successors == scan
     assert tmap.edge_count == sum(map(len, scan.values()))
-    rows = np.split(tmap.sources, tmap.pred_indptr[1:-1])
-    assert {int(level.flats[t]): level.flats[row].tolist() for t, row in enumerate(rows)} == drop_repeats_rows(
-        level, images, tmap.meta.radius
-    )
+    flats = level.flats.tolist()
+    preds = {t: [s for s in flats if t in successors[s]] for t in flats}  # the map's rows, transposed
+    assert preds == drop_repeats_rows(level, images, tmap.meta.radius)
 
 
 @pytest.mark.parametrize("name, depth, M", [("henon", 5, 1), ("henon", 5, 2), ("saddle2d", 6, 1), ("linmap2d", 5, 2)])
