@@ -125,9 +125,6 @@ class LevelReport:
         return out
 
 
-_GATHER_ENTRIES = 1 << 17  # candidate runs a sparse round tests at once
-
-
 def _dense_is_cheaper(candidates: int, runs: int, nodes: int, sorted_runs: bool) -> bool:
     """Whether a round's dense method costs less than its sparse one: the
     runs and nodes against the candidates, plus the runs once while the
@@ -152,8 +149,7 @@ def _prune_runs(run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarra
 
     - sparse: the runs that can hold position p start in [p - longest + 1,
       p], a range of the runs sorted by start that a prefix count of the
-      starts gives. The ranges of the frontier are tested in blocks of at
-      most _GATHER_ENTRIES candidates, or one longer range: a candidate
+      starts gives. The frontier's ranges are gathered at once: a candidate
       holds p when it ends after p, and its node loses one. It costs the
       candidates, plus the runs once for the sort on the first sparse round;
     - dense: one cumulative sum C over the marked positions, so each run
@@ -185,14 +181,6 @@ def _prune_runs(run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarra
         counts[touched] -= lost[touched]
         return touched
 
-    def sparse(at: np.ndarray, first: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        ends, nodes = by_start_runs
-        k = expand_ranges(first, lens, position)
-        hit = ends[k] > np.repeat(at, lens)
-        touched, lost = np.unique(nodes[k[hit]], return_counts=True)
-        counts[touched] -= lost
-        return touched
-
     def remove(cells: np.ndarray) -> np.ndarray:
         nonlocal by_start_runs
         alive[cells] = False
@@ -207,15 +195,12 @@ def _prune_runs(run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarra
         if by_start_runs is None:
             order = np.argsort(run_start)
             by_start_runs = end[order], np.repeat(np.arange(n, dtype=run_start.dtype), np.diff(run_ptr))[order]
-        if total <= _GATHER_ENTRIES:
-            return sparse(at, first, lens)  # one block, as in the many small rounds
-        ends = np.cumsum(lens)
-        parts, a = [], 0
-        while a < cells.size:  # cells a..b-1 have at most _GATHER_ENTRIES candidates, or are one cell
-            b = max(int(np.searchsorted(ends, ends[a] - lens[a] + _GATHER_ENTRIES, side="right")), a + 1)
-            parts.append(sparse(at[a:b], first[a:b], lens[a:b]))
-            a = b
-        return np.unique(np.concatenate(parts))
+        ends, nodes = by_start_runs
+        k = expand_ranges(first, lens, position)
+        hit = ends[k] > np.repeat(at, lens)
+        touched, lost = np.unique(nodes[k[hit]], return_counts=True)
+        counts[touched] -= lost
+        return touched
 
     remove(np.flatnonzero(~alive))
     frontier = np.flatnonzero(alive & (counts == 0))
@@ -308,15 +293,12 @@ def run_global(
     M: int = 1,
     euler: EulerParams | None = None,
     box_budget: int = DEFAULT_BOX_BUDGET,
-    diagnostics: bool = False,
-    samples: int = 100,
-    seed: int = 0,
 ) -> tuple[PruneResult, LevelReport]:
     """Fixed-depth scheme: build the full 2^{nd}-cell cover, map, and prune."""
     needed, budget = 1 << (depth * Q.dim), min(box_budget, MAX_FULL_GRID)  # CoverLevel.full's cap too
     if needed > budget:
         raise BoxBudgetError(depth=depth, needed=needed, budget=budget)
-    return _run_level(CoverLevel.full(Q, depth), sys, M, euler, diagnostics, samples, seed)
+    return _run_level(CoverLevel.full(Q, depth), sys, M, euler, diagnostics=False, samples=0, seed=0)
 
 
 def run_subdivision(

@@ -514,11 +514,10 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
         reference = _reference(system, cfg.q, resolution, horizon)
         # the boxes file is tied to the run's configuration through the
         # checkpoints, which carry its hash: each depth of the file or of the
-        # checkpoints, from the file's shallowest up to max_global_depth,
-        # must hold exactly the cells of that depth's checkpoint, and an
-        # empty checkpoint matches no records
-        first = min(boxes, default=max_global_depth + 1)
-        for depth in sorted(d for d in {*boxes, *checkpoints} if first <= d <= max_global_depth):
+        # checkpoints, from 0 up to max_global_depth, must hold exactly the
+        # cells of that depth's checkpoint, and an empty checkpoint matches
+        # no records
+        for depth in sorted(d for d in {*boxes, *checkpoints} if d <= max_global_depth):
             if depth not in boxes and checkpoints[depth].size:  # a level whose records are missing
                 verdict["levels"].append({"depth": depth, "kept_matches_checkpoint": False})
                 ok = False

@@ -234,21 +234,13 @@ def prune_graphs(draw):
     return TransitionMap(level, *runs, TransitionMeta("discrete", 1, 0.0, level.rho)), given
 
 
-@given(
-    case=prune_graphs(),
-    as_map=st.booleans(),
-    block=st.sampled_from([1, 7, 1 << 17]),
-    method=st.sampled_from(["dense", "sparse", "mix", "by cost"]),
-)
-@settings(max_examples=300, deadline=None)
-def test_blocked_prune_equals_whole_round_kernel(case, as_map: bool, block: int, method: str) -> None:
-    # the kernel on runs, with its rounds forced dense, sparse or a seeded mix
-    # of both, or chosen by cost, and its sparse candidates tested in blocks
-    # of any size, against the predecessor-row kernel: the same kept set,
-    # removed set and round count. A map pruned over a subset removes the
-    # cells outside it first, so that removal goes through both methods too;
-    # a plain graph is pruned from its restricted successor lists.
-    tmap, given = case
+def assert_prune_equals_whole_round_kernel(tmap, given, as_map: bool, method: str) -> None:
+    """The kernel on runs, with its rounds forced dense, sparse or a seeded
+    mix of both, or chosen by cost, against the predecessor-row kernel: the
+    same kept set, removed set and round count. A map pruned over a subset
+    removes the cells outside it first, so that removal goes through both
+    methods too; a plain graph is pruned from its restricted successor
+    lists."""
     level = tmap.level
     if as_map:
         graph, indices = tmap, level.flats[given]
@@ -278,11 +270,55 @@ def test_blocked_prune_equals_whole_round_kernel(case, as_map: bool, block: int,
         "mix": lambda *args: bool(rng.random() < 0.5),
         "by cost": attractor._dense_is_cheaper,
     }[method]
-    with patch.object(attractor, "_GATHER_ENTRIES", block), patch.object(attractor, "_dense_is_cheaper", choose):
+    with patch.object(attractor, "_dense_is_cheaper", choose):
         got = prune(indices, graph)
     assert got.kept_flats.tolist() == want_kept.tolist()
     assert got.removed_flats.tolist() == want_removed.tolist()
     assert got.rounds == want_rounds
+
+
+@given(
+    case=prune_graphs(),
+    as_map=st.booleans(),
+    method=st.sampled_from(["dense", "sparse", "mix", "by cost"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_prune_equals_whole_round_kernel(case, as_map: bool, method: str) -> None:
+    assert_prune_equals_whole_round_kernel(*case, as_map, method)
+
+
+def test_prune_with_a_large_sparse_round_equals_whole_round_kernel() -> None:
+    # a 2^19-cell 1-D level whose cells hold zero, one or two runs of one or
+    # two cells: its first round removes the fifth of the cells that have no
+    # successors and, chosen by cost, tests more than 2^17 candidates in one
+    # sparse gather
+    n = 1 << 19
+    rng = np.random.default_rng(19)
+    degree = rng.choice(3, size=n, p=[0.2, 0.4, 0.4])
+    run_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=run_ptr[1:])
+    half = n // 2  # a cell's first run ends by half + 1 and its second starts after that
+    lower = rng.integers(0, half, size=n)
+    upper = rng.integers(half + 2, n - 2, size=n)
+    starts = np.stack([np.where(degree == 1, rng.integers(0, n - 2, size=n), lower), upper], axis=1)
+    take = np.arange(2) < degree[:, None]
+    run_start = starts[take].astype(np.int32)
+    run_count = rng.integers(1, 3, size=run_start.size).astype(np.int32)
+    level = CoverLevel.full(Q1, 19)
+    tmap = TransitionMap(level, run_ptr, run_start, run_count, TransitionMeta("discrete", 1, 0.0, level.rho))
+    sparse_candidates = []
+    real = attractor._dense_is_cheaper
+
+    def recording(candidates, runs, nodes, sorted_runs):
+        dense = real(candidates, runs, nodes, sorted_runs)
+        if not dense:
+            sparse_candidates.append(candidates)
+        return dense
+
+    with patch.object(attractor, "_dense_is_cheaper", recording):
+        prune(level.flats, tmap)
+    assert sparse_candidates[0] > 1 << 17  # precondition
+    assert_prune_equals_whole_round_kernel(tmap, np.ones(n, dtype=bool), True, "by cost")
 
 
 def test_prune_methods_both_occur_on_the_workload_levels() -> None:

@@ -553,15 +553,22 @@ def test_sandwich_that_checks_no_level_fails(tmp_path: Path) -> None:
     base = run_args(tmp_path, **{"--depth": "2"})[1:]
     boxes = tmp_path / "boxes.jsonl"
     deepest = [line for line in boxes.read_text().splitlines() if json.loads(line)["depth"] == 2]
-    for text, max_depth in (("", "6"), ("\n".join(deepest) + "\n", "1")):
+    # every checkpointed depth from 0 is checked, so a file without a
+    # checkpointed depth's records fails at that depth
+    verdict = tmp_path / "v.json"
+    for text, max_depth, missing in (("", "6", (0, 1, 2)), ("\n".join(deepest) + "\n", "1", (0, 1))):
         boxes.write_text(text)
-        verdict = tmp_path / "v.json"
         argv = ["check", "--mode", "sandwich", *base, "--max-global-depth", max_depth, "--verdict", str(verdict)]
         assert main(argv) == 1
         assert json.loads(verdict.read_text()) | {"config_hash": None} == {
-            "config_hash": None, "levels": [], "mode": "sandwich", "pass": False}
-    # the same file passes once its depth is checked
-    assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2"]) == 0
+            "config_hash": None, "levels": [{"depth": d, "kept_matches_checkpoint": False} for d in missing],
+            "mode": "sandwich", "pass": False}
+    # the same file fails once its own depth is checked too: depths 0 and 1
+    # still lack their records, while depth 2 matches its checkpoint
+    assert main(["check", "--mode", "sandwich", *base, "--max-global-depth", "2", "--verdict", str(verdict)]) == 1
+    *shallow, own = json.loads(verdict.read_text())["levels"]
+    assert shallow == [{"depth": d, "kept_matches_checkpoint": False} for d in (0, 1)]
+    assert own["depth"] == 2 and own["kept_matches_checkpoint"] and own["pass"]
 
 
 def test_sandwich_ties_boxes_to_checkpoints(tmp_path: Path) -> None:
