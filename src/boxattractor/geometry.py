@@ -320,14 +320,16 @@ class CoverLevel:
         rows[i] (:meth:`window_rows`), as runs of the sorted lexicographic
         keys, one per row of a window's first d-1 axes, ordered by window and
         row: the window index, the position of the run's first key and the
-        run's cell count. :func:`_window_keys` gives each row's first key, and
-        each row takes two binary searches in the level's keys.
+        run's cell count. :func:`_window_keys` gives each row's first key,
+        which plus its window's last-axis width less one is the row's last
+        key, and two binary searches in the level's keys, the larger part of
+        a row's cost, find its run.
         """
         width = hi - lo + 1
         point, first = _window_keys(list(lo.T), list(width[:, :-1].T), rows, self.cells_per_axis)
         keys = self._lex[0]
         start = np.searchsorted(keys, first, side="left")
-        count = np.searchsorted(keys, first + (width[point, -1] - 1), side="right") - start
+        count = np.searchsorted(keys, first + np.repeat(width[:, -1] - 1, rows), side="right") - start
         return point, start, count
 
     def run_cells(self, start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -467,21 +469,22 @@ def _window_keys(firsts: list, widths: list, counts: np.ndarray, n: int) -> tupl
     after point and in key order within a point. Point i's window starts at
     cell firsts[k][i] of every axis k and spans widths[k][i] cells on each
     of the leading len(widths) axes, one cell on the others; counts[i] is
-    the product of its widths (0 for an empty window). Each point's first
-    key is repeated, and only the ranks above zero decode to an offset."""
+    the product of its widths (0 for an empty window). Every entry is its
+    point's first key plus its rank within the point, decoded in mixed
+    radix by the widths, in a few whole-array passes over all entries."""
     point = np.repeat(np.arange(counts.size), counts)
     key = np.repeat(_lex_keys(firsts, n), counts)
-    rank = expand_ranges(np.zeros_like(counts), counts)
-    more = np.flatnonzero(rank)
-    j, owner = rank[more], point[more]
-    offset = np.zeros(more.size, dtype=np.int64)
+    rank = np.arange(point.size)
+    rank -= np.repeat(np.cumsum(counts) - counts, counts)
     stride = n ** (len(firsts) - len(widths))
     for w in reversed(widths[1:]):  # the last enumerated axis varies fastest, as in the keys
-        w = w[owner]
-        offset += j % w * stride
-        j //= w
+        w = w[point]
+        np.divmod(rank, w, out=(rank, w))  # the quotient stays to decode, the digit goes to the key
+        w *= stride
+        key += w
         stride *= n
-    key[more] += offset + j * stride  # what is left of the rank is axis 0's offset
+    rank *= stride  # what is left of the rank is axis 0's offset
+    key += rank
     return point, key
 
 

@@ -655,7 +655,7 @@ def test_henon_level_peak_bytes_per_edge(henon_d6) -> None:
     # that concatenated per-chunk targets read 8.3; keeping only the lookup's
     # runs, then filling one keys array of exactly one entry per edge, reads
     # 4.8. Storing the merged runs themselves, with no array of one entry
-    # per edge in the build or the prune, reads 1.95 for the build and 0.74
+    # per edge in the build or the prune, reads 1.92 for the build and 0.71
     # for the prune.
     Q, sys_, kept = henon_d6
     level = refine_cover(CoverLevel(Q, 6, kept), kept)
@@ -678,7 +678,7 @@ def test_henon_d8_level_peak_bytes_per_run() -> None:
     # the level of the henon-d8 benchmark workload: 9.69 M edges in 348,586
     # merged runs. The map holds 8 bytes per run (start and count) and the
     # prune adds one end and the dense rounds' losses per run, which read
-    # 27.2 (build) and 23.8 (prune) bytes per run, the prune below the build
+    # 27.6 (build) and 23.2 (prune) bytes per run, the prune below the build
     Q = Box([-2.0, -2.0], [2.0, 2.0])
     sys_ = make_builtin("henon", Q)
     kept = run_subdivision(sys_, Q, 7)[-1][0].kept_flats

@@ -250,7 +250,9 @@ def test_cell_windows_match_bruteforce() -> None:
     # lists the active ones in coordinate order, also at radii of several
     # cells and beyond the grid. Both start from valid cells: the cells that
     # hold p - r and p + r bracket the passing cells of each axis, and the
-    # cell that holds p passes, also where rounding decides
+    # cell that holds p passes, also where rounding decides. One point_cells
+    # call on all of a case's r = 0 points (faces, edges and corners, up to
+    # 2^d candidates each) lists what the calls one point at a time list
     def holding(B, v):  # the cell that holds v, clipped to the grid
         return int(np.clip(np.searchsorted(B, v, side="right") - 1, 0, B.size - 2))
 
@@ -261,6 +263,7 @@ def test_cell_windows_match_bruteforce() -> None:
         active[level.flats] = True
         coords = flats_to_coords(grid.flats, grid.depth, grid.dim)
         lex = np.lexsort(coords[level.flats].T[::-1]).tolist()  # local ids in coordinate order, axis 0 slowest
+        at_zero = []  # point_cells of each r = 0 point, called alone
         for p, r in zip(pts, radii):
             near = np.array([point_box_distance(p, b) <= r for b in boxes])
             lo, hi = level.cell_windows(p[None, :], r)
@@ -273,6 +276,8 @@ def test_cell_windows_match_bruteforce() -> None:
             candidates, point, cells = level.point_cells(p[None, :], r)
             assert candidates.tolist() == [near.sum()] and set(point.tolist()) <= {0}
             assert cells.tolist() == [c for c in lex if near[level.flats[c]]]
+            if r == 0:
+                at_zero.append((int(candidates[0]), cells.tolist()))
             for B, x in zip(level.boundaries, p):
                 passing = np.nonzero([max(B[c] - x, x - B[c + 1], 0) <= r for c in range(B.size - 1)])[0]
                 if passing.size:
@@ -283,6 +288,11 @@ def test_cell_windows_match_bruteforce() -> None:
                 assert [lo[0], hi[0]] == ([passing[0], passing[-1]] if passing.size else [hi[0] + 1, hi[0]])
         want = [any(b.contains_point(p) for b, a in zip(boxes, active) if a) for p in pts]
         assert level.contains_points(pts).tolist() == want
+        candidates, point, cells = level.point_cells(pts[np.array(radii) == 0], 0.0)
+        assert len(at_zero) == candidates.size >= 40 and candidates.max() == 1 << level.dim
+        assert candidates.tolist() == [c for c, _ in at_zero]
+        assert point.tolist() == [i for i, (_, cs) in enumerate(at_zero) for _ in cs]
+        assert cells.tolist() == [x for _, cs in at_zero for x in cs]
 
 
 def test_contains_points_is_window_runs_membership() -> None:
