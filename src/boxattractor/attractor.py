@@ -14,9 +14,9 @@ node's counter by the removed positions its runs hold: sparse rounds test
 the runs that start near each removed position, dense rounds take one
 cumulative sum over the positions and read every run once, and each round
 takes the cheaper of the two, so neither the map nor the prune ever makes
-an array of one entry per edge. The level report's self-loop share bisects
-each cell's runs for its own position, and the diagnostics read the runs
-too, so no run builds a view of the map's edges.
+an array of one entry per edge. The level report's self-loop share
+searches the runs for each cell's own position, and the diagnostics read
+the runs too, so no run builds a view of the map's edges.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def _prune_runs(run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarra
 
 
 def _selfloop_frac(tmap: TransitionMap) -> float:
-    """Share of cells that are their own successor: one bisection of each
-    cell's runs for its own position."""
+    """Share of cells that are their own successor: one search of the runs
+    for each cell's own position (TransitionMap.has_edges)."""
     if tmap.size == 0:
         return 0.0
     cells = np.arange(tmap.size, dtype=index_dtype(tmap.size))

@@ -1,7 +1,8 @@
 """Backward-time Euler scheme, its rigorous enclosure radius, and a
 high-accuracy reference integrator, with a step count per point doubled
 from one RK4 step until it meets its tolerance, used only by diagnostics and
-oracles.
+oracles; its RK4 runs in buffers reused across steps, bitwise the textbook
+RK4.
 
 The enclosure radius inflates a single Euler image of a sample center so it
 is guaranteed to cover the exact backward-flow image of the whole sampled
@@ -98,21 +99,36 @@ def euler_defect(sys: ContinuousSystemSpec, x, p: EulerParams) -> float:
 
 
 def rk4_backward(sys: ContinuousSystemSpec, x, h: float, steps: int) -> np.ndarray:
-    """Classical fixed-step RK4 for the backward flow; broadcasts over (..., d)."""
-    y = np.asarray(x, dtype=np.float64)
+    """Classical fixed-step RK4 for the backward flow; broadcasts over (..., d).
+
+    The stages k_i = -g(.) are never formed: each stage input is written as
+    y - c * g into one buffer, and the sum k1 + 2 k2 + 2 k3 + k4 is
+    accumulated as -g1 - 2 g2 - 2 g3 - g4 into another, both reused across
+    steps. y + c * (-g) and y - c * g are the same IEEE operation, so the
+    images are bitwise those of the textbook form; a sum of +g negated at
+    the end would not be, as it flips the sign of a zero. The buffers rely
+    on eval_field never handing back its argument. The caller's array is
+    not written.
+    """
+    y = np.array(x, dtype=np.float64)
     if h == 0.0:
-        return y.copy()
+        return y
     dt = h / steps
-
-    def f(v):
-        return -eval_field(sys, v)
-
+    half, sixth = 0.5 * dt, dt / 6.0
+    stage, total = np.empty_like(y), np.empty_like(y)
     for _ in range(steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        g = eval_field(sys, y)
+        np.negative(g, out=total)
+        np.subtract(y, np.multiply(half, g, out=stage), out=stage)
+        g = eval_field(sys, stage)
+        total -= np.multiply(2.0, g, out=stage)
+        np.subtract(y, np.multiply(half, g, out=stage), out=stage)
+        g = eval_field(sys, stage)
+        total -= np.multiply(2.0, g, out=stage)
+        np.subtract(y, np.multiply(dt, g, out=stage), out=stage)
+        total -= eval_field(sys, stage)
+        total *= sixth
+        y += total
     return y
 
 
@@ -126,22 +142,32 @@ def reference_backward_flow(sys: ContinuousSystemSpec, x, h: float, tol: float =
     frozen. No minimum step count is imposed, so a point pays only the
     steps its estimate asks for; the error against the exact flow sits near
     tol. A point's image does not depend on the other points of the call.
-    The per-point norms are folded column by column (geometry.across_axes).
+    The per-point norms are folded column by column (geometry.across_axes),
+    the first doubling's images are the output array, and each later one
+    writes over the rows of the points it continues. Rows are gathered by
+    np.take and np.compress: on a shared 2-core x86-64 container, 16,384
+    rows of 2 took about 30 us that way and 240-380 us by fancy indexing.
     This is an accuracy oracle, not a rigorous enclosure.
     """
     x = np.asarray(x, dtype=np.float64)
     if h == 0.0:
         return x.copy()
     pts = x.reshape(-1, x.shape[-1])
-    out, todo, steps = np.empty_like(pts), np.arange(pts.shape[0]), 1
-    coarse = rk4_backward(sys, pts, h, steps)
-    while todo.size:
+    coarse, steps = rk4_backward(sys, pts, h, 1), 2
+    out = fine = rk4_backward(sys, pts, h, steps)
+    todo = np.arange(pts.shape[0])
+    while True:
+        scale = across_axes(np.maximum, np.abs(fine))
+        scale += 1.0
+        scale *= tol
+        err = across_axes(np.maximum, np.abs(np.subtract(fine, coarse, out=coarse), out=coarse))
+        err /= 15.0
+        more = ~(err <= scale)
+        if not more.any():
+            break
         if steps > (1 << 22):
             raise EvaluationError("reference integrator step size underflow")
-        fine = rk4_backward(sys, pts[todo], h, 2 * steps)
-        scale = 1.0 + across_axes(np.maximum, np.abs(fine))
-        err = across_axes(np.maximum, np.abs(fine - coarse)) / 15.0
-        done = err <= tol * scale
-        out[todo[done]] = fine[done]
-        todo, coarse, steps = todo[~done], fine[~done], 2 * steps
+        todo, coarse, steps = todo[more], np.compress(more, fine, axis=0), 2 * steps
+        fine = rk4_backward(sys, np.take(pts, todo, axis=0), h, steps)
+        out[todo] = fine
     return out.reshape(x.shape)

@@ -28,10 +28,11 @@ class DiscreteSystemSpec:
     lipschitz_L bounds ||f^{-1}(x) - f^{-1}(z)|| / ||x - z|| for arguments in
     validity_region. forward_eval is optional and used only by oracles and
     round-trip checks. Evaluators flagged `vectorized` must broadcast over
-    leading axes of (..., d) arrays. The transition radius is rounded
-    outward for the package's own float64 arithmetic, which covers the
-    built-in evaluators; the rounding error of a user's inverse_eval is not
-    covered.
+    leading axes of (..., d) arrays. An evaluator may return its argument
+    or a view of it (eval_inverse then copies it) but must not write into
+    its argument. The transition radius is rounded outward for the
+    package's own float64 arithmetic, which covers the built-in evaluators;
+    the rounding error of a user's inverse_eval is not covered.
     """
 
     inverse_eval: Callable[[np.ndarray], np.ndarray]
@@ -52,9 +53,12 @@ class ContinuousSystemSpec:
 
     ||g|| <= bound_P and g is lipschitz_L-Lipschitz on validity_region.
     Built-in fields clamp their argument to the validity region, which
-    preserves both constants globally. The enclosure radius is rounded
-    outward for the package's own float64 arithmetic, including the Euler
-    substeps; the rounding error of a user's field_eval is not covered.
+    preserves both constants globally. field_eval may return its argument
+    or a view of it (eval_field then copies it) but must not write into its
+    argument: the reference RK4 passes its stage buffers. The enclosure
+    radius is rounded outward for the package's own float64 arithmetic,
+    including the Euler substeps; the rounding error of a user's field_eval
+    is not covered.
     """
 
     field_eval: Callable[[np.ndarray], np.ndarray]
@@ -76,10 +80,14 @@ BUILTIN_NAMES = ("linmap2d", "henon", "halving1d", "cubic1d", "saddle2d")
 
 def _evaluate(fn: Callable[[np.ndarray], np.ndarray], vectorized: bool, x, what: str) -> np.ndarray:
     """fn at a point or a (..., d) batch of points, point by point when fn is
-    not vectorised; raises EvaluationError on a non-finite value."""
+    not vectorised; raises EvaluationError on a non-finite value. The result
+    never shares memory with x, so a caller may write into either of them:
+    what fn returns is copied when it is x or a view of it."""
     x = np.asarray(x, dtype=np.float64)
     if vectorized or x.ndim <= 1:
         y = np.asarray(fn(x), dtype=np.float64)
+        if np.may_share_memory(y, x):
+            y = y.copy()
     else:
         y = np.array([fn(p) for p in x.reshape(-1, x.shape[-1])], dtype=np.float64).reshape(x.shape)
     if not np.all(np.isfinite(y)):

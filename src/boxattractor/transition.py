@@ -28,12 +28,13 @@ over the level's lexicographic order. A chunk's runs are sorted by source
 and start and merged where they overlap or touch (the windows of a
 source's M^d samples overlap when M > 1), so every edge is held once and
 no array of one entry per edge is ever made: the map takes 8 bytes per
-run, about 28 edges per run on henon levels. The prune reads
-the runs (attractor._prune_runs), and edge queries bisect a source's runs
-for the target's position: the self-loop share and the containment check,
-which finds each image's cells by point location (CoverLevel.point_cells:
-the same exact windows, with one key search per candidate cell instead of
-runs). The runs are the map's one stored form. The gap measurement reads
+run, about 28 edges per run on henon levels. The prune reads the runs
+(attractor._prune_runs), and edge queries search the runs for each
+(source, target position) pair with one np.searchsorted: the self-loop
+share and the containment check, which finds each image's cells by point
+location (CoverLevel.point_cells: the same exact windows, with one key
+search per candidate cell instead of runs). The runs are the map's one
+stored form. The gap measurement reads
 them too, finding the edges at given positions of the run order by
 bisecting the runs' cumulative counts (_edge_pairs), and the serialisation
 expands one source's runs at a time and sorts the row by flat index, so
@@ -91,12 +92,13 @@ class TransitionMap:
     run k holds the run_count[k] cells at positions run_start[k] onwards.
     A source's runs are disjoint, not adjacent and ascending, so every edge
     is held once. run_ptr is int64 and the runs are int32 while the level
-    has fewer than 2^31 cells. The runs are the only stored form, and
-    `has_edges` answers edge queries on them. The successor rows `indptr`
-    (the cumulative out-degrees, int64) and `targets` (indices local into
-    level.flats, int32 while the level has fewer than 2^31 cells) are
-    expanded from the runs on every access, each row in run order, which is
-    the level's lexicographic order; so is `targets_local(i)`, which
+    has fewer than 2^31 cells. The runs are the only stored form, at 8 bytes
+    per run, and `has_edges` answers edge queries on them by one search over
+    keys it builds per call for the queried sources' runs. The successor
+    rows `indptr` (the cumulative out-degrees, int64) and `targets` (indices
+    local into level.flats, int32 while the level has fewer than 2^31 cells)
+    are expanded from the runs on every access, each row in run order, which
+    is the level's lexicographic order; so is `targets_local(i)`, which
     expands source i's runs only. `to_json_dict` and `dumps` sort each row
     by local index, which is flat order, so the serialisation is canonical.
     """
@@ -136,23 +138,31 @@ class TransitionMap:
         return int(self.run_count.sum(dtype=np.int64))
 
     def has_edges(self, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-        """Whether src[k] -> tgt[k] is an edge, per k: one vectorised
-        bisection of src[k]'s runs for the last one that starts at or before
-        tgt[k]'s position, which holds it when it ends after it."""
-        at = self.level._rank[tgt]
-        lo, hi = self.run_ptr[src], self.run_ptr[1:][src]
-        open_ = np.flatnonzero(lo < hi)
-        while open_.size:
-            mid = (lo[open_] + hi[open_]) // 2
-            right = self.run_start[mid] <= at[open_]
-            lo[open_[right]] = mid[right] + 1
-            hi[open_[~right]] = mid[~right]
-            open_ = open_[lo[open_] < hi[open_]]
-        lo -= 1  # the last run that starts at or before the position
-        found = lo >= self.run_ptr[src]  # the row starts, gathered again rather than held through the loop
-        run = lo[found]
-        found[found] = at[found] < self.run_start[run] + self.run_count[run]
-        return found
+        """Whether src[k] -> tgt[k] is an edge, per k: one search of the
+        runs of the sources s0 = min(src) .. s1 = max(src), keyed
+        (source - s0) * (size + 1) + run_start and built per call, for the
+        last run at or below the pair's key (src[k] - s0) * (size + 1) +
+        tgt[k]'s position, which holds the pair when the pair's key is less
+        than its count past the run's key. A run ends by position size, short
+        of the next source's keys, so none holds a pair of a later source; a
+        pair below every run finds index -1, the last run, above the pair."""
+        if not src.size:
+            return np.zeros(src.shape, dtype=bool)
+        s0, s1 = int(src.min()), int(src.max())
+        r0, r1 = self.run_ptr[s0], self.run_ptr[s1 + 1]
+        if r0 == r1:
+            return np.zeros(src.shape, dtype=bool)
+        stride = self.size + 1
+        keys = np.repeat(np.arange(s1 - s0 + 1, dtype=np.int64) * stride, np.diff(self.run_ptr[s0 : s1 + 2]))
+        keys += self.run_start[r0:r1]
+        needle = src.astype(np.int64)
+        needle -= s0
+        needle *= stride
+        needle += self.level._rank[tgt]
+        run = np.searchsorted(keys, needle, side="right")
+        run -= 1
+        needle -= keys[run]
+        return (needle >= 0) & (needle < self.run_count[r0:r1][run])
 
     def targets_local(self, i: int) -> np.ndarray:
         runs = slice(self.run_ptr[i], self.run_ptr[i + 1])

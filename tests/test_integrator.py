@@ -15,7 +15,7 @@ from boxattractor.integrator import (
     reference_backward_flow,
     rk4_backward,
 )
-from boxattractor.systems import ContinuousSystemSpec, make_builtin
+from boxattractor.systems import ContinuousSystemSpec, eval_field, make_builtin
 
 
 def linear_decay() -> ContinuousSystemSpec:
@@ -202,15 +202,37 @@ def test_euler_exact_flow_error_bound_grid() -> None:
                 assert err <= bound + 1e-12 * max(1.0, abs(x))
 
 
+def textbook_rk4_backward(sys_: ContinuousSystemSpec, x, h: float, steps: int) -> np.ndarray:
+    """Classical RK4 for the backward flow as the textbook writes it, with
+    the stages k_i = -g(.) as new arrays: the oracle for the bits of
+    rk4_backward."""
+    y = np.asarray(x, dtype=np.float64)
+    if h == 0.0:
+        return y.copy()
+    dt = h / steps
+
+    def f(v):
+        return -eval_field(sys_, v)
+
+    for _ in range(steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 def axis_form_reference_flow(sys_: ContinuousSystemSpec, x, h: float, tol: float) -> np.ndarray:
     """reference_backward_flow with its row maxima taken by np.max(..., axis=1),
-    the form before the column fold: the oracle for the bits of the images."""
+    the form before the column fold, on the textbook RK4 and with a new
+    array for every Richardson term: the oracle for the bits of the images."""
     x = np.asarray(x, dtype=np.float64)
     pts = x.reshape(-1, x.shape[-1])
     out, todo, steps = np.empty_like(pts), np.arange(pts.shape[0]), 1
-    coarse = rk4_backward(sys_, pts, h, steps)
+    coarse = textbook_rk4_backward(sys_, pts, h, steps)
     while todo.size:
-        fine = rk4_backward(sys_, pts[todo], h, 2 * steps)
+        fine = textbook_rk4_backward(sys_, pts[todo], h, 2 * steps)
         scale = 1.0 + np.max(np.abs(fine), axis=1)
         err = np.max(np.abs(fine - coarse), axis=1) / 15.0
         done = err <= tol * scale
@@ -243,3 +265,44 @@ def test_reference_backward_flow_matches_its_axis_form(h: float) -> None:
         want = axis_form_reference_flow(sys_, pts, h, 1e-10)
         assert reference_backward_flow(sys_, pts, h, 1e-10).tobytes() == want.tobytes()
         assert reference_backward_flow(sys_, pts[0], h, 1e-10).tobytes() == want[0].tobytes()
+
+
+def identity_field() -> ContinuousSystemSpec:
+    """g(p) = p, whose evaluator hands back its argument."""
+    return ContinuousSystemSpec(
+        field_eval=lambda p: p, bound_P=2.0, lipschitz_L=1.0, validity_region=Box([-2.0, -2.0], [2.0, 2.0]),
+        name="identity", vectorized=True,
+    )
+
+
+def swap_field() -> ContinuousSystemSpec:
+    """g(x, y) = (y, x), whose evaluator hands back a view of its argument."""
+    return ContinuousSystemSpec(
+        field_eval=lambda p: np.asarray(p)[..., ::-1], bound_P=2.0, lipschitz_L=1.0,
+        validity_region=Box([-2.0, -2.0], [2.0, 2.0]), name="swap", vectorized=True,
+    )
+
+
+@pytest.mark.parametrize("h", [0.025, 0.1, 0.5])
+def test_rk4_matches_the_textbook_form(h: float) -> None:
+    # the stages and the step sum run in reused buffers with the field's
+    # negation folded into the updates; the images must be bitwise those of
+    # the textbook form, signed zeros included, for fields that hand back
+    # their argument or a view of it too, and the caller's array is never
+    # written (it is read-only here, so a write would raise)
+    rng = np.random.default_rng(19)
+    systems = (
+        make_builtin("cubic1d", Box([-1.5], [1.5])), make_builtin("saddle2d", Box([-1.0, -1.0], [1.0, 1.0])),
+        twist3d(), identity_field(), swap_field(),
+    )
+    for sys_ in systems:
+        pts = np.concatenate([rng.uniform(-1.0, 1.0, size=(300, sys_.dim)), np.zeros((1, sys_.dim)), np.full((1, sys_.dim), -0.0)])
+        before = pts.copy()
+        pts.setflags(write=False)
+        for steps in (1, 2, 4):
+            want = textbook_rk4_backward(sys_, before, h, steps)
+            assert rk4_backward(sys_, pts, h, steps).tobytes() == want.tobytes()
+            assert rk4_backward(sys_, pts[-1], h, steps).tobytes() == want[-1].tobytes()
+        want = axis_form_reference_flow(sys_, before, h, 1e-10)
+        assert reference_backward_flow(sys_, pts, h, 1e-10).tobytes() == want.tobytes()
+        assert pts.tobytes() == before.tobytes()

@@ -185,6 +185,32 @@ def test_builtin_evaluators_leave_their_input_alone(name: str, Q: Box) -> None:
         assert y.tobytes() == evaluate(sys_, before).tobytes()
 
 
+ALIASING = {  # user evaluators that hand back their argument, or a view of it
+    "identity": lambda p: p,
+    "view": lambda p: np.asarray(p)[..., ::-1],
+}
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("name", sorted(ALIASING))
+def test_evaluators_never_hand_back_their_argument(name: str, vectorized: bool) -> None:
+    # a caller may write into an evaluator's result, as the reference RK4
+    # does with its stages, so the result shares no memory with the input
+    # even when the user's function returns its argument or a view of it
+    fn = ALIASING[name]
+    field = ContinuousSystemSpec(field_eval=fn, bound_P=2.0, lipschitz_L=1.0, validity_region=Q2, vectorized=vectorized)
+    inverse = DiscreteSystemSpec(inverse_eval=fn, lipschitz_L=1.0, validity_region=Q2, vectorized=vectorized)
+    batch = np.random.default_rng(4).uniform(-1.0, 1.0, size=(40, 2))
+    for evaluate, sys_ in ((eval_field, field), (eval_inverse, inverse)):
+        for x in (batch, batch.reshape(4, 10, 2), batch[0]):
+            before = x.copy()
+            y = evaluate(sys_, x)
+            assert not np.shares_memory(x, y)
+            assert y.shape == x.shape and y.tobytes() == fn(before).tobytes()
+            y[...] = 7.0
+            assert x.tobytes() == before.tobytes()
+
+
 OLD_INVERSES = {  # the np.stack forms the inverses had before writing their columns into one array
     "linmap2d": lambda p: np.stack([2.0 * p[..., 0], p[..., 1] / 2.0], axis=-1),
     "henon": lambda p: np.stack([p[..., 1] / 0.3, p[..., 0] - 1.0 + 1.4 * (p[..., 1] / 0.3) * (p[..., 1] / 0.3)], axis=-1),

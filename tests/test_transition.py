@@ -170,6 +170,18 @@ def test_empty_level_yields_empty_map_and_report() -> None:
         assert gaps.overapprox_gap == 0.0
 
 
+def test_containment_check_with_no_image_in_an_active_cell() -> None:
+    # f^{-1}(x) = 2x sends [0.6, 1] to [1.2, 2]: no image lands in an
+    # active cell, so the map has no edges and every chunk's edge query
+    # (two chunks here) holds no pairs
+    Q = Box([0.6], [1.0])
+    sys_ = make_builtin("halving1d", Q)
+    tmap = build_transition_discrete(CoverLevel.full(Q, 2), sys_, M=1)
+    assert tmap.edge_count == 0
+    rep = check_containment_condition(tmap, sys_, samples=5000, seed=0)
+    assert rep.containment_violations == []
+
+
 def test_containment_zero_violations_on_builtins() -> None:
     sys_ = make_builtin("halving1d", Q1)
     level = CoverLevel.full(Q1, 3)
@@ -583,6 +595,21 @@ def test_has_edges_on_runs_matches_pair_scan(case) -> None:
     member = [flats[t] in scan[flats[s]] for s, t in zip(src.tolist(), tgt.tolist())]
     assert tmap.has_edges(src, tgt).tolist() == member
     assert tmap.has_edges(src.astype(np.int64), tgt).tolist() == member
+    # the pairs unsorted and repeated, as int32 and int64
+    pick = np.random.default_rng(level.size).integers(0, src.size, 3 * src.size)
+    for dtype in (np.int32, np.int64):
+        assert tmap.has_edges(src[pick].astype(dtype), tgt[pick].astype(dtype)).tolist() == [member[k] for k in pick.tolist()]
+    # no pairs, and sources with no runs: each alone, whose query holds no
+    # run at all, and all of them together with the sources between them
+    for dtype in (np.int32, np.int64):
+        assert tmap.has_edges(np.zeros(0, dtype), np.zeros(0, dtype)).shape == (0,)
+    cells = np.arange(level.size, dtype=np.int32)
+    bare = np.flatnonzero(tmap.out_degree == 0).astype(np.int32)
+    for s in bare.tolist():
+        assert not tmap.has_edges(np.full(level.size, s, np.int32), cells).any()
+    if bare.size:
+        pairs = np.repeat(bare, level.size), np.tile(cells, bare.size)
+        assert not tmap.has_edges(*pairs).any()
 
 
 def drop_repeats_rows(level: CoverLevel, images: np.ndarray, radius: float) -> dict[int, list[int]]:
