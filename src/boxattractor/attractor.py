@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,9 +64,10 @@ class PruneResult:
     kept is the maximal subset S of the input indices with phi(i) & S
     nonempty for every i in S; removed is its complement; rounds counts the
     worklist generations that were processed. kept and removed are sorted
-    tuples, built on first access from the sorted int64 arrays kept_flats
-    and removed_flats. These hold flat indices at `depth` (viewed as
-    BoxKeys) or, for a plain graph, positions in the sorted `nodes`.
+    tuples, built anew on each access from the sorted int64 arrays
+    kept_flats and removed_flats, so a result that was read holds no
+    per-cell objects. These hold flat indices at `depth` (viewed as BoxKeys)
+    or, for a plain graph, positions in the sorted `nodes`.
     """
 
     kept_flats: np.ndarray
@@ -82,11 +82,11 @@ class PruneResult:
             return tuple(self.nodes[i] for i in flats.tolist())
         return tuple(BoxKey.from_flat(f, self.depth, self.dim) for f in flats.tolist())
 
-    @cached_property
+    @property
     def kept(self) -> tuple:
         return self._view(self.kept_flats)
 
-    @cached_property
+    @property
     def removed(self) -> tuple:
         return self._view(self.removed_flats)
 

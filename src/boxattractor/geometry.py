@@ -123,7 +123,7 @@ def flats_to_coords(flats, depth: int, dim: int) -> np.ndarray:
     return coords
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BoxKey:
     """Canonical name of one dyadic cell: depth plus the child-selector path.
 
@@ -346,8 +346,9 @@ class CoverLevel:
         coordinates (local ids int32 while the level has fewer than 2^31
         cells). The windows are :func:`_exact_windows` from the cell that
         holds the point, and one search of the level's keys per candidate
-        cell (:func:`_window_keys`) finds the active ones: one search per
-        axis and one key search for a point farther than r from every face.
+        cell (:func:`_window_keys`) finds the active ones: grid arithmetic
+        per axis and one key search for a point farther than r from every
+        face.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -422,11 +423,41 @@ def _lex_keys(columns, n: int) -> np.ndarray:
     return reduce(lambda key, c: key * n + c, columns)
 
 
+def _grid_cells(B: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The cell of each v on the axis with the n + 1 increasing boundaries
+    B, the upper one on a face and clipped to the grid: clip(searchsorted(B,
+    v, "right") - 1, 0, n - 1), bit for bit, NaN in the last cell.
+
+    Each starts from the uniform grid's floor((v - B[0]) * n / (B[n] -
+    B[0])), clipped before the cast, and steps down while v < B[c] and up
+    while v >= B[c + 1], on shrinking index sets. The midpoint boundaries
+    are the uniform ones up to rounding, so only points within a few
+    rounding steps of a face step at all; but no bound on the estimate's
+    error is assumed, so a span that overflows or underflows only costs
+    steps. A point that steps down ends in a cell whose upper face it was
+    below, so no point steps both ways.
+    """
+    n = B.size - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN estimates are clipped, then corrected
+        e = v - B[0]
+        e *= n / (B[n] - B[0])
+    c = np.fmax(np.fmin(e, n - 1, out=e), 0, out=e).astype(np.intp)  # fmin takes NaN to n - 1
+    upper = B[1:]
+    for step, end, wrong in ((-1, 0, lambda j: v[j] < B[c[j]]), (1, n - 1, lambda j: v[j] >= upper[c[j]])):
+        i = np.flatnonzero(wrong(slice(None)))
+        i = i[c[i] != end]
+        while i.size:
+            c[i] += step
+            i = i[wrong(i)]
+            i = i[c[i] != end]
+    return c
+
+
 def _exact_windows(B: np.ndarray, x: np.ndarray, r: float, lo_at: np.ndarray, hi_at: np.ndarray):
     """The first and last cell c of one axis with max(B[c] - x, x - B[c+1],
     0) <= r (r >= 0), or lo = hi + 1 where none passes, from the cells that
-    hold lo_at <= x and hi_at >= x (the upper one on a face, clipped to the
-    grid; one search when lo_at is hi_at).
+    hold lo_at <= x and hi_at >= x (:func:`_grid_cells`, computed once when
+    lo_at is hi_at).
 
     The test grows away from x, also in float64 (rounding is monotone), so
     the passing cells are contiguous. It passes for the cell that holds x
@@ -441,8 +472,8 @@ def _exact_windows(B: np.ndarray, x: np.ndarray, r: float, lo_at: np.ndarray, hi
     When lo_at is hi_at, both ends start at one cell and share that test.
     """
     last = B.size - 2
-    lo = np.clip(np.searchsorted(B, lo_at, side="right") - 1, 0, last)
-    hi = lo.copy() if hi_at is lo_at else np.clip(np.searchsorted(B, hi_at, side="right") - 1, 0, last)
+    lo = _grid_cells(B, lo_at)
+    hi = lo.copy() if hi_at is lo_at else _grid_cells(B, hi_at)
 
     def passes(c, i):
         return np.maximum(B[c] - x[i], x[i] - B[c + 1]) <= r

@@ -10,7 +10,6 @@ the code paths it checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,12 +34,14 @@ class ReferenceAttractor:
 
 
 def _grid_over(Q: Box, resolution: float) -> np.ndarray:
+    """The product of per-axis uniform grids at spacing at most resolution,
+    endpoints included, as (P, d) points with the last axis varying fastest,
+    built as arrays without a tuple per point."""
     axes = []
     for k in range(Q.dim):
         count = max(2, int(np.ceil((Q.hi[k] - Q.lo[k]) / resolution)) + 1)
         axes.append(np.linspace(Q.lo[k], Q.hi[k], count))
-    pts = np.array(list(itertools.product(*axes)))
-    return pts.reshape(-1, Q.dim)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, Q.dim)
 
 
 def backward_containment_mask(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import tracemalloc
 from unittest.mock import patch
@@ -17,7 +18,15 @@ from boxattractor.attractor import (
     run_global,
     run_subdivision,
 )
-from boxattractor.geometry import Box, CoverLevel, expand_ranges, refine_cover, region_semidistance, subbox_centers
+from boxattractor.geometry import (
+    Box,
+    BoxKey,
+    CoverLevel,
+    expand_ranges,
+    refine_cover,
+    region_semidistance,
+    subbox_centers,
+)
 from boxattractor.integrator import EulerParams, EulerSchedule, euler_backward, reference_backward_flow
 from boxattractor.oracle import reach_cycle_set, reference_attractor_points
 from boxattractor.systems import eval_inverse, make_builtin
@@ -164,6 +173,21 @@ def test_prune_on_transition_map_matches_oracle() -> None:
     # plain integer flats of any integer dtype name the same cells
     for flats in (level.flats.tolist(), level.flats.astype(np.uint32), level.flats.astype(np.uint64)):
         assert prune(flats, tmap).kept_flats.tolist() == res.kept_flats.tolist()
+
+
+def test_read_result_holds_no_box_keys() -> None:
+    # kept and removed are built on each access, not cached, so a result
+    # that was read holds only its flat arrays; a BoxKey has slots and no
+    # per-instance dict
+    level = CoverLevel.full(Q1, 4)
+    res = prune(level.flats, build_transition_discrete(level, make_builtin("halving1d", Q1), M=1))
+    kept, removed = res.kept, res.removed
+    assert kept and removed and all(isinstance(k, BoxKey) for k in kept + removed)
+    assert res.kept == kept and res.kept is not kept and res.removed == removed
+    held = [v for o in gc.get_referents(res) for v in (o.values() if isinstance(o, dict) else [o])]
+    keys = [v for v in held if isinstance(v, BoxKey) or isinstance(v, tuple) and any(isinstance(k, BoxKey) for k in v)]
+    assert held and not keys
+    assert not hasattr(kept[0], "__dict__") and "__dict__" not in dir(BoxKey)
 
 
 def test_prune_restriction_semantics_on_transition_map_subset() -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,9 @@ from boxattractor.geometry import (
     BoxKey,
     CoverLevel,
     _exact_windows,
+    _grid_cells,
     across_axes,
+    dyadic_boundaries,
     flats_to_coords,
     point_box_distance,
     refine_cover,
@@ -243,6 +247,28 @@ def _lookup_cases() -> list[tuple[CoverLevel, np.ndarray, list[float]]]:
     return cases
 
 
+def _holding(B, v):
+    """The cell that holds v by a search of the boundaries, the upper one on
+    a face, clipped to the grid."""
+    return np.clip(np.searchsorted(B, v, side="right") - 1, 0, len(B) - 2)
+
+
+def _searched_windows(B: np.ndarray, x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the cells c of one axis with max(B[c] - x, x - B[c+1]) <=
+    r, by bisection of the two face tests, each monotone in c also in
+    float64: (first, last), or (s + 1, s) for the cell s that _holding gives
+    x when none passes."""
+    Bl, n = B.tolist(), B.size - 1
+    s = _holding(B, x)
+    lo, hi = s + 1, s.copy()
+    for i, v in enumerate(x.tolist()):
+        first = bisect.bisect_left(range(n), True, key=lambda c: v - Bl[c + 1] <= r)
+        last = bisect.bisect_left(range(n), True, key=lambda c: Bl[c] - v > r) - 1
+        if first <= last:
+            lo[i], hi[i] = first, last
+    return lo, hi
+
+
 def test_cell_windows_match_bruteforce() -> None:
     # the exactness contract of cell_windows: the windows of a point hold a
     # cell iff point_box_distance(p, cell) <= r; the runs of row_runs hold
@@ -253,9 +279,6 @@ def test_cell_windows_match_bruteforce() -> None:
     # cell that holds p passes, also where rounding decides. One point_cells
     # call on all of a case's r = 0 points (faces, edges and corners, up to
     # 2^d candidates each) lists what the calls one point at a time list
-    def holding(B, v):  # the cell that holds v, clipped to the grid
-        return int(np.clip(np.searchsorted(B, v, side="right") - 1, 0, B.size - 2))
-
     for level, pts, radii in _lookup_cases():
         grid = CoverLevel.full(level.root, level.depth)
         boxes = [grid.box_of_flat(int(f)) for f in grid.flats]
@@ -281,8 +304,8 @@ def test_cell_windows_match_bruteforce() -> None:
             for B, x in zip(level.boundaries, p):
                 passing = np.nonzero([max(B[c] - x, x - B[c + 1], 0) <= r for c in range(B.size - 1)])[0]
                 if passing.size:
-                    assert holding(B, x - r) <= passing[-1] and holding(B, x + r) >= passing[0]
-                    assert holding(B, x) in passing
+                    assert _holding(B, x - r) <= passing[-1] and _holding(B, x + r) >= passing[0]
+                    assert _holding(B, x) in passing
                 # any starts that bracket the point give the same window
                 lo, hi = _exact_windows(B, np.array([x]), r, np.array([x - 2 * r - 1]), np.array([x + 2 * r + 1]))
                 assert [lo[0], hi[0]] == ([passing[0], passing[-1]] if passing.size else [hi[0] + 1, hi[0]])
@@ -293,6 +316,56 @@ def test_cell_windows_match_bruteforce() -> None:
         assert candidates.tolist() == [c for c, _ in at_zero]
         assert point.tolist() == [i for i, (_, cs) in enumerate(at_zero) for _ in cs]
         assert cells.tolist() == [x for _, cs in at_zero for x in cs]
+
+
+@pytest.mark.parametrize(
+    "root", [(-1.0, 1.0), (-2.0, 2.0), (-1.5, 1.5), (0.1, 0.7), (-0.3333, 2.71828), (1e-3, 1e-3 + 3e-7)]
+)
+def test_grid_starts_and_windows_match_search(root: tuple[float, float]) -> None:
+    # the start cells of the uniform-grid estimate, corrected against the
+    # boundaries, are the search formula's bit for bit, and _exact_windows
+    # gives the searched windows in both of its modes: one start cell (the
+    # point location of point_cells) and the cells of p - r and p + r (the
+    # windows of cell_windows). Points in and around the root, on sampled
+    # boundaries and one float step to each side of them, at depths 0-18
+    # and at radii of 0, 1e-9 and 0.3-40 cells
+    rng = np.random.default_rng(17)
+    lo, hi = root
+    for depth in range(19):
+        B = dyadic_boundaries(lo, hi, depth)
+        n, w = B.size - 1, (hi - lo) / 2**depth
+        faces = B[np.concatenate([[0, n], rng.integers(0, n + 1, 12)])]
+        x = np.concatenate(
+            [
+                faces,
+                np.nextafter(faces, -np.inf),
+                np.nextafter(faces, np.inf),
+                rng.uniform(lo, hi, 12),
+                lo - rng.uniform(0, 2, 3) * (hi - lo),
+                hi + rng.uniform(0, 2, 3) * (hi - lo),
+                [lo - 0.5 * w, hi + 0.5 * w, -np.inf, np.inf, np.nan],
+            ]
+        )
+        for r in (0.0, 1e-9, 0.3 * w, 0.5 * w, 1.7 * w, 40 * w):
+            want = _searched_windows(B, x, r)
+            for lo_at, hi_at in ((x, x), (x - r, x + r)):
+                assert np.array_equal(_grid_cells(B, lo_at), _holding(B, lo_at))
+                assert np.array_equal(_grid_cells(B, hi_at), _holding(B, hi_at))
+                got = _exact_windows(B, x, r, lo_at, hi_at)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (depth, r)
+
+
+def test_grid_starts_match_search_where_the_estimate_fails() -> None:
+    # a span that overflows (every estimate 0) or is subnormal (estimates
+    # inf or NaN) leaves the start cells to the correction, which walks
+    # them to the search formula's cells and stops at the grid's ends; the
+    # midpoints of [-1e308, 1e308] overflow from depth 5 on
+    for lo, hi in ((-1e308, 1e308), (0.0, 1e-320), (-1e-320, 3e-321)):
+        for depth in range(5):
+            B = dyadic_boundaries(lo, hi, depth)
+            x = np.concatenate([B, np.nextafter(B, -np.inf), np.nextafter(B, np.inf)])
+            x = np.concatenate([x, [-1.7e308, 1.7e308, -np.inf, np.inf, np.nan]])
+            assert np.array_equal(_grid_cells(B, x), _holding(B, x))
 
 
 def test_contains_points_is_window_runs_membership() -> None:

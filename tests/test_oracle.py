@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from boxattractor.attractor import run_global, run_subdivision
 from boxattractor.geometry import Box, CoverLevel
 from boxattractor.oracle import (
     ReferenceAttractor,
+    _grid_over,
     backward_containment_mask,
     export_points_csv,
     reach_cycle_set,
@@ -24,6 +27,23 @@ def test_reach_cycle_examples() -> None:
     assert reach_cycle_set(complete) == {0, 1, 2}
     dag = {0: [1, 2], 1: [3], 2: [3], 3: []}
     assert reach_cycle_set(dag) == set()
+
+
+def test_grid_over_is_the_product_grid() -> None:
+    # the meshgrid points are the itertools.product points of the per-axis
+    # grids, in the same order and byte for byte
+    for Q, resolution in (
+        (Box([-0.37], [1.13]), 0.07),
+        (Box([-0.3333, 0.1], [2.71828, 0.7]), 0.09),
+        (Box([-1.1, 0.25, -3.7], [0.9, 0.4, -2.15]), 0.3),
+    ):
+        axes = [
+            np.linspace(Q.lo[k], Q.hi[k], max(2, int(np.ceil((Q.hi[k] - Q.lo[k]) / resolution)) + 1))
+            for k in range(Q.dim)
+        ]
+        want = np.array(list(itertools.product(*axes))).reshape(-1, Q.dim)
+        got = _grid_over(Q, resolution)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_reference_points_linmap() -> None:
