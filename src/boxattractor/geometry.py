@@ -296,16 +296,16 @@ class CoverLevel:
 
     def cell_windows(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
         """First and last cell index, per point and axis, of the cells within
-        r >= 0 (lo > hi where none is): :func:`_exact_windows` from the cells
-        that hold p - r and p + r. Exactness contract: the product of a
-        point's windows holds a grid cell iff point_box_distance(p, cell) <= r
-        with the cell's canonical bounds; :meth:`row_runs` and
-        :meth:`run_cells` give the active cells among them.
+        r >= 0 (lo > hi where none is), by :func:`_exact_windows`. Exactness
+        contract: the product of a point's windows holds a grid cell iff
+        point_box_distance(p, cell) <= r with the cell's canonical bounds;
+        :meth:`row_runs` and :meth:`run_cells` give the active cells among
+        them.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
-        los, his = zip(*(_exact_windows(B, x, r, x - r, x + r) for B, x in zip(self.boundaries, pts.T)))
+        los, his = zip(*(_exact_windows(B, x, r) for B, x in zip(self.boundaries, pts.T)))
         return np.stack(los, axis=1), np.stack(his, axis=1)
 
     @staticmethod
@@ -344,16 +344,16 @@ class CoverLevel:
         point_box_distance(p, c) <= r (r >= 0), and the active cells among
         them as (point index, local id) pairs, ordered by point and then by
         coordinates (local ids int32 while the level has fewer than 2^31
-        cells). The windows are :func:`_exact_windows` from the cell that
-        holds the point, and one search of the level's keys per candidate
-        cell (:func:`_window_keys`) finds the active ones: grid arithmetic
-        per axis and one key search for a point farther than r from every
-        face.
+        cells). The windows are :func:`_exact_windows`, as for
+        :meth:`cell_windows` but axis by axis with no (m, d) arrays, and one
+        search of the level's keys per candidate cell (:func:`_window_keys`)
+        finds the active ones: grid arithmetic per axis and one key search
+        for a point farther than r from every face.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
-        los, his = zip(*(_exact_windows(B, x, r, x, x) for B, x in zip(self.boundaries, pts.T)))
+        los, his = zip(*(_exact_windows(B, x, r) for B, x in zip(self.boundaries, pts.T)))
         widths = [hi - lo + 1 for lo, hi in zip(los, his)]
         candidates = reduce(np.multiply, widths)
         point, key = _window_keys(los, widths, candidates, self.cells_per_axis)
@@ -423,75 +423,66 @@ def _lex_keys(columns, n: int) -> np.ndarray:
     return reduce(lambda key, c: key * n + c, columns)
 
 
-def _grid_cells(B: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The cell of each v on the axis with the n + 1 increasing boundaries
-    B, the upper one on a face and clipped to the grid: clip(searchsorted(B,
-    v, "right") - 1, 0, n - 1), bit for bit, NaN in the last cell.
-
-    Each starts from the uniform grid's floor((v - B[0]) * n / (B[n] -
-    B[0])), clipped before the cast, and steps down while v < B[c] and up
-    while v >= B[c + 1], on shrinking index sets. The midpoint boundaries
-    are the uniform ones up to rounding, so only points within a few
-    rounding steps of a face step at all; but no bound on the estimate's
-    error is assumed, so a span that overflows or underflows only costs
-    steps. A point that steps down ends in a cell whose upper face it was
-    below, so no point steps both ways.
-    """
-    n = B.size - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN estimates are clipped, then corrected
-        e = v - B[0]
-        e *= n / (B[n] - B[0])
-    c = np.fmax(np.fmin(e, n - 1, out=e), 0, out=e).astype(np.intp)  # fmin takes NaN to n - 1
-    upper = B[1:]
-    for step, end, wrong in ((-1, 0, lambda j: v[j] < B[c[j]]), (1, n - 1, lambda j: v[j] >= upper[c[j]])):
-        i = np.flatnonzero(wrong(slice(None)))
-        i = i[c[i] != end]
-        while i.size:
-            c[i] += step
-            i = i[wrong(i)]
-            i = i[c[i] != end]
+def _walk(c: np.ndarray, fits, next_fits, out: int, edge: int, last) -> np.ndarray:
+    """Move each start cell c[i], in place, to the last cell in direction
+    `out` of the cells that pass fits(c, i), a test monotone in c (it
+    passes on one side of some face and fails on the other): a passing
+    cell steps out while the next cell out passes (next_fits(c, i) tests
+    c + out) and stops at `edge`; a failing cell steps back until a cell
+    passes or it steps past `last` (a scalar or one per point), the last
+    cell it may test. Both walks run on shrinking index sets, so only the
+    points whose start is off by a cell loop at all."""
+    every = slice(None)
+    ok = fits(c, every)
+    i = np.flatnonzero(next_fits(c, every) & (c != edge))  # a cell whose next cell out passes passes too
+    while i.size:
+        c[i] += out
+        i = i[c[i] != edge]
+        i = i[next_fits(c[i], i)]
+    last = np.broadcast_to(last, c.shape)
+    i = np.flatnonzero(~ok)
+    i = i[c[i] != last[i] - out]
+    while i.size:
+        c[i] -= out
+        i = i[c[i] != last[i] - out]
+        i = i[~fits(c[i], i)]
     return c
 
 
-def _exact_windows(B: np.ndarray, x: np.ndarray, r: float, lo_at: np.ndarray, hi_at: np.ndarray):
-    """The first and last cell c of one axis with max(B[c] - x, x - B[c+1],
-    0) <= r (r >= 0), or lo = hi + 1 where none passes, from the cells that
-    hold lo_at <= x and hi_at >= x (:func:`_grid_cells`, computed once when
-    lo_at is hi_at).
+def _exact_windows(B: np.ndarray, x: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last cell c of one axis with max(B[c] - x, x - B[c+1])
+    <= r (r >= 0) on the n + 1 increasing boundaries B, or (s + 1, s) where
+    none passes, for the cell s that holds x (the upper one on a face,
+    clipped to the grid, n - 1 for NaN).
 
-    The test grows away from x, also in float64 (rounding is monotone), so
-    the passing cells are contiguous. It passes for the cell that holds x
-    when x is on the grid and, off the grid, for the end cell nearest x if
-    any cell passes. So lo starts at or before the last passing cell and hi
-    at or after the first, and the ends come out exact, with no rounding
-    margin, when each first shrinks while its own cell fails and then widens
-    while the next cell out passes. The own test is min(below, above) >= -r
-    for below = x - B[c] and above = B[c+1] - x (float negation is exact),
-    and the next cell out can pass only where below <= r (for lo) or
-    above <= r (for hi), so only the points near a face enter the loops.
-    When lo_at is hi_at, both ends start at one cell and share that test.
+    The window is where two face tests meet: lo is the first cell with
+    x - B[c+1] <= r and hi the last with B[c] - x <= r. Each test is
+    monotone in c, also in float64 (rounding is monotone, and an overflow
+    rounds to inf), so :func:`_walk` finds each end exactly, with no
+    rounding margin, from the uniform grid's floor((x - (B[0] +- r)) * n /
+    (B[n] - B[0])), clipped to the grid before the cast. The midpoint
+    boundaries are the uniform ones up to rounding, so only ends within a
+    few rounding steps of a face step at all; but no bound on the
+    estimate's error is assumed, so a span that overflows or underflows
+    only costs steps. hi steps back no further than lo - 1, where a point
+    right of the grid or NaN (which passes no test, so lo = n) ends it: a
+    NaN point costs one step, not n. A point left of the grid ends at
+    (0, -1), moved to (1, 0).
     """
-    last = B.size - 2
-    lo = _grid_cells(B, lo_at)
-    hi = lo.copy() if hi_at is lo_at else _grid_cells(B, hi_at)
+    n = B.size - 1
+    upper = B[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN estimates are clipped; tests round to inf
+        s = n / (B[n] - B[0])
 
-    def passes(c, i):
-        return np.maximum(B[c] - x[i], x[i] - B[c + 1]) <= r
+        def start(origin):
+            v = x - origin
+            v *= s
+            return np.fmax(np.fmin(v, n - 1, out=v), 0, out=v).astype(np.intp)  # fmin takes NaN to n - 1
 
-    for end, out, stop in ((lo, -1, 0), (hi, 1, last)):
-        if end is lo or hi_at is not lo_at:  # both ends start at one cell: hi reuses lo's first test
-            below, above = x - B[end], B[end + 1] - x
-            fits = np.minimum(below, above) >= -r
-        i = np.flatnonzero(~fits & (lo <= hi))
-        while i.size:
-            end[i] -= out
-            i = i[lo[i] <= hi[i]]
-            i = i[~passes(end[i], i)]
-        i = np.flatnonzero(fits & ((below if out < 0 else above) <= r) & (end != stop))
-        while i.size:
-            i = i[passes(end[i] + out, i)]
-            end[i] += out
-            i = i[end[i] != stop]
+        lo = _walk(start(B[0] + r), lambda c, i: x[i] - upper[c] <= r, lambda c, i: x[i] - B[c] <= r, -1, 0, n - 1)
+        hi = _walk(start(B[0] - r), lambda c, i: B[c] - x[i] <= r, lambda c, i: upper[c] - x[i] <= r, 1, n - 1, lo)
+    left = np.flatnonzero(hi < 0)
+    lo[left], hi[left] = 1, 0
     return lo, hi
 
 

@@ -234,15 +234,15 @@ def _merged_runs(row: np.ndarray, start: np.ndarray, end: np.ndarray, n: int) ->
     return row[first], start[first], reach[last] - start[first]
 
 
-def _runs_of_rows(indptr: np.ndarray, values: np.ndarray, rank: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """CSR rows of local values on n = indptr.size - 1 nodes as runs: each
-    row's positions rank[value] (the values themselves without `rank`),
-    sorted, with repeated and consecutive positions merged. Returns
-    (run_ptr int64, run_start, run_count), the runs in n's index dtype."""
+def _runs_of_rows(indptr: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """CSR rows of positions on n = indptr.size - 1 nodes as runs: each
+    row's positions sorted, with repeated and consecutive positions merged.
+    Returns (run_ptr int64, run_start, run_count), the runs in n's index
+    dtype."""
     n = indptr.size - 1
     dtype = index_dtype(n)
     rows = np.repeat(np.arange(n, dtype=dtype), np.diff(indptr))
-    positions = (values if rank is None else rank[values]).astype(dtype)
+    positions = positions.astype(dtype)
     row, start, count = _merged_runs(rows, positions, positions + 1, n)
     run_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=run_ptr[1:])

@@ -244,7 +244,7 @@ def prune_graphs(draw):
         level = CoverLevel.full(Q1, n.bit_length() - 1)
         indptr = np.concatenate([[0], np.cumsum([len(s) for s in succ])])
         targets = np.array([t for s in succ for t in s], dtype=np.int32)
-        runs = transition._runs_of_rows(indptr, targets, level._rank)
+        runs = transition._runs_of_rows(indptr, level._rank[targets])
     else:
         depth = draw(st.integers(1, 3))
         flats = draw(st.lists(st.integers(0, (1 << 2 * depth) - 1), min_size=1, max_size=40, unique=True))

@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import bisect
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boxattractor import geometry
 from boxattractor.geometry import (
     Box,
     BoxKey,
     CoverLevel,
     _exact_windows,
-    _grid_cells,
     across_axes,
     dyadic_boundaries,
     flats_to_coords,
@@ -274,11 +275,13 @@ def test_cell_windows_match_bruteforce() -> None:
     # cell iff point_box_distance(p, cell) <= r; the runs of row_runs hold
     # the active ones among them. point_cells counts the same cells and
     # lists the active ones in coordinate order, also at radii of several
-    # cells and beyond the grid. Both start from valid cells: the cells that
-    # hold p - r and p + r bracket the passing cells of each axis, and the
-    # cell that holds p passes, also where rounding decides. One point_cells
-    # call on all of a case's r = 0 points (faces, edges and corners, up to
-    # 2^d candidates each) lists what the calls one point at a time list
+    # cells and beyond the grid. On each axis, _exact_windows gives the
+    # passing cells, or (s + 1, s) for the cell s that holds p where none
+    # passes. Its walks start near the cells that hold p - r and p + r, which
+    # bracket the passing cells, and the cell that holds p passes, also where
+    # rounding decides. One point_cells call on all of a case's r = 0 points
+    # (faces, edges and corners, up to 2^d candidates each) lists what the
+    # calls one point at a time list
     for level, pts, radii in _lookup_cases():
         grid = CoverLevel.full(level.root, level.depth)
         boxes = [grid.box_of_flat(int(f)) for f in grid.flats]
@@ -306,9 +309,9 @@ def test_cell_windows_match_bruteforce() -> None:
                 if passing.size:
                     assert _holding(B, x - r) <= passing[-1] and _holding(B, x + r) >= passing[0]
                     assert _holding(B, x) in passing
-                # any starts that bracket the point give the same window
-                lo, hi = _exact_windows(B, np.array([x]), r, np.array([x - 2 * r - 1]), np.array([x + 2 * r + 1]))
-                assert [lo[0], hi[0]] == ([passing[0], passing[-1]] if passing.size else [hi[0] + 1, hi[0]])
+                lo, hi = _exact_windows(B, np.array([x]), r)
+                s = _holding(B, x)
+                assert [lo[0], hi[0]] == ([passing[0], passing[-1]] if passing.size else [s + 1, s])
         want = [any(b.contains_point(p) for b, a in zip(boxes, active) if a) for p in pts]
         assert level.contains_points(pts).tolist() == want
         candidates, point, cells = level.point_cells(pts[np.array(radii) == 0], 0.0)
@@ -322,13 +325,10 @@ def test_cell_windows_match_bruteforce() -> None:
     "root", [(-1.0, 1.0), (-2.0, 2.0), (-1.5, 1.5), (0.1, 0.7), (-0.3333, 2.71828), (1e-3, 1e-3 + 3e-7)]
 )
 def test_grid_starts_and_windows_match_search(root: tuple[float, float]) -> None:
-    # the start cells of the uniform-grid estimate, corrected against the
-    # boundaries, are the search formula's bit for bit, and _exact_windows
-    # gives the searched windows in both of its modes: one start cell (the
-    # point location of point_cells) and the cells of p - r and p + r (the
-    # windows of cell_windows). Points in and around the root, on sampled
-    # boundaries and one float step to each side of them, at depths 0-18
-    # and at radii of 0, 1e-9 and 0.3-40 cells
+    # the windows of the two face walks from the uniform-grid estimates are
+    # the searched windows, empty ones included: points in and around the
+    # root, on sampled boundaries and one float step to each side of them,
+    # at depths 0-18 and at radii of 0, 1e-9 and 0.3-40 cells
     rng = np.random.default_rng(17)
     lo, hi = root
     for depth in range(19):
@@ -348,24 +348,51 @@ def test_grid_starts_and_windows_match_search(root: tuple[float, float]) -> None
         )
         for r in (0.0, 1e-9, 0.3 * w, 0.5 * w, 1.7 * w, 40 * w):
             want = _searched_windows(B, x, r)
-            for lo_at, hi_at in ((x, x), (x - r, x + r)):
-                assert np.array_equal(_grid_cells(B, lo_at), _holding(B, lo_at))
-                assert np.array_equal(_grid_cells(B, hi_at), _holding(B, hi_at))
-                got = _exact_windows(B, x, r, lo_at, hi_at)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (depth, r)
+            got = _exact_windows(B, x, r)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (depth, r)
 
 
 def test_grid_starts_match_search_where_the_estimate_fails() -> None:
-    # a span that overflows (every estimate 0) or is subnormal (estimates
-    # inf or NaN) leaves the start cells to the correction, which walks
-    # them to the search formula's cells and stops at the grid's ends; the
-    # midpoints of [-1e308, 1e308] overflow from depth 5 on
+    # a span that overflows (every estimate 0 or NaN) or is subnormal
+    # (estimates inf or NaN) leaves the ends to the walks, which reach the
+    # searched windows and stop at the grid's ends; the midpoints of
+    # [-1e308, 1e308] overflow from depth 5 on, and so do the face tests of
+    # points far out, which round to inf and stay monotone
     for lo, hi in ((-1e308, 1e308), (0.0, 1e-320), (-1e-320, 3e-321)):
         for depth in range(5):
             B = dyadic_boundaries(lo, hi, depth)
             x = np.concatenate([B, np.nextafter(B, -np.inf), np.nextafter(B, np.inf)])
             x = np.concatenate([x, [-1.7e308, 1.7e308, -np.inf, np.inf, np.nan]])
-            assert np.array_equal(_grid_cells(B, x), _holding(B, x))
+            for r in (0.0, (hi / 3 - lo / 3) / 2**depth):  # w / 3, whose w = (hi - lo) / 2^depth may overflow
+                want = _searched_windows(B, x, r)
+                got = _exact_windows(B, x, r)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (lo, depth, r)
+
+
+def test_windows_of_nan_and_inf_points_take_a_few_steps() -> None:
+    # hi steps back no further than lo - 1, so NaN, which passes no face
+    # test, ends after one step of lo instead of walking hi back over all
+    # 2^18 cells; -inf and +inf take one step each too
+    B = dyadic_boundaries(-1.0, 1.0, 18)
+    n, walk, calls = B.size - 1, geometry._walk, []
+
+    def counted(test):
+        def run(c, i):
+            calls.append(1)
+            return test(c, i)
+
+        return run
+
+    def counted_walk(c, fits, next_fits, *ends):
+        return walk(c, counted(fits), counted(next_fits), *ends)
+
+    with mock.patch.object(geometry, "_walk", counted_walk):
+        for x, want in ((np.nan, (n, n - 1)), (np.inf, (n, n - 1)), (-np.inf, (1, 0))):
+            for r in (0.0, 1e-9, 0.5):
+                calls.clear()
+                lo, hi = _exact_windows(B, np.array([x]), r)
+                assert 0 < len(calls) <= 6, (x, r, len(calls))
+                assert (lo[0], hi[0]) == want
 
 
 def test_contains_points_is_window_runs_membership() -> None:

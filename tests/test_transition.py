@@ -46,7 +46,7 @@ def edges_as_flats(tmap: TransitionMap) -> dict[int, list[int]]:
 
 def from_successors(level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, meta: TransitionMeta) -> TransitionMap:
     """The map with the given successor rows (indptr, local targets)."""
-    return TransitionMap(level, *_runs_of_rows(indptr, targets, level._rank), meta)
+    return TransitionMap(level, *_runs_of_rows(indptr, level._rank[targets]), meta)
 
 
 def cells_at(level: CoverLevel, p) -> list[int]:
