@@ -54,8 +54,6 @@ from .transition import (
     GapReport,
     TransitionMap,
     build_transition,
-    build_transition_continuous,
-    build_transition_discrete,
     check_containment_condition,
     measure_overapprox_gap,
     run_diagnostics,
@@ -81,8 +79,6 @@ __all__ = [
     "TransitionMap",
     "backward_containment_mask",
     "build_transition",
-    "build_transition_continuous",
-    "build_transition_discrete",
     "check_containment_condition",
     "enclosure_radius",
     "euler_backward",

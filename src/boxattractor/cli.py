@@ -44,7 +44,7 @@ from .attractor import (
     run_global,
     run_subdivision,
 )
-from .geometry import Box, CoverLevel, flats_to_coords, refine_cover
+from .geometry import Box, CoverLevel, refine_cover
 from .integrator import EulerSchedule
 from .oracle import export_points_csv, reference_attractor_points, verify_sandwich
 from .systems import (
@@ -271,10 +271,11 @@ def _rows_bytes(columns: list, m: int) -> bytes:
     return buf[buf != 0].tobytes()
 
 
-def _chunks(kept: np.ndarray) -> list[np.ndarray]:
-    """The kept flat indices in chunks of _BOX_CHUNK, so the byte matrices
-    stay near 1 MiB whatever the level's size."""
-    return [kept[c0 : c0 + _BOX_CHUNK] for c0 in range(0, kept.size, _BOX_CHUNK)]
+def _chunks(rows: np.ndarray) -> list[np.ndarray]:
+    """The rows of the kept cells' flat indices or coordinates in chunks of
+    _BOX_CHUNK, so the byte matrices stay near 1 MiB whatever the level's
+    size."""
+    return [rows[c0 : c0 + _BOX_CHUNK] for c0 in range(0, len(rows), _BOX_CHUNK)]
 
 
 def _checkpoint_text(level: CoverLevel, kept: np.ndarray, cfg_hash: str) -> str:
@@ -392,19 +393,18 @@ def _box_lines(level: CoverLevel, kept: np.ndarray):
     chunk is one byte matrix, a record a row (see _rows_bytes): the constant
     fragments, each axis's upper and lower boundary rows and the index
     digits."""
-    # coordinates chunk by chunk: one whole-level array made saddle depth-8 runs about 4% slower
-    flats = _chunks(kept)
-    coords = [flats_to_coords(f, level.depth, level.dim) for f in flats]
+    # the kept cells' coordinates are rows of the level's own, which the map
+    # build has already decoded; the boundaries they touch are marked at once
+    coords = level.coords[level.locate(kept)]
     touched = [np.zeros(b.size, dtype=bool) for b in level.boundaries]
-    for c in coords:
-        for k, t in enumerate(touched):
-            t[c[:, k]] = t[c[:, k] + 1] = True
+    for k, t in enumerate(touched):
+        t[coords[:, k]] = t[coords[:, k] + 1] = True
     # each touched boundary's repr, at its rank among the touched ones
     reprs = [np.array([repr(x).encode() for x in b[t].tolist()], dtype="S") for b, t in zip(level.boundaries, touched)]
     reprs = [r.view(np.uint8).reshape(r.size, r.itemsize) for r in reprs]
     ranks = [np.cumsum(t) - 1 for t in touched]
     head = b'{"depth":%d,"hi":[' % level.depth
-    for f, c in zip(flats, coords):
+    for f, c in zip(_chunks(kept), _chunks(coords)):
         # upper (e = 1) and lower (e = 0) corner reprs, axis by axis, with "," between them
         hi, lo = ([s for k in range(level.dim) for s in (b",", reprs[k].take(ranks[k][c[:, k] + e], axis=0))][1:]
                   for e in (1, 0))

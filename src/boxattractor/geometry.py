@@ -5,9 +5,12 @@ ball-box intersection test is exact and branch-free: dist(p, b) <= r holds
 iff the ball of radius r around p meets b.
 
 Cell bounds at depth n are produced by repeated midpoint splitting, never by
-`lo + i * width` arithmetic; this keeps a key's box bitwise identical no
-matter whether it is reached through recursion, through a cached boundary
-array, or through a spatial query. Both spatial queries, the windows and
+`lo + i * width` arithmetic. The reference is the recursion, BoxKey.box,
+which splits one cell at a time; brute-force checks bound cells with it.
+Runs read a level's geometry from CoverLevel alone: `coords` is the one
+decoder of flat indices into per-axis cell coordinates, and `boundaries`,
+each axis's midpoint-inserted faces, give `box_los` and `box_his`, which
+are the recursion's bounds bit for bit. Both spatial queries, the windows and
 runs of the map build and the point location of the containment check,
 get their per-axis cells from one exact window routine and their keys from
 one enumeration; they differ only in how they search the level's keys.
@@ -110,17 +113,6 @@ def dyadic_boundaries(lo: float, hi: float, depth: int) -> np.ndarray:
         nb[1::2] = (b[:-1] + b[1:]) / 2.0
         b = nb
     return b
-
-
-def flats_to_coords(flats, depth: int, dim: int) -> np.ndarray:
-    """Per-axis cell coordinates for flat indices at the given depth."""
-    flats = np.asarray(flats, dtype=np.int64)
-    coords = np.zeros(flats.shape + (dim,), dtype=np.int64)
-    for m in range(depth):
-        digit = (flats >> (dim * (depth - 1 - m))) & ((1 << dim) - 1)
-        for k in range(dim):
-            coords[..., k] |= ((digit >> k) & 1) << (depth - 1 - m)
-    return coords
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -229,7 +221,15 @@ class CoverLevel:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        return flats_to_coords(self._flats, self.depth, self.dim)
+        """Per-axis cell coordinates of the active cells, (size, d) int64:
+        bit depth-1-m of axis k is bit k of the path's m-th selector."""
+        d, depth = self.dim, self.depth
+        coords = np.zeros((self.size, d), dtype=np.int64)
+        for m in range(depth):
+            digit = (self._flats >> (d * (depth - 1 - m))) & ((1 << d) - 1)
+            for k in range(d):
+                coords[:, k] |= ((digit >> k) & 1) << (depth - 1 - m)
+        return coords
 
     @cached_property
     def box_los(self) -> np.ndarray:
@@ -256,12 +256,6 @@ class CoverLevel:
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size, dtype=order.dtype)
         return rank
-
-    def box_of_flat(self, flat: int) -> Box:
-        c = flats_to_coords(np.array([flat]), self.depth, self.dim)[0]
-        lo = np.array([self.boundaries[k][c[k]] for k in range(self.dim)])
-        hi = np.array([self.boundaries[k][c[k] + 1] for k in range(self.dim)])
-        return Box(lo, hi)
 
     def flats_of(self, cells) -> np.ndarray:
         """Sorted unique flat indices of active cells, given as an integer
@@ -519,12 +513,10 @@ def refine_cover(level: CoverLevel, retained) -> CoverLevel:
 
 
 def grid_points(lo: np.ndarray, hi: np.ndarray, per_axis: int) -> np.ndarray:
-    """Uniform grids over boxes given as (..., d) corner arrays, endpoints
-    included for per_axis >= 2: shape (..., per_axis^d, d), the last axis
-    varying fastest."""
+    """Uniform grids of per_axis >= 2 points per axis over boxes given as
+    (..., d) corner arrays, endpoints included: shape (..., per_axis^d, d),
+    the last axis varying fastest."""
     d = lo.shape[-1]
-    if per_axis == 1:
-        return ((lo + hi) / 2.0)[..., None, :]
     axes = np.linspace(lo, hi, per_axis, axis=-1)  # (..., d, per_axis)
     idx = (np.arange(per_axis**d)[:, None] // per_axis ** np.arange(d - 1, -1, -1)) % per_axis
     return axes[..., np.arange(d), idx]

@@ -53,6 +53,7 @@ import numpy as np
 
 from .geometry import (
     Box,
+    BoxKey,
     CoverLevel,
     across_axes,
     box_corners,
@@ -78,7 +79,6 @@ class TransitionMeta:
     kind: str  # "discrete" | "continuous"
     M: int
     radius: float
-    subdiameter: float
     h: float = 0.0
     substeps: int = 1
 
@@ -325,8 +325,7 @@ def build_transition(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    subdiameter = level.rho / M
-    spread = subdiameter / 2.0
+    spread = level.rho / M / 2.0
     extent = float(np.max(np.abs([level.root.lo, level.root.hi])))  # largest |boundary| and |centre|
     if isinstance(sys, ContinuousSystemSpec):
         if params is None:
@@ -348,7 +347,7 @@ def build_transition(
     images = image(centers) if level.size else centers
     del centers
     radius = _round_outward(radius, lip, extent, images, steps)
-    meta = TransitionMeta(kind, M, radius, subdiameter, h=h, substeps=steps)
+    meta = TransitionMeta(kind, M, radius, h=h, substeps=steps)
     return TransitionMap(level, *_lookup_runs(level, images, radius), meta)
 
 
@@ -556,9 +555,12 @@ def transition_pair_scan(
     """Brute-force reference: evaluate the edge predicate on every pair.
 
     O(V^2) and intended for cross-checking the spatial lookup on small
-    levels; images_of has shape (V, M^d, d).
+    levels; images_of has shape (V, M^d, d). Each cell is bounded by the
+    midpoint recursion (BoxKey.box), not by the level's boundary arrays or
+    coordinates that the lookup reads, so the two agree only if those are
+    right.
     """
-    boxes = [level.box_of_flat(int(f)) for f in level.flats]
+    boxes = [BoxKey.from_flat(f, level.depth, level.dim).box(level.root) for f in level.flats]
     edges: dict[int, list[int]] = {}
     for i in range(level.size):
         out = []

@@ -255,7 +255,7 @@ def prune_graphs(draw):
         radius = draw(st.sampled_from([0.0, 0.5 * width, 1.5 * width]))
         runs = transition._lookup_runs(level, np.array(points).reshape(level.size, 1, 2), radius)
     given = np.array(draw(st.lists(st.booleans(), min_size=level.size, max_size=level.size)), dtype=bool)
-    return TransitionMap(level, *runs, TransitionMeta("discrete", 1, 0.0, level.rho)), given
+    return TransitionMap(level, *runs, TransitionMeta("discrete", 1, 0.0)), given
 
 
 def assert_prune_equals_whole_round_kernel(tmap, given, as_map: bool, method: str) -> None:
@@ -329,7 +329,7 @@ def test_prune_with_a_large_sparse_round_equals_whole_round_kernel() -> None:
     run_start = starts[take].astype(np.int32)
     run_count = rng.integers(1, 3, size=run_start.size).astype(np.int32)
     level = CoverLevel.full(Q1, 19)
-    tmap = TransitionMap(level, run_ptr, run_start, run_count, TransitionMeta("discrete", 1, 0.0, level.rho))
+    tmap = TransitionMap(level, run_ptr, run_start, run_count, TransitionMeta("discrete", 1, 0.0))
     sparse_candidates = []
     real = attractor._dense_is_cheaper
 

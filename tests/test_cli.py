@@ -10,7 +10,7 @@ import pytest
 
 import boxattractor.cli as cli
 from boxattractor.cli import ConfigError, main, parse_q
-from boxattractor.geometry import Box, CoverLevel
+from boxattractor.geometry import Box, BoxKey, CoverLevel
 from boxattractor.oracle import reference_attractor_points
 from boxattractor.systems import make_builtin
 from boxattractor.transition import build_transition_discrete
@@ -753,6 +753,7 @@ def test_transition_dumps_is_pinned() -> None:
         ("cubic1d", "-1.5:1.5", ("--h0", "0.08", "--depth", "8")),
         ("saddle2d", "-1,-1:1,1", ("--h0", "0.2", "--depth", "5")),
         ("halving1d", "-1e-05:3e-05", ("--depth", "8")),  # bounds print in exponent form
+        ("henon", "-1.9,-1.3:1.7,1.9", ("--depth", "6")),  # boundaries that are not lo + c * w
     ],
 )
 def test_box_records_are_canonical_json(tmp_path: Path, system: str, q: str, extra: tuple) -> None:
@@ -760,12 +761,12 @@ def test_box_records_are_canonical_json(tmp_path: Path, system: str, q: str, ext
     assert main([*argv, *extra]) == 0
     lines = (tmp_path / "boxes.jsonl").read_text(encoding="utf-8").splitlines()
     assert lines
-    levels: dict[int, CoverLevel] = {}
+    root = parse_q(q)
     for line in lines:
         rec = json.loads(line)
         assert line == json.dumps(rec, sort_keys=True, separators=(",", ":"))
-        level = levels.setdefault(rec["depth"], CoverLevel.full(parse_q(q), rec["depth"]))
-        box = level.box_of_flat(rec["index"])
+        # the bounds the writer reads from the level are the midpoint recursion's
+        box = BoxKey.from_flat(rec["index"], rec["depth"], root.dim).box(root)
         assert (rec["lo"], rec["hi"]) == (box.lo.tolist(), box.hi.tolist())
     if system == "halving1d":
         assert any("e-" in line for line in lines)

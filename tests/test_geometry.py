@@ -15,7 +15,6 @@ from boxattractor.geometry import (
     _exact_windows,
     across_axes,
     dyadic_boundaries,
-    flats_to_coords,
     point_box_distance,
     refine_cover,
     region_semidistance,
@@ -30,10 +29,24 @@ def test_box_rejects_degenerate() -> None:
         Box([0.0], [np.inf])
 
 
+def level_boxes(level: CoverLevel) -> list[Box]:
+    """The boxes of a level's cells as runs read them, from box_los and
+    box_his, in flat order."""
+    return [Box(lo, hi) for lo, hi in zip(level.box_los, level.box_his)]
+
+
+def recursion_boxes(level: CoverLevel) -> list[Box]:
+    """The boxes of a level's cells by the midpoint recursion (BoxKey.box),
+    the reference that reads none of the level's arrays, in flat order."""
+    return [BoxKey.from_flat(f, level.depth, level.dim).box(level.root) for f in level.flats]
+
+
 def children_of(root: Box) -> list[Box]:
-    """The boxes of the one-step refinement of `root`, in selector order."""
+    """The boxes of the one-step refinement of `root`, in selector order,
+    from the level's bounds, which equal the recursion's."""
     level = refine_cover(CoverLevel.full(root, 0), [0])
-    return [level.box_of_flat(int(f)) for f in level.flats]
+    assert level_boxes(level) == recursion_boxes(level)
+    return level_boxes(level)
 
 
 def test_subdivide_unit_square_selector_order() -> None:
@@ -62,14 +75,15 @@ def test_two_subdivisions_match_flat_index_scheme() -> None:
     for i, child in enumerate(children_of(root)):
         for s, grand in enumerate(children_of(child)):
             by_recursion[i * 4 + s] = grand
+    boxes = level_boxes(level2)
     for flat in range(16):
-        assert by_recursion[flat] == level2.box_of_flat(flat)
-        assert level2.box_of_flat(flat).diameter == pytest.approx(root.diameter / 4)
+        assert by_recursion[flat] == boxes[flat]
+        assert boxes[flat].diameter == pytest.approx(root.diameter / 4)
     # key digits reproduce the same flats
     for flat in range(16):
         key = BoxKey.from_flat(flat, 2, 2)
         assert key.flat(2) == flat
-        assert key.box(root) == level2.box_of_flat(flat)
+        assert key.box(root) == boxes[flat]
 
 
 def test_subbox_centers_examples() -> None:
@@ -117,7 +131,8 @@ def test_refine_cover_examples() -> None:
 
     right = [k for k in level1.active if k.box(root).lo[0] == 0.0]
     level2 = refine_cover(level1, right)
-    boxes = [level2.box_of_flat(f) for f in level2.flats]
+    boxes = level_boxes(level2)
+    assert boxes == recursion_boxes(level2)
     assert [(b.lo[0], b.hi[0]) for b in boxes] == [(0.0, 0.5), (0.5, 1.0)]
 
     with pytest.raises(ValueError):
@@ -176,7 +191,8 @@ def test_nesting_and_partition_invariants() -> None:
     assert parent.rho == pytest.approx(root.diameter / 4)
     assert level.rho == pytest.approx(root.diameter / 8)
     # children tile their parent exactly: volumes add up
-    for b in (root, parent.box_of_flat(5)):
+    assert level_boxes(parent)[5] == BoxKey.from_flat(5, 2, 2).box(root)
+    for b in (root, level_boxes(parent)[5]):
         kids = children_of(b)
         vol = sum(float(np.prod(k.hi - k.lo)) for k in kids)
         assert vol == pytest.approx(float(np.prod(b.hi - b.lo)))
@@ -194,13 +210,14 @@ def test_json_roundtrips() -> None:
 def test_flat_coord_roundtrip() -> None:
     rng = np.random.default_rng(7)
     for depth, dim in [(0, 1), (3, 1), (4, 2), (3, 3)]:
-        flats = rng.integers(0, 1 << (depth * dim), size=50)
-        coords = flats_to_coords(flats, depth, dim)
+        root = Box([-1.0] * dim, [1.0] * dim)
+        level = CoverLevel(root, depth, rng.integers(0, 1 << (depth * dim), size=50))
+        coords = level.coords
+        assert coords.shape == (level.size, dim) and coords.dtype == np.int64
         assert np.all(coords >= 0) and np.all(coords < (1 << depth))
         # the coordinates index the boundaries of the recursively built box
-        root = Box([-1.0] * dim, [1.0] * dim)
-        B = CoverLevel.full(root, depth).boundaries
-        for f, c in zip(flats, coords):
+        B = level.boundaries
+        for f, c in zip(level.flats, coords):
             b = BoxKey.from_flat(int(f), depth, dim).box(root)
             assert [B[k][c[k]] for k in range(dim)] == b.lo.tolist()
             assert [B[k][c[k] + 1] for k in range(dim)] == b.hi.tolist()
@@ -211,9 +228,10 @@ def test_dyadic_boundaries_match_recursive_bounds() -> None:
     root = Box([-1.0, -1.0], [1.0, 1.0])
     level = CoverLevel.full(root, 6)
     rng = np.random.default_rng(3)
+    boxes = level_boxes(level)
     for flat in rng.integers(0, level.size, size=32):
         key = BoxKey.from_flat(int(flat), 6, 2)
-        assert key.box(root) == level.box_of_flat(int(flat))
+        assert key.box(root) == boxes[flat]
 
 
 def _lookup_cases() -> list[tuple[CoverLevel, np.ndarray, list[float]]]:
@@ -284,10 +302,10 @@ def test_cell_windows_match_bruteforce() -> None:
     # calls one point at a time list
     for level, pts, radii in _lookup_cases():
         grid = CoverLevel.full(level.root, level.depth)
-        boxes = [grid.box_of_flat(int(f)) for f in grid.flats]
+        boxes = recursion_boxes(grid)
         active = np.zeros(grid.size, dtype=bool)
         active[level.flats] = True
-        coords = flats_to_coords(grid.flats, grid.depth, grid.dim)
+        coords = grid.coords
         lex = np.lexsort(coords[level.flats].T[::-1]).tolist()  # local ids in coordinate order, axis 0 slowest
         at_zero = []  # point_cells of each r = 0 point, called alone
         for p, r in zip(pts, radii):
@@ -415,7 +433,7 @@ def test_contains_points_is_window_runs_membership() -> None:
         want[np.repeat(point, count)] = True
         assert level.contains_points(pts).tolist() == want.tolist()
         assert 0 < want.sum() < len(pts) and cells.size == count.sum()
-        boxes = [level.box_of_flat(int(f)) for f in level.flats]
+        boxes = recursion_boxes(level)
         assert [any(point_box_distance(p, b) <= 0 for b in boxes) for p in pts[:100]] == want[:100].tolist()
 
 
@@ -480,8 +498,7 @@ def test_full_cover_interiors_disjoint_and_tile(depth: int, dim: int) -> None:
     root = Box([0.0] * dim, [1.0] * dim)
     level = CoverLevel.full(root, depth)
     vol = 0.0
-    for f in level.flats:
-        b = level.box_of_flat(int(f))
+    for b in recursion_boxes(level):
         vol += float(np.prod(b.hi - b.lo))
     assert vol == pytest.approx(1.0)
     # diameter law

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import boxattractor.transition as transition
 
-from boxattractor.geometry import Box, CoverLevel, box_corners, grid_points, point_box_distance, subbox_centers
+from boxattractor.geometry import Box, BoxKey, CoverLevel, box_corners, grid_points, point_box_distance, subbox_centers
 from boxattractor.integrator import EulerParams, enclosure_radius, euler_backward, reference_backward_flow
 from boxattractor.systems import (
     ContinuousSystemSpec,
@@ -47,6 +47,12 @@ def edges_as_flats(tmap: TransitionMap) -> dict[int, list[int]]:
 def from_successors(level: CoverLevel, indptr: np.ndarray, targets: np.ndarray, meta: TransitionMeta) -> TransitionMap:
     """The map with the given successor rows (indptr, local targets)."""
     return TransitionMap(level, *_runs_of_rows(indptr, level._rank[targets]), meta)
+
+
+def cell_box(level: CoverLevel, flat) -> Box:
+    """The box of a cell by the midpoint recursion, which reads none of the
+    level's arrays."""
+    return BoxKey.from_flat(flat, level.depth, level.dim).box(level.root)
 
 
 def cells_at(level: CoverLevel, p) -> list[int]:
@@ -132,7 +138,7 @@ def test_build_transition_chooses_by_system_kind() -> None:
     # the ball is L * rho/(2M), the distance from a sample centre to its
     # subbox's corners, rounded outward by a few ulps
     want = linmap.lipschitz_L * level.rho / 4
-    assert tmap.meta == TransitionMeta("discrete", 2, tmap.meta.radius, level.rho / 2)
+    assert tmap.meta == TransitionMeta("discrete", 2, tmap.meta.radius)
     assert want <= tmap.meta.radius <= want * (1 + 1e-12)
     assert tmap.dumps() == build_transition_discrete(level, linmap, M=2).dumps()
     saddle = make_builtin("saddle2d", Q2)
@@ -335,12 +341,12 @@ def test_corrupted_map_reports_violation() -> None:
     flat, witness = rep.containment_violations[0]
     # the witness is a sample of its own active cell
     loc = int(level.locate([flat])[0])
-    assert loc >= 0 and level.box_of_flat(flat).contains_point(witness)
+    assert loc >= 0 and cell_box(level, flat).contains_point(witness)
     # brute-force confirmation that the witness is genuine: its image lies in
     # the covered region but not in the mutated successor union
     wimg = eval_inverse(sys_, witness[None, :])[0]
     assert level.contains_points(wimg[None, :])[0]
-    phi_boxes = [level.box_of_flat(int(level.flats[t])) for t in mutated.targets_local(loc)]
+    phi_boxes = [cell_box(level, level.flats[t]) for t in mutated.targets_local(loc)]
     assert all(not b.contains_point(wimg) for b in phi_boxes)
 
 
@@ -357,10 +363,10 @@ def test_corrupted_flow_map_reports_violation() -> None:
     # its cell comes within the slack
     for flat, witness in rep.containment_violations:
         loc = int(level.locate([flat])[0])
-        assert loc >= 0 and level.box_of_flat(flat).contains_point(witness)
+        assert loc >= 0 and cell_box(level, flat).contains_point(witness)
         wimg = reference_backward_flow(sys_, witness, h, tol)
         assert Q2.contains_point(wimg)
-        phi_boxes = [level.box_of_flat(int(level.flats[t])) for t in mutated.targets_local(loc)]
+        phi_boxes = [cell_box(level, level.flats[t]) for t in mutated.targets_local(loc)]
         assert all(point_box_distance(wimg, b) > 10 * tol for b in phi_boxes)
 
 
@@ -520,11 +526,35 @@ def lookup_cases(draw) -> tuple[CoverLevel, np.ndarray, float, int]:
 @settings(max_examples=150, deadline=None)
 def test_lookup_matches_pair_scan(case, chunk: int) -> None:
     level, images, radius, M = case
-    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius)
     with patch.object(transition, "_CHUNK_ROWS", chunk):
         tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
     assert tmap.targets.dtype == np.int32
     assert edges_as_flats(tmap) == transition_pair_scan(level, images, radius)
+
+
+def test_pair_scan_catches_a_corrupted_boundary_array() -> None:
+    # the pair scan bounds cells by the midpoint recursion, not by the
+    # level's boundary arrays that the lookup reads: with interior face 5 of
+    # axis 0 moved by 0.45 of a cell, the lookup's map is no longer the scan
+    true_boundaries = CoverLevel.boundaries.func
+
+    def moved(level: CoverLevel) -> list[np.ndarray]:
+        B = true_boundaries(level)
+        B[0][5] += 0.45 * (B[0][6] - B[0][5])
+        return B
+
+    images = np.random.default_rng(5).uniform(-1.0, 1.0, size=(64, 2, 2))
+    with patch.object(CoverLevel, "boundaries", property(moved)):
+        level = CoverLevel.full(Q2, 3)
+        assert level.boundaries[0][5] != true_boundaries(level)[0][5]
+        tmap = TransitionMap(level, *transition._lookup_runs(level, images, 0.05), TransitionMeta("discrete", 2, 0.05))
+        scan = transition_pair_scan(level, images, 0.05)
+    assert edges_as_flats(tmap) != scan
+    # on the true boundaries the two agree
+    level = CoverLevel.full(Q2, 3)
+    tmap = TransitionMap(level, *transition._lookup_runs(level, images, 0.05), TransitionMeta("discrete", 2, 0.05))
+    assert edges_as_flats(tmap) == scan
 
 
 def assert_canonical_runs(tmap: TransitionMap) -> None:
@@ -545,7 +575,7 @@ def test_successor_view_is_the_pair_scan(case, chunk: int) -> None:
     # row in the level's lexicographic order, and the out-degrees and edge
     # count read from the runs agree with it
     level, images, radius, M = case
-    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius)
     scan = transition_pair_scan(level, images, radius)
     with patch.object(transition, "_CHUNK_ROWS", chunk):
         tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
@@ -568,7 +598,7 @@ def test_runs_of_the_successor_view_are_the_stored_runs(case) -> None:
     # _runs_of_rows followed by the successor view, and the successor view
     # turned back into runs, round-trip: the stored runs are canonical
     level, images, radius, M = case
-    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius)
     tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
     again = from_successors(level, tmap.indptr, tmap.targets, meta)
     for a, b in zip((again.run_ptr, again.run_start, again.run_count), (tmap.run_ptr, tmap.run_start, tmap.run_count)):
@@ -587,7 +617,7 @@ def test_has_edges_on_runs_matches_pair_scan(case) -> None:
     # every pair of cells, edge or not, empty rows included, with images on
     # cell faces and M = 2 among the cases
     level, images, radius, M = case
-    meta = TransitionMeta(kind="discrete", M=M, radius=radius, subdiameter=level.rho / M)
+    meta = TransitionMeta(kind="discrete", M=M, radius=radius)
     tmap = TransitionMap(level, *_lookup_runs(level, images, radius), meta)
     scan = transition_pair_scan(level, images, radius)
     flats = level.flats.tolist()
@@ -934,9 +964,9 @@ def test_point_location_matches_the_window_lookup_on_faces(kind: str, d: int, mo
 
         monkeypatch.setattr(transition, "reference_backward_flow", flow)
         monkeypatch.setitem(globals(), "reference_backward_flow", flow)
-        meta = TransitionMeta("continuous", 1, 0.0, level.rho, h=0.1)
+        meta = TransitionMeta("continuous", 1, 0.0, h=0.1)
     else:
-        meta = TransitionMeta("discrete", 1, 0.0, level.rho)
+        meta = TransitionMeta("discrete", 1, 0.0)
     tmap = corrupted_full_map(level, meta, seed=d)
     got = check_containment_condition(tmap, sys_, samples=30, seed=3).containment_violations
     want = axis_form_containment(tmap, sys_, samples=30, seed=3)
@@ -962,7 +992,7 @@ def test_point_location_is_exact_when_the_slack_spans_cells() -> None:
     slack = 10.0 * transition._CONTAINMENT_TOL
     assert level.rho < slack
     assert level.point_cells(level.box_los, slack)[0].min() == 4
-    tmap = corrupted_full_map(level, TransitionMeta("continuous", 1, 0.0, level.rho, h=0.05), seed=19)
+    tmap = corrupted_full_map(level, TransitionMeta("continuous", 1, 0.0, h=0.05), seed=19)
     got = check_containment_condition(tmap, sys_, samples=100, seed=5).containment_violations
     want = axis_form_containment(tmap, sys_, samples=100, seed=5)
     assert [(flat, p.tobytes()) for flat, p in got] == want
