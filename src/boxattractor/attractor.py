@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import MAX_FULL_GRID, Box, BoxKey, CoverLevel, expand_ranges, index_dtype, refine_cover
+from .geometry import MAX_FULL_GRID, MAX_LEVEL_CELLS, Box, BoxKey, CoverLevel, expand_ranges, refine_cover
 from .integrator import EulerParams, EulerSchedule
 from .systems import ContinuousSystemSpec, DiscreteSystemSpec
 from .transition import (
@@ -41,9 +41,9 @@ from .transition import (
     run_diagnostics,
 )
 
-# Cells allowed in one level. A run whose next level would hold more stops
-# with BoxBudgetError (the CLI's exit 3, artifacts of the finished levels
-# flushed) before that level's map can outgrow memory.
+# Cells allowed in one level, at most MAX_LEVEL_CELLS. A run whose next level
+# would hold more stops with BoxBudgetError (the CLI's exit 3, artifacts of
+# the finished levels flushed) before that level is built.
 DEFAULT_BOX_BUDGET = 1 << 22
 
 
@@ -168,7 +168,6 @@ def _prune_runs(run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarra
     np.add.at(by_start[1:], run_start, 1)  # with no index-sized temporary, unlike bincount
     np.cumsum(by_start, out=by_start)
     by_start_runs = None  # the ends and nodes of the runs sorted by start, made on the first sparse round
-    position = index_dtype(m)
 
     def dense(at: np.ndarray) -> np.ndarray:
         marks = np.zeros(n + 1, dtype=run_start.dtype)
@@ -196,7 +195,7 @@ def _prune_runs(run_ptr: np.ndarray, run_start: np.ndarray, run_count: np.ndarra
             order = np.argsort(run_start)
             by_start_runs = end[order], np.repeat(np.arange(n, dtype=run_start.dtype), np.diff(run_ptr))[order]
         ends, nodes = by_start_runs
-        k = expand_ranges(first, lens, position)
+        k = expand_ranges(first, lens, np.intp)  # run indices, which the cell count does not bound
         hit = ends[k] > np.repeat(at, lens)
         touched, lost = np.unique(nodes[k[hit]], return_counts=True)
         counts[touched] -= lost
@@ -217,7 +216,7 @@ def _selfloop_frac(tmap: TransitionMap) -> float:
     for each cell's own position (TransitionMap.has_edges)."""
     if tmap.size == 0:
         return 0.0
-    cells = np.arange(tmap.size, dtype=index_dtype(tmap.size))
+    cells = np.arange(tmap.size, dtype=np.int32)
     return float(np.mean(tmap.has_edges(cells, cells)))
 
 
@@ -320,37 +319,40 @@ def run_subdivision(
     Starts from the root cover (or from a `resume` pair of depth and kept
     flat indices), emits one (PruneResult, LevelReport) per completed level,
     and stops at max_depth, on an exhausted level, or with BoxBudgetError
-    when the next level would exceed the budget. A KeyboardInterrupt
+    when the next level, counted from the kept cells before it is built,
+    would exceed the budget. A budget outside 1..MAX_LEVEL_CELLS or a
+    max_depth beyond 62-bit flat indices raises ValueError before level 0.
+    A KeyboardInterrupt
     propagates after the current level's callback has fired, so streamed
     artifacts stay complete per level. `threads` is accepted for
     compatibility and ignored.
     """
+    if not 1 <= box_budget <= MAX_LEVEL_CELLS:
+        raise ValueError(f"box_budget must be in 1..{MAX_LEVEL_CELLS}")
+    if max_depth * Q.dim > 62:
+        raise ValueError("max_depth too large for 64-bit flat indices")
     if isinstance(sys, ContinuousSystemSpec):
         if euler is None:
             raise ValueError("continuous systems need an EulerSchedule")
         check_margin(sys, Q, euler.h0)
     if diagnostics and samples < 1:
         raise ValueError("samples must be >= 1")
-    if resume is None:
-        level = CoverLevel.full(Q, 0)
-        start = 0
-    else:
-        depth0, kept_flats = resume
-        prev = CoverLevel(Q, depth0, np.asarray(kept_flats, dtype=np.int64))
-        level = refine_cover(prev, prev.flats)
-        start = depth0 + 1
+    level = CoverLevel.full(Q, 0) if resume is None else CoverLevel(Q, *resume)
+    kept = level.flats
 
     out: list[tuple[PruneResult, LevelReport]] = []
-    for n in range(start, max_depth + 1):
-        if level.size > box_budget:
-            raise BoxBudgetError(depth=n, needed=level.size, budget=box_budget)
+    for n in range(level.depth + (resume is not None), max_depth + 1):
+        if n > level.depth:
+            needed = kept.size << level.dim
+            if needed > box_budget:
+                raise BoxBudgetError(depth=n, needed=needed, budget=box_budget)
+            level = refine_cover(level, kept)
         params = euler.params_at(n) if euler is not None else None
         result, report = _run_level(level, sys, M, params, diagnostics, samples, seed)
         out.append((result, report))
         if on_level is not None:
             on_level(level, result, report)
-        if not result.kept_flats.size:
+        kept = result.kept_flats
+        if not kept.size:
             break  # attractor region empty at this depth
-        if n < max_depth:
-            level = refine_cover(level, result.kept_flats)
     return out

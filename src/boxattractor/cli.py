@@ -44,7 +44,7 @@ from .attractor import (
     run_global,
     run_subdivision,
 )
-from .geometry import Box, CoverLevel, refine_cover
+from .geometry import MAX_LEVEL_CELLS, Box, CoverLevel, refine_cover
 from .integrator import EulerSchedule
 from .oracle import export_points_csv, reference_attractor_points, verify_sandwich
 from .systems import (
@@ -137,12 +137,12 @@ class RunConfig:
         for name, kind in kinds.items():  # exact types: a JSON true or false is a bool, never a number
             if type(getattr(self, name)) not in kind:
                 raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
-        if self.depth < 0:
-            raise ConfigError("depth must be nonnegative")
+        if not 0 <= self.depth <= 62 // self.q.dim:  # flat indices of depth * dim bits fit in an int64
+            raise ConfigError(f"depth must be in 0..{62 // self.q.dim} in dimension {self.q.dim}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.M < 1 or self.N < 1 or self.threads < 1 or self.box_budget < 1:
-            raise ConfigError("M, N, threads, and box budget must be positive")
+        if self.M < 1 or self.N < 1 or self.threads < 1 or not 1 <= self.box_budget <= MAX_LEVEL_CELLS:
+            raise ConfigError(f"M, N, threads, and box budget must be positive, the budget at most {MAX_LEVEL_CELLS}")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
         system = self.build_system()
@@ -167,7 +167,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int, help="accepted and ignored; runs are single-threaded")
     p.add_argument("--box-budget", type=int, dest="box_budget",
-                   help="most cells of one level; a run that would exceed it stops with exit 3 and flushed artifacts")
+                   help="most cells of one level, at most 2^31 - 1; a run whose next level would exceed it exits 3")
     p.add_argument("--diagnostics", action="store_true", default=None)
     p.add_argument("--samples", type=int, help="diagnostic samples per box")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",

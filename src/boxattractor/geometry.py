@@ -24,6 +24,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 MAX_FULL_GRID = 1 << 24  # hard cap on materialised full-grid covers
+MAX_LEVEL_CELLS = (1 << 31) - 1  # hard cap on one level's cells, so its cell ids are int32
 
 
 def _as_vector(x) -> np.ndarray:
@@ -165,6 +166,8 @@ class CoverLevel:
 
     Active cells are stored as a sorted array of flat indices; BoxKey views
     are materialised on demand. Instances are immutable after construction.
+    It holds at most MAX_LEVEL_CELLS cells, so its cell ids and lexicographic
+    positions (`_lex`, `_rank`, `run_cells`, `point_cells`) are int32.
     """
 
     def __init__(self, root: Box, depth: int, flats):
@@ -173,6 +176,8 @@ class CoverLevel:
             raise ValueError("depth must be nonnegative")
         if depth * root.dim > 62:
             raise ValueError("depth too large for 64-bit flat indices")
+        if flats.size > MAX_LEVEL_CELLS:
+            raise ValueError(f"a level holds at most {MAX_LEVEL_CELLS} cells, not {flats.size}")
         if flats.size and (flats[0] < 0 or flats[-1] >= (1 << (depth * root.dim))):
             raise ValueError("flat index out of range for depth")
         self.root = root
@@ -242,16 +247,15 @@ class CoverLevel:
     @cached_property
     def _lex(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate-lexicographic keys of the active cells (axis 0 slowest),
-        sorted, and the local id of the cell behind each key (int32 while the
-        level has fewer than 2^31 cells)."""
+        sorted, and the local id of the cell behind each key."""
         keys = _lex_keys(list(self.coords.T), self.cells_per_axis)
         order = np.argsort(keys)
-        return keys[order], order.astype(index_dtype(self.size))
+        return keys[order], order.astype(np.int32)
 
     @cached_property
     def _rank(self) -> np.ndarray:
         """The position of each local cell in the sorted lexicographic keys:
-        the inverse permutation of _lex[1], in the same dtype."""
+        the inverse permutation of _lex[1]."""
         order = self._lex[1]
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size, dtype=order.dtype)
@@ -329,16 +333,14 @@ class CoverLevel:
     def run_cells(self, start: np.ndarray, count: np.ndarray) -> np.ndarray:
         """The local indices of the cells of the runs of :meth:`row_runs`
         given by their start and count, run after run, each run in coordinate
-        order (int32 while the level has fewer than 2^31 cells)."""
-        order = self._lex[1]
-        return order[expand_ranges(start, count, order.dtype)]
+        order."""
+        return self._lex[1][expand_ranges(start, count, np.int32)]
 
     def point_cells(self, points, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Point location: per point, the number of grid cells c with
         point_box_distance(p, c) <= r (r >= 0), and the active cells among
         them as (point index, local id) pairs, ordered by point and then by
-        coordinates (local ids int32 while the level has fewer than 2^31
-        cells). The windows are :func:`_exact_windows`, as for
+        coordinates. The windows are :func:`_exact_windows`, as for
         :meth:`cell_windows` but axis by axis with no (m, d) arrays, and one
         search of the level's keys per candidate cell (:func:`_window_keys`)
         finds the active ones: grid arithmetic per axis and one key search
@@ -390,11 +392,6 @@ def across_axes(ufunc: np.ufunc, a: np.ndarray, initial=None):
     """
     columns = (a[..., k] for k in range(a.shape[-1]))
     return reduce(ufunc, columns) if initial is None else reduce(ufunc, columns, initial)
-
-
-def index_dtype(n: int) -> type:
-    """int32 while the indices below n fit in it, int64 otherwise."""
-    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 def expand_ranges(start: np.ndarray, count: np.ndarray, dtype=np.int64) -> np.ndarray:

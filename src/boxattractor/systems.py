@@ -75,8 +75,6 @@ class ContinuousSystemSpec:
 
 SystemSpec = DiscreteSystemSpec | ContinuousSystemSpec
 
-BUILTIN_NAMES = ("linmap2d", "henon", "halving1d", "cubic1d", "saddle2d")
-
 
 def _evaluate(fn: Callable[[np.ndarray], np.ndarray], vectorized: bool, x, what: str) -> np.ndarray:
     """fn at a point or a (..., d) batch of points, point by point when fn is
@@ -237,12 +235,13 @@ def _make_saddle2d(Q: Box) -> ContinuousSystemSpec:
 
 
 _FACTORIES = {
-    "halving1d": _make_halving1d,
     "linmap2d": _make_linmap2d,
     "henon": _make_henon,
+    "halving1d": _make_halving1d,
     "cubic1d": _make_cubic1d,
     "saddle2d": _make_saddle2d,
 }
+BUILTIN_NAMES = tuple(_FACTORIES)
 
 
 def make_builtin(name: str, Q: Box, **params) -> SystemSpec:

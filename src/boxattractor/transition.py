@@ -59,7 +59,6 @@ from .geometry import (
     box_corners,
     expand_ranges,
     grid_points,
-    index_dtype,
     point_box_distance,
     subbox_centers,
 )
@@ -67,6 +66,7 @@ from .integrator import EulerParams, enclosure_radius, euler_backward, reference
 from .systems import (
     ContinuousSystemSpec,
     DiscreteSystemSpec,
+    EvaluationError,
     eval_field,
     eval_inverse,
 )
@@ -91,16 +91,16 @@ class TransitionMap:
     position). Source i's runs are k = run_ptr[i] .. run_ptr[i + 1] - 1, and
     run k holds the run_count[k] cells at positions run_start[k] onwards.
     A source's runs are disjoint, not adjacent and ascending, so every edge
-    is held once. run_ptr is int64 and the runs are int32 while the level
-    has fewer than 2^31 cells. The runs are the only stored form, at 8 bytes
-    per run, and `has_edges` answers edge queries on them by one search over
-    keys it builds per call for the queried sources' runs. The successor
-    rows `indptr` (the cumulative out-degrees, int64) and `targets` (indices
-    local into level.flats, int32 while the level has fewer than 2^31 cells)
-    are expanded from the runs on every access, each row in run order, which
-    is the level's lexicographic order; so is `targets_local(i)`, which
-    expands source i's runs only. `to_json_dict` and `dumps` sort each row
-    by local index, which is flat order, so the serialisation is canonical.
+    is held once. run_ptr is int64 and the runs are int32, as every cell id
+    and position of a level is (CoverLevel). The runs are the only stored
+    form, at 8 bytes per run, and `has_edges` answers edge queries on them
+    by one search over keys it builds per call for the queried sources'
+    runs. The successor rows `indptr` (the cumulative out-degrees, int64)
+    and `targets` (int32 indices local into level.flats) are expanded from
+    the runs on every access, each row in run order, which is the level's
+    lexicographic order; so is `targets_local(i)`, which expands source i's
+    runs only. `to_json_dict` and `dumps` sort each row by local index,
+    which is flat order, so the serialisation is canonical.
     """
 
     def __init__(
@@ -237,16 +237,14 @@ def _merged_runs(row: np.ndarray, start: np.ndarray, end: np.ndarray, n: int) ->
 def _runs_of_rows(indptr: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, ...]:
     """CSR rows of positions on n = indptr.size - 1 nodes as runs: each
     row's positions sorted, with repeated and consecutive positions merged.
-    Returns (run_ptr int64, run_start, run_count), the runs in n's index
-    dtype."""
+    Returns (run_ptr int64, run_start int32, run_count int32)."""
     n = indptr.size - 1
-    dtype = index_dtype(n)
-    rows = np.repeat(np.arange(n, dtype=dtype), np.diff(indptr))
-    positions = positions.astype(dtype)
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    positions = positions.astype(np.int32)
     row, start, count = _merged_runs(rows, positions, positions + 1, n)
     run_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=run_ptr[1:])
-    return run_ptr, start.astype(dtype), count.astype(dtype)
+    return run_ptr, start.astype(np.int32), count.astype(np.int32)
 
 
 def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
@@ -257,16 +255,15 @@ def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[
     CoverLevel.window_rows, unless one source alone holds more; it ends on a
     source boundary, so _merged_runs sees all of a source's runs at once and
     for M > 1 drops the cells that several windows of a source hold. Returns
-    (run_ptr int64, run_start, run_count), the runs in the level's index
-    dtype; no array has one entry per edge."""
+    (run_ptr int64, run_start int32, run_count int32); no array has one
+    entry per edge."""
     n, per = images.shape[:2]
     lo, hi = level.cell_windows(images.reshape(-1, level.dim), radius)
     rows = level.window_rows(lo, hi)
     ends = np.zeros(n + 1, dtype=np.int64)  # the rows before each source
     np.cumsum(across_axes(np.add, rows.reshape(n, per)), out=ends[1:])
-    dtype = index_dtype(level.size)
     runs = np.zeros(n, dtype=np.int64)
-    starts, counts = [np.empty(0, dtype)], [np.empty(0, dtype)]
+    starts, counts = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     s0 = 0
     while s0 < n:
         s1 = max(int(np.searchsorted(ends, ends[s0] + _CHUNK_ROWS, side="right")) - 1, s0 + 1)
@@ -276,8 +273,8 @@ def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[
         start = start[kept]
         source, start, count = _merged_runs(point[kept] // per, start, start + count[kept], level.size)
         runs[s0:s1] = np.bincount(source, minlength=s1 - s0)
-        starts.append(start.astype(dtype))
-        counts.append(count.astype(dtype))
+        starts.append(start.astype(np.int32))
+        counts.append(count.astype(np.int32))
         s0 = s1
     run_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(runs, out=run_ptr[1:])
@@ -321,7 +318,8 @@ def build_transition(
     centres and the radius of the ball around it: f^{-1} and L * rho/(2M)
     for a map, N Euler substeps of `params` and the enclosure radius of
     rho/(2M) for a flow. The radius is rounded outward for float64 and
-    recorded in the map's meta. Maps ignore `params`.
+    recorded in the map's meta; one that is not finite, which no cell test
+    passes, raises EvaluationError. Maps ignore `params`.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -347,6 +345,8 @@ def build_transition(
     images = image(centers) if level.size else centers
     del centers
     radius = _round_outward(radius, lip, extent, images, steps)
+    if not math.isfinite(radius):
+        raise EvaluationError(f"the transition radius of {sys.name} at depth {level.depth} is {radius}")
     meta = TransitionMeta(kind, M, radius, h=h, substeps=steps)
     return TransitionMap(level, *_lookup_runs(level, images, radius), meta)
 

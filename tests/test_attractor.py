@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import tracemalloc
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -29,7 +30,7 @@ from boxattractor.geometry import (
 )
 from boxattractor.integrator import EulerParams, EulerSchedule, euler_backward, reference_backward_flow
 from boxattractor.oracle import reach_cycle_set, reference_attractor_points
-from boxattractor.systems import eval_inverse, make_builtin
+from boxattractor.systems import EvaluationError, eval_inverse, make_builtin
 from boxattractor.transition import (
     TransitionMap,
     TransitionMeta,
@@ -489,7 +490,7 @@ def test_subdivision_budget_overflow_flushes_partial() -> None:
             sys_, Q2, max_depth=9, M=1, box_budget=200,
             on_level=lambda level, res, rep: seen.append(rep.depth),
         )
-    assert seen == [0, 1, 2, 3, 4]  # depth 5 would need 96 * 4 > 200 cells
+    assert seen == [0, 1, 2, 3, 4]  # depth 5 would need 64 * 4 > 200 cells
 
 
 def test_subdivision_rejects_samples_below_one_before_level_0() -> None:
@@ -500,6 +501,75 @@ def test_subdivision_rejects_samples_below_one_before_level_0() -> None:
             sys_, Q2, max_depth=3, euler=EulerSchedule(h0=0.2), diagnostics=True, samples=0,
             on_level=lambda level, res, rep: seen.append(rep.depth),
         )
+    assert seen == []
+
+
+def test_subdivision_checks_the_budget_before_building_the_level() -> None:
+    # the depth-5 level of linmap2d would hold 64 * 4 = 256 cells: the run
+    # stops on the kept count with the error it always gave, and no level
+    # above the budget is ever built, fresh or resumed
+    sys_ = make_builtin("linmap2d", Q2)
+    built: list[int] = []
+
+    def refine(level, kept):
+        built.append(level.flats_of(kept).size << level.dim)
+        return refine_cover(level, kept)
+
+    with patch.object(attractor, "refine_cover", refine):
+        with pytest.raises(BoxBudgetError) as err:
+            run_subdivision(sys_, Q2, max_depth=9, box_budget=200)
+        assert (err.value.depth, err.value.needed, err.value.budget) == (5, 256, 200)
+        kept4 = run_subdivision(sys_, Q2, max_depth=4)[-1][0].kept_flats
+        with pytest.raises(BoxBudgetError) as err:
+            run_subdivision(sys_, Q2, max_depth=9, box_budget=200, resume=(4, kept4))
+        assert (err.value.depth, err.value.needed, err.value.budget) == (5, 256, 200)
+    assert built and max(built) <= 200
+
+
+@pytest.mark.parametrize("kwargs", [dict(box_budget=0), dict(box_budget=2**31), dict(max_depth=63)])
+def test_subdivision_rejects_a_budget_or_depth_beyond_the_limits_before_level_0(kwargs) -> None:
+    # a budget outside 1..MAX_LEVEL_CELLS, or a depth whose flat indices
+    # need more than 62 bits, is refused before any level runs
+    seen: list[int] = []
+    with pytest.raises(ValueError):
+        run_subdivision(make_builtin("halving1d", Q1), Q1, **{"max_depth": 3, **kwargs},
+                        on_level=lambda level, res, rep: seen.append(rep.depth))
+    assert seen == []
+
+
+def test_subdivision_stops_on_an_empty_level() -> None:
+    # halving1d on [0.5, 1] keeps its one cell at depth 0 (the image ball
+    # reaches back into it) and none at depth 1: the run ends there
+    Q = Box([0.5], [1.0])
+    levels = run_subdivision(make_builtin("halving1d", Q), Q, 6)
+    assert [(r.depth, r.boxes_in, r.boxes_kept) for _, r in levels] == [(0, 1, 1), (1, 2, 0)]
+
+
+def _henon_with(**over):
+    Q = Box([-2.0, -2.0], [2.0, 2.0])
+    return replace(make_builtin("henon", Q), **over), Q, None
+
+
+def _saddle_with(**over):
+    return replace(make_builtin("saddle2d", Q2), **over), Q2, EulerSchedule(h0=0.2)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _henon_with(lipschitz_L=np.inf),
+    lambda: _henon_with(lipschitz_L=np.nan),
+    lambda: _henon_with(lipschitz_L=1e308),
+    lambda: (make_builtin("henon", Box([-2.0, -2.0], [2.0, 2.0]), a=1e308), Box([-2.0, -2.0], [2.0, 2.0]), None),
+    lambda: _saddle_with(lipschitz_L=np.inf),
+    lambda: _saddle_with(lipschitz_L=np.nan),
+    lambda: _saddle_with(bound_P=np.nan),
+])
+def test_a_radius_that_is_not_finite_aborts_the_level(case) -> None:
+    # no cell passes the edge test against a NaN radius, so a run would
+    # prune the whole cover and report an empty attractor: it aborts instead
+    sys_, Q, euler = case()
+    seen: list[int] = []
+    with pytest.raises(EvaluationError, match="radius"):
+        run_subdivision(sys_, Q, 3, euler=euler, on_level=lambda level, res, rep: seen.append(rep.depth))
     assert seen == []
 
 

@@ -171,6 +171,54 @@ def test_budget_overflow_exit_3(tmp_path: Path) -> None:
     assert {r["depth"] for r in records} == {0, 1, 2, 3, 4}
 
 
+def test_box_budget_above_the_level_limit_exit_2(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "2", "--box-budget": "2147483648"})) == 2
+    assert not (tmp_path / "ckpt").exists()
+    assert main(run_args(tmp_path, **{"--depth": "2", "--box-budget": "2147483647"})) == 0
+
+
+@pytest.mark.parametrize("q, depth, ok", [("-1:1", 62, True), ("-1:1", 63, False),
+                                          ("-1,-1:1,1", 31, True), ("-1,-1:1,1", 32, False)])
+def test_depth_beyond_64_bit_flat_indices_is_a_config_error(tmp_path: Path, q: str, depth: int, ok: bool) -> None:
+    # checked on the configuration, before any level runs; none is run here
+    args = cli.build_parser().parse_args(cli._join_q_flag(run_args(tmp_path, **{"--q": q, "--depth": str(depth)})))
+    if ok:
+        assert cli._load_config(args).depth == depth
+    else:
+        with pytest.raises(ConfigError, match="depth"):
+            cli._load_config(args)
+
+
+def test_run_that_ends_on_an_empty_level(tmp_path: Path, capsys) -> None:
+    # halving1d on [0.5, 1] keeps one cell at depth 0 and none at depth 1
+    args = run_args(tmp_path, **{"--q": "0.5:1"})
+    assert main(args) == 0
+    assert "[run] attractor region empty at depth 1" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["checkpoint_d0.json", "checkpoint_d1.json"]
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert [(s["depth"], s["boxes_kept"]) for s in stats] == [(0, 1), (1, 0)]
+    assert [r["depth"] for r in read_jsonl(tmp_path / "boxes.jsonl")] == [0]
+    for mode in ("sandwich", "containment", "gaps"):
+        assert main(["check", "--mode", mode, *args[1:]]) == 0
+
+
+def test_radius_that_is_not_finite_exit_1(tmp_path: Path) -> None:
+    # a=1e308 overflows henon's Lipschitz constant, so the depth-0 radius is
+    # NaN: the run aborts and writes no level, where it used to prune the
+    # whole cover and report an empty attractor with exit 0
+    flags = {"--system": "henon", "--q": "-2,-2:2,2", "--param": "a=1e308", "--depth": "3"}
+    args = run_args(tmp_path, **flags)
+    assert main(args) == 1
+    assert not any((tmp_path / "ckpt").iterdir())
+    assert (tmp_path / "boxes.jsonl").read_bytes() == b""
+    assert json.loads((tmp_path / "stats.json").read_text()) == []
+    # check replays the map of a level written for this configuration
+    cfg = cli._load_config(cli.build_parser().parse_args(cli._join_q_flag(args)))
+    level = CoverLevel.full(cfg.q, 0)
+    (tmp_path / "ckpt" / "checkpoint_d0.json").write_text(cli._checkpoint_text(level, level.flats, cfg.config_hash()))
+    assert main(["check", "--mode", "containment", *args[1:]]) == 1
+
+
 def test_sandwich_above_the_full_grid_cap_exit_3(tmp_path: Path) -> None:
     # the depth-13 global cover has 2^26 cells: within --box-budget but above
     # the full-grid cap, so the sandwich stops with exit 3, not a traceback

@@ -139,6 +139,22 @@ def test_refine_cover_examples() -> None:
         refine_cover(level2, [BoxKey(2, (0, 0))])  # pruned away above
 
 
+def test_level_holds_at_most_the_cell_limit(monkeypatch) -> None:
+    # the limit keeps every cell id int32; patched small here, since a level
+    # at the real limit would take 16 GiB of flat indices
+    assert geometry.MAX_LEVEL_CELLS == np.iinfo(np.int32).max
+    monkeypatch.setattr(geometry, "MAX_LEVEL_CELLS", 4)
+    root = Box([0.0, 0.0], [1.0, 1.0])
+    level = CoverLevel(root, 2, [0, 5, 10, 15])
+    assert level._lex[1].dtype == level._rank.dtype == np.int32
+    with pytest.raises(ValueError, match="at most 4 cells"):
+        CoverLevel(root, 2, [0, 1, 5, 10, 15])
+    with pytest.raises(ValueError, match="at most 4 cells"):
+        refine_cover(level, [0, 5])
+    with pytest.raises(ValueError, match="at most 4 cells"):
+        CoverLevel.full(root, 2)
+
+
 def test_sorted_flats_are_copied_and_unsorted_flats_still_sorted() -> None:
     # sorted unique input skips np.unique but is still copied: the level's
     # array is read-only and the caller's array stays writable and its own

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from boxattractor import systems
 from boxattractor.geometry import Box
 from boxattractor.systems import (
+    BUILTIN_NAMES,
     ContinuousSystemSpec,
     DiscreteSystemSpec,
     EvaluationError,
@@ -164,6 +167,13 @@ BUILTINS = [
     ("halving1d", Q1), ("linmap2d", Q2), ("henon", Box([-2.0, -2.0], [2.0, 2.0])),
     ("cubic1d", Box([-1.5], [1.5])), ("saddle2d", Q2),
 ]
+
+
+def test_builtin_names_are_the_factories_in_their_listed_order() -> None:
+    assert BUILTIN_NAMES == tuple(systems._FACTORIES) == ("linmap2d", "henon", "halving1d", "cubic1d", "saddle2d")
+    assert sorted(BUILTIN_NAMES) == sorted(name for name, _ in BUILTINS)
+    with pytest.raises(ValueError, match=re.escape(str(BUILTIN_NAMES))):
+        make_builtin("lorenz", Q1)
 
 
 @pytest.mark.parametrize("name,Q", BUILTINS)

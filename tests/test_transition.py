@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import boxattractor.transition as transition
 
 from boxattractor.geometry import Box, BoxKey, CoverLevel, box_corners, grid_points, point_box_distance, subbox_centers
-from boxattractor.integrator import EulerParams, enclosure_radius, euler_backward, reference_backward_flow
+from boxattractor.attractor import run_subdivision
+from boxattractor.integrator import EulerParams, EulerSchedule, enclosure_radius, euler_backward, reference_backward_flow
 from boxattractor.systems import (
     ContinuousSystemSpec,
     DiscreteSystemSpec,
@@ -708,6 +709,27 @@ def test_runs_do_not_depend_on_the_chunking(name: str, depth: int, M: int) -> No
         lo, hi = level.cell_windows(images.reshape(-1, 2), maps[0].meta.radius)
         assert int(level.window_rows(lo, hi).sum()) == 8_320
         assert lookups[:2] == [1, level.size]
+
+
+@pytest.mark.parametrize("name, Q, depth, h0", [
+    ("henon", Box([-2.0, -2.0], [2.0, 2.0]), 6, None), ("saddle2d", Q2, 6, 0.2), ("cubic1d", Box([-1.5], [1.5]), 8, 0.08),
+    ("halving1d", Q1, 8, None),
+])
+def test_every_level_indexes_its_cells_in_int32(name: str, Q: Box, depth: int, h0) -> None:
+    # one index space: on every level of a run, the lexicographic order, the
+    # ranks, the runs, their cells and the located cells are int32
+    sys_ = make_builtin(name, Q)
+    schedule = EulerSchedule(h0=h0) if h0 else None
+    levels: list[CoverLevel] = []
+    run_subdivision(sys_, Q, depth, euler=schedule, on_level=lambda level, res, rep: levels.append(level))
+    assert [level.depth for level in levels] == list(range(depth + 1))
+    for level in levels:
+        tmap = build_transition(level, sys_, 1, schedule.params_at(level.depth) if schedule else None)
+        located = level.point_cells((level.box_los + level.box_his) / 2.0, 0.0)[2]
+        arrays = [level._lex[1], level._rank, tmap.run_start, tmap.run_count, tmap.targets, tmap.targets_local(0),
+                  level.run_cells(tmap.run_start, tmap.run_count), located]
+        assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
+    assert all(a.dtype == np.int32 for a in _runs_of_rows(np.array([0, 2, 3]), np.array([1, 0, 1]))[1:])
 
 
 @pytest.mark.parametrize(
