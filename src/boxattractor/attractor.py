@@ -30,7 +30,7 @@ import numpy as np
 
 from .geometry import MAX_FULL_GRID, MAX_LEVEL_CELLS, Box, BoxKey, CoverLevel, expand_ranges, refine_cover
 from .integrator import EulerParams, EulerSchedule
-from .systems import ContinuousSystemSpec, DiscreteSystemSpec
+from .systems import ContinuousSystemSpec, DiscreteSystemSpec, _require_dim
 from .transition import (
     GapReport,
     TransitionMap,
@@ -285,6 +285,29 @@ def _run_level(
     return result, report
 
 
+def check_run_settings(sys: DiscreteSystemSpec | ContinuousSystemSpec, Q: Box, max_depth: int, M: int = 1,
+                       samples: int = 100, seed: int = 0, box_budget: int = DEFAULT_BOX_BUDGET,
+                       h0: float | None = None, resume_depth: int | None = None) -> None:
+    """Raise ValueError unless these settings may start a run: the system
+    and Q of one dimension, a budget in 1..MAX_LEVEL_CELLS, a max_depth in
+    0..62/d (flat indices of depth·d bits fit in an int64), M, samples >= 1,
+    seed >= 0, a resume depth of at most max_depth and, for a flow with a
+    first step h0, the margin between Q and the validity region (P*h0)."""
+    _require_dim(Q, sys.dim, sys.name)
+    if not 1 <= box_budget <= MAX_LEVEL_CELLS:
+        raise ValueError(f"box budget must be in 1..{MAX_LEVEL_CELLS}")
+    if not 0 <= max_depth <= 62 // Q.dim:
+        raise ValueError(f"depth must be in 0..{62 // Q.dim} in dimension {Q.dim}")
+    if M < 1 or samples < 1:
+        raise ValueError("M and samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if resume_depth is not None and resume_depth > max_depth:
+        raise ValueError(f"the resume depth {resume_depth} is deeper than the depth {max_depth}")
+    if h0 is not None and isinstance(sys, ContinuousSystemSpec):
+        check_margin(sys, Q, h0)
+
+
 def run_global(
     sys: DiscreteSystemSpec | ContinuousSystemSpec,
     Q: Box,
@@ -294,6 +317,7 @@ def run_global(
     box_budget: int = DEFAULT_BOX_BUDGET,
 ) -> tuple[PruneResult, LevelReport]:
     """Fixed-depth scheme: build the full 2^{nd}-cell cover, map, and prune."""
+    check_run_settings(sys, Q, depth, M, box_budget=box_budget)
     needed, budget = 1 << (depth * Q.dim), min(box_budget, MAX_FULL_GRID)  # CoverLevel.full's cap too
     if needed > budget:
         raise BoxBudgetError(depth=depth, needed=needed, budget=budget)
@@ -320,23 +344,16 @@ def run_subdivision(
     flat indices), emits one (PruneResult, LevelReport) per completed level,
     and stops at max_depth, on an exhausted level, or with BoxBudgetError
     when the next level, counted from the kept cells before it is built,
-    would exceed the budget. A budget outside 1..MAX_LEVEL_CELLS or a
-    max_depth beyond 62-bit flat indices raises ValueError before level 0.
-    A KeyboardInterrupt
-    propagates after the current level's callback has fired, so streamed
-    artifacts stay complete per level. `threads` is accepted for
-    compatibility and ignored.
+    would exceed the budget. Settings that check_run_settings refuses, or a
+    flow without an EulerSchedule, raise ValueError before level 0; a
+    resume at max_depth runs no level. A KeyboardInterrupt propagates after
+    the current level's callback has fired, so streamed artifacts stay
+    complete per level. `threads` is accepted for compatibility and ignored.
     """
-    if not 1 <= box_budget <= MAX_LEVEL_CELLS:
-        raise ValueError(f"box_budget must be in 1..{MAX_LEVEL_CELLS}")
-    if max_depth * Q.dim > 62:
-        raise ValueError("max_depth too large for 64-bit flat indices")
-    if isinstance(sys, ContinuousSystemSpec):
-        if euler is None:
-            raise ValueError("continuous systems need an EulerSchedule")
-        check_margin(sys, Q, euler.h0)
-    if diagnostics and samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_run_settings(sys, Q, max_depth, M, samples, seed, box_budget, h0=euler.h0 if euler is not None else None,
+                       resume_depth=resume[0] if resume is not None else None)
+    if isinstance(sys, ContinuousSystemSpec) and euler is None:
+        raise ValueError("continuous systems need an EulerSchedule")
     level = CoverLevel.full(Q, 0) if resume is None else CoverLevel(Q, *resume)
     kept = level.flats
 

@@ -15,8 +15,9 @@ built chunk by chunk as byte matrices: one row per record, whose columns
 are the constant JSON fragments, the reprs of the level boundaries and the
 decimal digits of the indices.
 
-Exit codes: 0 success, 1 failed verdict, 2 configuration error,
-3 box-budget overflow (partial results flushed), 130 handled interrupt.
+Exit codes, which main alone maps from exceptions for every subcommand:
+0 success, 1 failed verdict or aborted evaluation, 2 configuration or file
+error, 3 box-budget overflow, 130 interrupt; a run keeps its finished levels.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from .attractor import (
     BoxBudgetError,
     LevelReport,
     PruneResult,
+    check_run_settings,
     prune,
     run_global,
     run_subdivision,
 )
-from .geometry import MAX_LEVEL_CELLS, Box, CoverLevel, refine_cover
+from .geometry import Box, CoverLevel, refine_cover
 from .integrator import EulerSchedule
 from .oracle import export_points_csv, reference_attractor_points, verify_sandwich
 from .systems import (
@@ -53,7 +55,7 @@ from .systems import (
     EvaluationError,
     make_builtin,
 )
-from .transition import build_transition, check_containment_condition, check_margin, measure_overapprox_gap
+from .transition import build_transition, check_containment_condition, measure_overapprox_gap
 
 _BOX_CHUNK = 4096  # kept cells per chunk of the boxes records
 
@@ -130,29 +132,28 @@ class RunConfig:
         system = self.build_system()
         return system, self.schedule() if isinstance(system, ContinuousSystemSpec) else None
 
-    def validate(self, for_run: bool = True) -> None:
+    def validate(self, for_run: bool = True, resume_depth: int | None = None) -> None:
+        """Refuse, as ConfigError, settings of the wrong type or that
+        check_run_settings refuses; a run or check of a flow needs --h0."""
         kinds = dict.fromkeys(("depth", "M", "N", "seed", "threads", "box_budget", "samples"), (int,))
         kinds.update(h0=(int, float, type(None)), alpha=(int, float), diagnostics=(bool,), out=(str,), stats=(str,))
         kinds.update(checkpoint_dir=(str, type(None)))
         for name, kind in kinds.items():  # exact types: a JSON true or false is a bool, never a number
             if type(getattr(self, name)) not in kind:
                 raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
-        if not 0 <= self.depth <= 62 // self.q.dim:  # flat indices of depth * dim bits fit in an int64
-            raise ConfigError(f"depth must be in 0..{62 // self.q.dim} in dimension {self.q.dim}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.M < 1 or self.N < 1 or self.threads < 1 or not 1 <= self.box_budget <= MAX_LEVEL_CELLS:
-            raise ConfigError(f"M, N, threads, and box budget must be positive, the budget at most {MAX_LEVEL_CELLS}")
-        if self.samples < 1:
-            raise ConfigError("samples must be positive")
+        if self.N < 1 or self.threads < 1:
+            raise ConfigError("N and threads must be positive")
         system = self.build_system()
+        h0 = None
         if for_run and isinstance(system, ContinuousSystemSpec):
             if self.h0 is None:
                 raise ConfigError(f"system {self.system!r} is continuous: --h0 is required")
-            try:
-                check_margin(system, self.q, self.schedule().h0)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            h0 = self.schedule().h0
+        try:
+            check_run_settings(system, self.q, self.depth, self.M, self.samples, self.seed, self.box_budget,
+                               h0=h0, resume_depth=resume_depth)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -243,8 +244,10 @@ def _write_atomic(path: Path, text: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fp:
             fp.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name the path the caller gave, not the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -310,16 +313,14 @@ def _read_checkpoint(path: Path, cfg_hash: str, root: Box) -> CoverLevel:
 def cmd_run(cfg: RunConfig) -> int:
     system, schedule = cfg.system_and_schedule()
     cfg_hash = cfg.config_hash()
-    out_path = Path(cfg.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    Path(cfg.stats).parent.mkdir(parents=True, exist_ok=True)
-    ckpt_base = _checkpoint_path(cfg, 0).parent
-    ckpt_base.mkdir(parents=True, exist_ok=True)
-
     start = _read_checkpoint(Path(cfg.resume), cfg_hash, cfg.q) if cfg.resume else None
+    if start:
+        cfg.validate(resume_depth=start.depth)  # before any file is written
     committed, records = _earlier_levels(cfg, start) if start else (0, [])
+    out_path = Path(cfg.out)
+    for base in (out_path.parent, Path(cfg.stats).parent, _checkpoint_path(cfg, 0).parent):
+        base.mkdir(parents=True, exist_ok=True)
 
-    status = 0
     boxes_fp = open(out_path, "r+b" if committed else "wb")
     boxes_fp.seek(committed)  # the end of the last level whose checkpoint is written
     boxes_fp.truncate()
@@ -369,20 +370,11 @@ def cmd_run(cfg: RunConfig) -> int:
             resume=(start.depth, start.flats) if start else None,
             on_level=on_level,
         )
-    except KeyboardInterrupt:
-        _log("[run] interrupted; partial results flushed")
-        status = 130
-    except BoxBudgetError as exc:
-        _log(f"[run] box budget exceeded: {exc}; partial results flushed")
-        status = 3
-    except EvaluationError as exc:
-        _log(f"[run] aborted: {exc}")
-        status = 1
     finally:
         # a level interrupted before its checkpoint was written is dropped
         boxes_fp.truncate(committed)
         boxes_fp.close()
-    return status
+    return 0
 
 
 def _box_lines(level: CoverLevel, kept: np.ndarray):
@@ -540,8 +532,7 @@ def cmd_check(cfg: RunConfig, mode: str, max_global_depth: int = 6,
     verdict["pass"] = bool(ok)
     text = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
     if verdict_path:
-        with open(verdict_path, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+        _write_atomic(Path(verdict_path), text)
     else:
         _sys.stdout.write(text)
     return 0 if ok else 1
@@ -593,14 +584,12 @@ def cmd_prune_graph(input_path: str | None, output_path: str | None) -> int:
         else:
             data = json.load(_sys.stdin)
         edges = _graph_edges(data["edges"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        _log(f"[prune-graph] malformed input: {exc}")
-        return 2
+    except (KeyError, ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
+        raise ConfigError(f"[prune-graph] malformed input: {exc}") from None
     result = prune(edges.keys(), edges)
     text = json.dumps({"kept": [int(k) for k in result.kept]}, sort_keys=True) + "\n"
     if output_path and output_path != "-":
-        with open(output_path, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(text)
+        _write_atomic(Path(output_path), text)
     else:
         _sys.stdout.write(text)
     return 0
@@ -672,36 +661,29 @@ def _join_q_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = _sys.argv[1:]
-    args = parser.parse_args(_join_q_flag(list(argv)))
+    args = build_parser().parse_args(_join_q_flag(list(_sys.argv[1:] if argv is None else argv)))
+    kept_note = "; finished levels are kept" if args.command == "run" else ""
     try:
         if args.command == "run":
             return cmd_run(_load_config(args))
         if args.command == "check":
-            return cmd_check(
-                _load_config(args),
-                mode=args.mode,
-                max_global_depth=args.max_global_depth,
-                resolution=args.resolution,
-                horizon=args.horizon,
-                verdict_path=args.verdict,
-            )
+            return cmd_check(_load_config(args), args.mode, args.max_global_depth, args.resolution, args.horizon,
+                             args.verdict)
         if args.command == "prune-graph":
             return cmd_prune_graph(args.input, args.output)
-        if args.command == "oracle":
-            return cmd_oracle(_load_config(args, for_run=False), args.resolution, args.horizon, args.oracle_out)
-    except ConfigError as exc:
+        return cmd_oracle(_load_config(args, for_run=False), args.resolution, args.horizon, args.oracle_out)
+    except (ConfigError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
-    except BoxBudgetError as exc:
-        _log(f"error: {exc}")
-        return 3
     except EvaluationError as exc:
-        _log(f"error: {exc}")
+        _log(f"error: {exc}{kept_note}")
         return 1
-    return 2
+    except BoxBudgetError as exc:
+        _log(f"error: box budget exceeded: {exc}{kept_note}")
+        return 3
+    except KeyboardInterrupt:
+        _log(f"[{args.command}] interrupted{kept_note}")
+        return 130
 
 
 if __name__ == "__main__":

@@ -36,6 +36,14 @@ def _as_vector(x) -> np.ndarray:
     return v
 
 
+def _same_dim(box: "Box", v: np.ndarray) -> np.ndarray:
+    """v, a point or corner, if it has the box's dimension; numpy would
+    broadcast a one-axis v over every axis of the box, or fail on others."""
+    if v.size != box.dim:
+        raise ValueError(f"a {v.size}-dimensional point or box against a {box.dim}-dimensional box")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Nonempty, nondegenerate closed box given by its lower and upper corner."""
@@ -67,10 +75,11 @@ class Box:
         return float(np.max(self.hi - self.lo))
 
     def contains_point(self, p) -> bool:
-        p = _as_vector(p)
+        p = _same_dim(self, _as_vector(p))
         return bool(np.all(self.lo <= p) and np.all(p <= self.hi))
 
     def contains_box(self, other: "Box") -> bool:
+        _same_dim(self, other.lo)
         return bool(np.all(self.lo <= other.lo) and np.all(other.hi <= self.hi))
 
     def __eq__(self, other) -> bool:
@@ -84,7 +93,7 @@ class Box:
 
 def point_box_distance(p, b: Box) -> float:
     """Infinity-norm distance from a point to a closed box (0 iff p in b)."""
-    p = _as_vector(p)
+    p = _same_dim(b, _as_vector(p))
     gap = np.maximum(b.lo - p, p - b.hi)
     return float(max(np.max(gap), 0.0))
 

@@ -67,6 +67,7 @@ from .systems import (
     ContinuousSystemSpec,
     DiscreteSystemSpec,
     EvaluationError,
+    _require_dim,
     eval_field,
     eval_inverse,
 )
@@ -284,6 +285,7 @@ def _lookup_runs(level: CoverLevel, images: np.ndarray, radius: float) -> tuple[
 def check_margin(sys: ContinuousSystemSpec, root: Box, h: float) -> None:
     """Raise ValueError unless the drift bound P*h fits between the study box
     and the validity region, so every Euler image stays where g is valid."""
+    _require_dim(root, sys.dim, sys.name)
     V = sys.validity_region
     margin = float(min(np.min(root.lo - V.lo), np.min(V.hi - root.hi)))
     if sys.bound_P * h > margin:

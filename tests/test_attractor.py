@@ -30,7 +30,13 @@ from boxattractor.geometry import (
 )
 from boxattractor.integrator import EulerParams, EulerSchedule, euler_backward, reference_backward_flow
 from boxattractor.oracle import reach_cycle_set, reference_attractor_points
-from boxattractor.systems import EvaluationError, eval_inverse, make_builtin
+from boxattractor.systems import (
+    ContinuousSystemSpec,
+    DiscreteSystemSpec,
+    EvaluationError,
+    eval_inverse,
+    make_builtin,
+)
 from boxattractor.transition import (
     TransitionMap,
     TransitionMeta,
@@ -535,6 +541,65 @@ def test_subdivision_rejects_a_budget_or_depth_beyond_the_limits_before_level_0(
         run_subdivision(make_builtin("halving1d", Q1), Q1, **{"max_depth": 3, **kwargs},
                         on_level=lambda level, res, rep: seen.append(rep.depth))
     assert seen == []
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(box_budget=0), "budget"),
+    (dict(box_budget=2**31), "budget"),
+    (dict(max_depth=-1), "depth"),
+    (dict(max_depth=32), "depth"),  # 64 bits in 2-D
+    (dict(M=0), "M and samples"),
+    (dict(samples=0), "M and samples"),  # without diagnostics too
+    (dict(seed=-1), "seed"),
+    (dict(max_depth=2, resume=(3, np.arange(4))), "resume depth"),
+    (dict(euler=EulerSchedule(h0=2.0)), "margin"),  # a flow whose P * h0 exceeds its margin
+], ids=["budget-0", "budget-2^31", "depth--1", "depth-32", "M-0", "samples-0", "seed--1", "resume-deeper",
+        "margin"])
+def test_run_settings_are_refused_before_any_level_is_built(monkeypatch, kwargs: dict, match: str) -> None:
+    built: list[int] = []
+    init = CoverLevel.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+
+    sys_ = make_builtin("saddle2d" if "euler" in kwargs else "linmap2d", Q2)
+    monkeypatch.setattr(CoverLevel, "__init__", counting_init)
+    with pytest.raises(ValueError, match=match):
+        run_subdivision(sys_, Q2, **{"max_depth": 3, **kwargs})
+    assert built == []
+
+
+def test_resume_at_the_last_depth_runs_no_level() -> None:
+    sys_ = make_builtin("halving1d", Q1)
+    kept3 = run_subdivision(sys_, Q1, max_depth=3)[-1][0].kept_flats
+    assert run_subdivision(sys_, Q1, max_depth=3, resume=(3, kept3)) == []
+    with pytest.raises(ValueError, match="resume depth 3 is deeper than the depth 2"):
+        run_subdivision(sys_, Q1, max_depth=2, resume=(3, kept3))
+
+
+_PLANE = Box([-4.0, -4.0], [4.0, 4.0])
+
+
+@pytest.mark.parametrize("Q", [Q1, Box([-1.0] * 3, [1.0] * 3)], ids=["1-D", "3-D"])
+@pytest.mark.parametrize("kind", ["map", "flow"])
+def test_a_study_box_of_another_dimension_is_refused_at_entry(Q: Box, kind: str) -> None:
+    # a 2-D system on a 1-D or 3-D box used to run by numpy broadcasting
+    # (a 1-D box kept 1, 2, 4, 4, 4 cells) or fail inside its evaluator
+    if kind == "map":
+        sys_ = DiscreteSystemSpec(lambda p: 2.0 * p, 2.0, _PLANE, vectorized=True)
+        euler = params = None
+    else:
+        sys_ = ContinuousSystemSpec(lambda p: -p, 8.0, 1.0, _PLANE, vectorized=True)
+        euler = EulerSchedule(h0=0.1)
+        params = euler.params_at(1)
+    dims = rf"2-dimensional.*{Q.dim}-dimensional|{Q.dim}-dimensional.*2-dimensional"
+    with pytest.raises(ValueError, match=dims):
+        run_subdivision(sys_, Q, 4, euler=euler)
+    with pytest.raises(ValueError, match=dims):
+        run_global(sys_, Q, 1, euler=params)
+    with pytest.raises(ValueError, match=dims):
+        build_transition(CoverLevel.full(Q, 1), sys_, 1, params)
 
 
 def test_subdivision_stops_on_an_empty_level() -> None:

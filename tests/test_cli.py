@@ -1012,3 +1012,116 @@ def test_interrupted_checkpoint_write_leaves_whole_files(tmp_path: Path, monkeyp
     for d in range(1, 6):
         name = f"checkpoint_d{d}.json"
         assert (resumed_dir / "ckpt" / name).read_bytes() == (full_dir / "ckpt" / name).read_bytes()
+
+
+def _files(tmp: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(tmp)): p.read_bytes() for p in sorted(tmp.rglob("*")) if p.is_file()}
+
+
+def test_resume_deeper_than_depth_exit_2_with_the_files_unchanged(tmp_path: Path, capsys) -> None:
+    # a resume from depth 3 with --depth 2 used to truncate a depth-5 run's
+    # boxes and stats to depth 3 and exit 0, leaving checkpoints d4 and d5
+    assert main(run_args(tmp_path, **{"--depth": "5"})) == 0
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(run_args(tmp_path, **{"--depth": "2", "--resume": str(tmp_path / "ckpt" / "checkpoint_d3.json")})) == 2
+    assert capsys.readouterr().err == "error: the resume depth 3 is deeper than the depth 2\n"
+    assert _files(tmp_path) == before
+
+
+def test_resume_at_depth_is_a_no_op(tmp_path: Path) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "3"})) == 0
+    before = _files(tmp_path)
+    assert main(run_args(tmp_path, **{"--depth": "3", "--resume": str(tmp_path / "ckpt" / "checkpoint_d3.json")})) == 0
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("flags", [
+    {"--seed": "-1"}, {"--samples-per-axis": "0"}, {"--samples": "0"}, {"--box-budget": "0"}, {"--depth": "-1"},
+    {"--euler-substeps": "0"}, {"--threads": "0"}, {"--system": "henon"},
+    {"--system": "cubic1d", "--q": "-1.5:1.5"},  # a flow without --h0
+    {"--system": "cubic1d", "--q": "-1.9:1.9", "--h0": "0.1"},  # margin
+])
+def test_refused_settings_exit_2_with_no_file_written(tmp_path: Path, flags: dict) -> None:
+    assert main(run_args(tmp_path, **flags)) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["check", "prune-graph", "oracle"])
+def test_unwritable_output_exit_2_naming_the_path(tmp_path: Path, capsys, command: str) -> None:
+    # a missing directory used to end in a FileNotFoundError traceback with
+    # exit 1, the code of a failed verdict
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    target = tmp_path / "missing" / "out.json"
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"edges": {"0": [0]}}')
+    argv = {
+        "check": ["check", "--mode", "containment", *run_args(tmp_path, **{"--depth": "2"})[1:], "--verdict"],
+        "prune-graph": ["prune-graph", "--input", str(graph), "--output"],
+        "oracle": ["oracle", "--system", "halving1d", "--q", "-1:1", "--oracle-out"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(f"{str(target)!r}")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_interrupted_check_exits_130(tmp_path: Path, monkeypatch, capsys) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_transition", interrupted)
+    capsys.readouterr()
+    assert main(["check", "--mode", "containment", *run_args(tmp_path, **{"--depth": "2"})[1:]]) == 130
+    assert capsys.readouterr().err == "[check] interrupted\n"
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["none", "old"])
+def test_interrupted_verdict_write_leaves_the_old_verdict_or_none(tmp_path: Path, monkeypatch, earlier: bool) -> None:
+    assert main(run_args(tmp_path, **{"--depth": "2"})) == 0
+    verdict = tmp_path / "v.json"
+    old = b'{"pass": false}\n'
+    if earlier:
+        verdict.write_bytes(old)
+
+    class HalfWriter:
+        def __init__(self, fp):
+            self.fp = fp
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fp.__exit__(*exc)
+
+        def write(self, text: str) -> int:
+            self.fp.write(text[: len(text) // 2])
+            self.fp.flush()
+            raise KeyboardInterrupt
+
+    def cutting_open(path, *args, **kwargs):
+        fp = open(path, *args, **kwargs)
+        return HalfWriter(fp) if "v.json" in Path(path).name else fp
+
+    monkeypatch.setattr(cli, "open", cutting_open, raising=False)
+    argv = ["check", "--mode", "containment", *run_args(tmp_path, **{"--depth": "2"})[1:], "--verdict", str(verdict)]
+    assert main(argv) == 130
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["boxes.jsonl", "ckpt", "stats.json", *(["v.json"] * earlier)]
+    if earlier:
+        assert verdict.read_bytes() == old
+
+
+@pytest.mark.parametrize("case, code, line", [
+    ("budget", 3, "error: box budget exceeded: depth 5 needs 256 boxes, budget is 200; finished levels are kept"),
+    ("radius", 1, "error: the transition radius of henon at depth 0 is nan; finished levels are kept"),
+])
+def test_run_exit_lines_say_finished_levels_are_kept(tmp_path: Path, capsys, case: str, code: int, line: str) -> None:
+    flags = {
+        "budget": {"--system": "linmap2d", "--q": "-1,-1:1,1", "--depth": "9", "--box-budget": "200"},
+        "radius": {"--system": "henon", "--q": "-2,-2:2,2", "--param": "a=1e308", "--depth": "3"},
+    }[case]
+    assert main(run_args(tmp_path, **flags)) == code
+    assert capsys.readouterr().err.splitlines()[-1] == line

@@ -107,6 +107,19 @@ def test_point_box_distance_examples() -> None:
     assert point_box_distance([2.0, 3.0], b) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("other", [[0.5], [0.5, 0.5, 0.5]], ids=["1-D", "3-D"])
+def test_box_queries_refuse_another_dimension(other: list[float]) -> None:
+    # numpy would broadcast a 1-D operand over both axes (a 2-D box would
+    # contain [-1, 1]) and fail on a 3-D one with its own message
+    b = Box([-2.0, -2.0], [2.0, 2.0])
+    inner = Box([v - 1.0 for v in other], [v + 1.0 for v in other])
+    dims = f"a {len(other)}-dimensional point or box against a 2-dimensional box"
+    for query in (lambda: b.contains_box(inner), lambda: b.contains_point(other),
+                  lambda: point_box_distance(other, b)):
+        with pytest.raises(ValueError, match=dims):
+            query()
+
+
 @given(
     st.lists(st.floats(-5, 5), min_size=2, max_size=2),
     st.lists(st.floats(-5, 5), min_size=2, max_size=2),
