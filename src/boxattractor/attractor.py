@@ -30,7 +30,7 @@ import numpy as np
 
 from .geometry import MAX_FULL_GRID, MAX_LEVEL_CELLS, Box, BoxKey, CoverLevel, expand_ranges, refine_cover
 from .integrator import EulerParams, EulerSchedule
-from .systems import ContinuousSystemSpec, DiscreteSystemSpec, _require_dim
+from .systems import ContinuousSystemSpec, DiscreteSystemSpec, _require_dim, _require_inside, _require_int
 from .transition import (
     GapReport,
     TransitionMap,
@@ -291,9 +291,12 @@ def check_run_settings(sys: DiscreteSystemSpec | ContinuousSystemSpec, Q: Box, m
     """Raise ValueError unless these settings may start a run: the system
     and Q of one dimension, a budget in 1..MAX_LEVEL_CELLS, a max_depth in
     0..62/d (flat indices of depth·d bits fit in an int64), M, samples >= 1,
-    seed >= 0, a resume depth of at most max_depth and, for a flow with a
-    first step h0, the margin between Q and the validity region (P*h0)."""
+    seed >= 0, these four integers (NumPy ones too, never a bool), a resume
+    depth of at most max_depth and, for a map, Q inside the validity region
+    or, for a flow with a first step h0, the margin between them (P*h0)."""
     _require_dim(Q, sys.dim, sys.name)
+    for value, name in ((max_depth, "depth"), (M, "M"), (samples, "samples"), (seed, "seed")):
+        _require_int(value, name)
     if not 1 <= box_budget <= MAX_LEVEL_CELLS:
         raise ValueError(f"box budget must be in 1..{MAX_LEVEL_CELLS}")
     if not 0 <= max_depth <= 62 // Q.dim:
@@ -304,7 +307,9 @@ def check_run_settings(sys: DiscreteSystemSpec | ContinuousSystemSpec, Q: Box, m
         raise ValueError("seed must be nonnegative")
     if resume_depth is not None and resume_depth > max_depth:
         raise ValueError(f"the resume depth {resume_depth} is deeper than the depth {max_depth}")
-    if h0 is not None and isinstance(sys, ContinuousSystemSpec):
+    if isinstance(sys, DiscreteSystemSpec):
+        _require_inside(Q, sys.validity_region, sys.name)
+    elif h0 is not None:
         check_margin(sys, Q, h0)
 
 

@@ -12,8 +12,8 @@ decoder of flat indices into per-axis cell coordinates, and `boundaries`,
 each axis's midpoint-inserted faces, give `box_los` and `box_his`, which
 are the recursion's bounds bit for bit. Both spatial queries, the windows and
 runs of the map build and the point location of the containment check,
-get their per-axis cells from one exact window routine and their keys from
-one enumeration; they differ only in how they search the level's keys.
+get their windows from one pass, CoverLevel.cell_windows, laid out by axis,
+and their keys from one enumeration; they differ only in the key search.
 """
 
 from __future__ import annotations
@@ -303,17 +303,19 @@ class CoverLevel:
 
     def cell_windows(self, points, r: float) -> tuple[np.ndarray, np.ndarray]:
         """First and last cell index, per point and axis, of the cells within
-        r >= 0 (lo > hi where none is), by :func:`_exact_windows`. Exactness
-        contract: the product of a point's windows holds a grid cell iff
-        point_box_distance(p, cell) <= r with the cell's canonical bounds;
-        :meth:`row_runs` and :meth:`run_cells` give the active cells among
-        them.
+        r >= 0 (lo > hi where none is), by :func:`_exact_windows`: the input
+        check and windows of both spatial queries, as (m, d) views of (d, m)
+        arrays, so that the per-axis passes read contiguous columns.
+        Exactness contract: the product of a point's windows holds a grid
+        cell iff point_box_distance(p, cell) <= r with the cell's canonical
+        bounds; :meth:`row_runs` and :meth:`point_cells` find the active
+        cells among them.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
         los, his = zip(*(_exact_windows(B, x, r) for B, x in zip(self.boundaries, pts.T)))
-        return np.stack(los, axis=1), np.stack(his, axis=1)
+        return np.stack(los).T, np.stack(his).T
 
     @staticmethod
     def window_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -349,19 +351,15 @@ class CoverLevel:
         """Point location: per point, the number of grid cells c with
         point_box_distance(p, c) <= r (r >= 0), and the active cells among
         them as (point index, local id) pairs, ordered by point and then by
-        coordinates. The windows are :func:`_exact_windows`, as for
-        :meth:`cell_windows` but axis by axis with no (m, d) arrays, and one
+        coordinates. It takes its windows from :meth:`cell_windows`, and one
         search of the level's keys per candidate cell (:func:`_window_keys`)
         finds the active ones: grid arithmetic per axis and one key search
         for a point farther than r from every face.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"expected points of shape (m, {self.dim}), got {pts.shape}")
-        los, his = zip(*(_exact_windows(B, x, r) for B, x in zip(self.boundaries, pts.T)))
-        widths = [hi - lo + 1 for lo, hi in zip(los, his)]
+        lo, hi = self.cell_windows(points, r)
+        widths = list((hi - lo + 1).T)
         candidates = reduce(np.multiply, widths)
-        point, key = _window_keys(los, widths, candidates, self.cells_per_axis)
+        point, key = _window_keys(list(lo.T), widths, candidates, self.cells_per_axis)
         keys, order = self._lex
         pos = np.searchsorted(keys, key)
         hit = pos < keys.size

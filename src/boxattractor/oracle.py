@@ -106,7 +106,8 @@ def reference_attractor_points(
 
     Finite horizons over-select slightly, so the cloud is an outer sample of
     the attractor, suitable for lower-bounding required coverage. A
-    horizon that tests no backward step is refused.
+    horizon that tests no backward step, or a map's horizon that is not a
+    whole number of steps, is refused; a flow's may be fractional.
     """
     if not resolution > 0:
         raise ValueError("resolution must be positive")
@@ -115,10 +116,11 @@ def reference_attractor_points(
         horizon = DEFAULT_DISCRETE_HORIZON if discrete else DEFAULT_CONTINUOUS_HORIZON
     if not (horizon >= 1 if discrete else horizon > 0) or horizon == np.inf:
         raise ValueError("horizon must be finite and positive, and at least one step for a map")
+    if discrete and horizon != int(horizon):
+        raise ValueError(f"a map's horizon counts whole steps, got {horizon!r}")
     pts = _grid_over(Q, resolution)
     alive = backward_containment_mask(sys, Q, pts, horizon)
-    kept_horizon = float(int(horizon) if discrete else horizon)
-    return ReferenceAttractor(points=pts[alive], resolution=resolution, horizon=kept_horizon)
+    return ReferenceAttractor(points=pts[alive], resolution=resolution, horizon=float(horizon))
 
 
 def reach_cycle_set(edges: Mapping) -> set:

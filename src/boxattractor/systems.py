@@ -135,6 +135,12 @@ def _require_dim(Q: Box, d: int, name: str) -> None:
         raise ValueError(f"{name} is {d}-dimensional, got a {Q.dim}-dimensional box")
 
 
+def _require_int(value, name: str) -> None:
+    """Raise ValueError unless value is a Python or NumPy integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_inside(Q: Box, region: Box, name: str) -> None:
     if not region.contains_box(Q):
         raise ValueError(f"{name}: Q must lie inside the validity region {region!r}")
@@ -248,13 +254,16 @@ def make_builtin(name: str, Q: Box, **params) -> SystemSpec:
     """Instantiate a built-in system for the study region Q.
 
     Raises ValueError when Q exceeds the built-in's validity region or has
-    the wrong dimension, or a parameter value is out of range, and TypeError
-    for a parameter the system does not have.
+    the wrong dimension, or a parameter value is a bool or out of range, and
+    TypeError for a parameter the system does not have.
     """
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown system {name!r}; choose from {BUILTIN_NAMES}") from None
+    flags = sorted(k for k, v in params.items() if isinstance(v, (bool, np.bool_)))
+    if flags:
+        raise ValueError(f"{name} parameters {flags} are booleans, not numbers")
     return factory(Q, **params)
 
 

@@ -32,9 +32,9 @@ run, about 28 edges per run on henon levels. The prune reads the runs
 (attractor._prune_runs), and edge queries search the runs for each
 (source, target position) pair with one np.searchsorted: the self-loop
 share and the containment check, which finds each image's cells by point
-location (CoverLevel.point_cells: the same exact windows, with one key
-search per candidate cell instead of runs). The runs are the map's one
-stored form. The gap measurement reads
+location (CoverLevel.point_cells: the same CoverLevel.cell_windows pass,
+with one key search per candidate cell instead of runs). The runs are the
+map's one stored form. The gap measurement reads
 them too, finding the edges at given positions of the run order by
 bisecting the runs' cumulative counts (_edge_pairs), and the serialisation
 expands one source's runs at a time and sorts the row by flat index, so
@@ -68,6 +68,7 @@ from .systems import (
     DiscreteSystemSpec,
     EvaluationError,
     _require_dim,
+    _require_int,
     eval_field,
     eval_inverse,
 )
@@ -321,8 +322,10 @@ def build_transition(
     for a map, N Euler substeps of `params` and the enclosure radius of
     rho/(2M) for a flow. The radius is rounded outward for float64 and
     recorded in the map's meta; one that is not finite, which no cell test
-    passes, raises EvaluationError. Maps ignore `params`.
+    passes, raises EvaluationError. Maps ignore `params`. M is an integer
+    (NumPy ones too, no bool): a fractional M's centres would not tile a cell.
     """
+    _require_int(M, "M")
     if M < 1:
         raise ValueError("M must be >= 1")
     spread = level.rho / M / 2.0

@@ -553,8 +553,15 @@ def test_subdivision_rejects_a_budget_or_depth_beyond_the_limits_before_level_0(
     (dict(seed=-1), "seed"),
     (dict(max_depth=2, resume=(3, np.arange(4))), "resume depth"),
     (dict(euler=EulerSchedule(h0=2.0)), "margin"),  # a flow whose P * h0 exceeds its margin
+    # counts that are not integers: a fractional M's centres do not tile a cell under the radius of rho/(2M)
+    (dict(M=2.5), "M must be an integer"),
+    (dict(M=True), "M must be an integer"),
+    (dict(max_depth=3.0), "depth must be an integer"),
+    (dict(samples=2.5, diagnostics=True), "samples must be an integer"),
+    (dict(seed=1.5, diagnostics=True), "seed must be an integer"),
+    (dict(seed=np.float64(1.0)), "seed must be an integer"),
 ], ids=["budget-0", "budget-2^31", "depth--1", "depth-32", "M-0", "samples-0", "seed--1", "resume-deeper",
-        "margin"])
+        "margin", "M-2.5", "M-True", "depth-3.0", "samples-2.5", "seed-1.5", "seed-float64"])
 def test_run_settings_are_refused_before_any_level_is_built(monkeypatch, kwargs: dict, match: str) -> None:
     built: list[int] = []
     init = CoverLevel.__init__
@@ -568,6 +575,37 @@ def test_run_settings_are_refused_before_any_level_is_built(monkeypatch, kwargs:
     with pytest.raises(ValueError, match=match):
         run_subdivision(sys_, Q2, **{"max_depth": 3, **kwargs})
     assert built == []
+
+
+def test_a_maps_study_box_outside_its_validity_region_is_refused_before_any_level_is_built(monkeypatch) -> None:
+    built: list[int] = []
+    init = CoverLevel.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+
+    sys_ = DiscreteSystemSpec(lambda p: 2.0 * p, 2.0, Box([-0.5, -0.5], [0.5, 0.5]), vectorized=True)
+    monkeypatch.setattr(CoverLevel, "__init__", counting_init)
+    with pytest.raises(ValueError, match="validity region"):
+        run_subdivision(sys_, Q2, 3)
+    with pytest.raises(ValueError, match="validity region"):
+        run_global(sys_, Q2, 2)
+    assert built == []
+
+
+def test_numpy_integer_settings_run_as_python_ones() -> None:
+    sys_ = make_builtin("saddle2d", Q2)
+    schedule = EulerSchedule(0.2, 0.5)
+    want = run_subdivision(sys_, Q2, 4, M=2, euler=schedule, diagnostics=True, samples=5, seed=1)
+    got = run_subdivision(sys_, Q2, np.int32(4), M=np.int64(2), euler=schedule, diagnostics=True,
+                          samples=np.int64(5), seed=np.uint8(1))
+    assert [r.kept_flats.tolist() for r, _ in got] == [r.kept_flats.tolist() for r, _ in want]
+    assert [rep.gaps.to_json_dict() for _, rep in got] == [rep.gaps.to_json_dict() for _, rep in want]
+    level = CoverLevel.full(Q2, 2)
+    with pytest.raises(ValueError, match="M must be an integer"):
+        build_transition(level, sys_, 2.5, schedule.params_at(2))
+    assert build_transition(level, sys_, np.int64(2), schedule.params_at(2)).meta.M == 2
 
 
 def test_resume_at_the_last_depth_runs_no_level() -> None:

@@ -583,6 +583,8 @@ def test_check_sandwich_detects_tampering(tmp_path: Path) -> None:
     ("oracle", ["--resolution", "-0.5"]),
     ("oracle", ["--horizon", "-3", "--system", "henon", "--q", "-2,-2:2,2"]),
     ("oracle", ["--horizon", "0"]),
+    ("check", ["--horizon", "2.5"]),  # a map's horizon counts whole steps
+    ("oracle", ["--horizon", "2.5"]),
 ])
 def test_bad_oracle_flags_exit_2(tmp_path: Path, command: str, flags: list[str]) -> None:
     # a horizon that tests no backward step would keep every grid point
@@ -942,6 +944,7 @@ def test_checkpoint_non_integer_exit_2(tmp_path: Path, entry: dict) -> None:
     {"M": True},
     {"h0": True},
     {"alpha": False},
+    {"system": "henon", "q": "-2,-2:2,2", "params": {"a": True}},
 ])
 def test_malformed_config_values_exit_2(tmp_path: Path, entry: dict) -> None:
     cfg = tmp_path / "cfg.json"

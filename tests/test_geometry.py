@@ -513,6 +513,21 @@ def test_contains_points_boundary_inclusive() -> None:
     assert res.tolist() == [True, False, True, True, False]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("shape", ["(m,)", "(m, d + 1)", "(m, d, 1)"])
+@pytest.mark.parametrize("query", ["cell_windows", "point_cells", "contains_points"])
+def test_spatial_queries_refuse_points_of_another_shape(dim: int, shape: str, query: str) -> None:
+    # one input check, cell_windows', guards both queries; m = 3 differs
+    # from d, so contains_points' atleast_2d does not make a (m,) array one
+    # point of the level's dimension
+    level = CoverLevel.full(Box([-1.0] * dim, [1.0] * dim), 2)
+    m = 3
+    pts = np.zeros({"(m,)": (m,), "(m, d + 1)": (m, dim + 1), "(m, d, 1)": (m, dim, 1)}[shape])
+    call = getattr(level, query)
+    with pytest.raises(ValueError, match=rf"expected points of shape \(m, {dim}\)"):
+        call(pts) if query == "contains_points" else call(pts, 0.0)
+
+
 def test_region_semidistance_exact() -> None:
     level = CoverLevel.full(Box([-1.0, -1.0], [1.0, 1.0]), 2)
     # whole cover against the segment {0} x [-1, 1]: farthest x-extent is 1

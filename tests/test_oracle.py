@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
 from boxattractor.attractor import run_global, run_subdivision
 from boxattractor.geometry import Box, CoverLevel
@@ -104,6 +105,17 @@ def test_reference_points_monotone_in_horizon() -> None:
     a = reference_attractor_points(cub, Box([-1.5], [1.5]), resolution=0.05, horizon=2.0)
     b = reference_attractor_points(cub, Box([-1.5], [1.5]), resolution=0.05, horizon=5.0)
     assert set(map(float, b.points.ravel())) <= set(map(float, a.points.ravel()))
+
+
+def test_a_maps_horizon_counts_whole_steps() -> None:
+    # a map iterates whole steps, so 2.5 would run 2; a flow's horizon may
+    # be fractional
+    sys_ = make_builtin("halving1d", Q1)
+    with pytest.raises(ValueError, match="whole steps"):
+        reference_attractor_points(sys_, Q1, resolution=0.02, horizon=2.5)
+    assert reference_attractor_points(sys_, Q1, resolution=0.02, horizon=np.int64(2)).horizon == 2.0
+    cub = make_builtin("cubic1d", Box([-1.5], [1.5]))
+    assert reference_attractor_points(cub, Box([-1.5], [1.5]), resolution=0.05, horizon=2.5).horizon == 2.5
 
 
 def test_verify_sandwich_pass_and_mutation() -> None:
